@@ -5,8 +5,10 @@ cheap invariant screening (order, size, degrees, component sizes,
 bipartiteness, per-vertex triangle counts, the multiset of common-neighbour
 counts over all vertex pairs), then colour refinement seeded with those
 local counts, then a backtracking search over colour-compatible assignments
-with bitmask forward checking.  The first assignment is individualized and
-re-refined, which kills most of the symmetry of the vertex-transitive
+with bitmask forward checking.  g is refined once and h is replayed against
+g's per-round colour tables, rejected at the first signature g lacks.  The
+first assignment v0 -> w0 is individualized: g is re-refined once and h is
+replayed per w0, which kills most of the symmetry of the vertex-transitive
 inputs this package produces.
 
 Every map returned by are_isomorphic has been re-verified edge-by-edge
@@ -94,36 +96,35 @@ def _seed_colors(g: Graph, common) -> list[tuple]:
     return seeds
 
 
-def _refine_ranked(nbrs_all, seeds_all):
-    """Joint colour refinement over one or more graphs.
+def _refine(nbrs, seeds):
+    """Refine one graph: its stable colours and each round's signature -> rank
+    table, the last from the round that split nothing (replay checks stability)."""
+    tables = [{s: i for i, s in enumerate(sorted(set(seeds)))}]
+    colors = [tables[0][s] for s in seeds]
+    while True:
+        sigs = [(colors[v], *sorted([colors[w] for w in nb])) for v, nb in enumerate(nbrs)]
+        tables.append({s: i for i, s in enumerate(sorted(set(sigs)))})
+        if len(tables[-1]) == len(tables[-2]):
+            return colors, tables
+        colors = [tables[-1][s] for s in sigs]
 
-    Colours are canonical ranks of sorted signatures, shared across the
-    graphs, so equal colours mean structurally indistinguishable vertices
-    (as far as refinement sees) even across graphs.
-    """
-    uniq = sorted(set().union(*map(set, seeds_all)))
-    index = {s: i for i, s in enumerate(uniq)}
-    colors = [[index[s] for s in seeds] for seeds in seeds_all]
-    total = sum(len(c) for c in colors)
-    for _ in range(total + 1):
-        sigs_all = []
-        for nbrs, cur in zip(nbrs_all, colors):
-            sigs_all.append(
-                [(cur[v],) + tuple(sorted(cur[w] for w in nbrs[v])) for v in range(len(cur))]
-            )
-        uniq = sorted(set().union(*map(set, sigs_all)))
-        index = {s: i for i, s in enumerate(uniq)}
-        new_colors = [[index[s] for s in sigs] for sigs in sigs_all]
-        if new_colors == colors:
-            break
-        colors = new_colors
-    return colors
+
+def _replay(nbrs, seeds, ref_colors, tables):
+    """Refine a second graph against the reference's tables; its colours, or None
+    at the first signature a round's table lacks or on a histogram mismatch."""
+    try:
+        colors = [tables[0][s] for s in seeds]
+        for table in tables[1:]:
+            colors = [table[(colors[v], *sorted([colors[w] for w in nb]))] for v, nb in enumerate(nbrs)]
+    except KeyError:
+        return None
+    return colors if sorted(colors) == sorted(ref_colors) else None
 
 
 def refinement_colors(g: Graph) -> tuple[int, ...]:
     """Stable per-vertex colours after refinement; an isomorphism invariant multiset."""
     common = _common_matrix(g.neighbor_masks, g.order)
-    return tuple(_refine_ranked([g.neighbors], [_seed_colors(g, common)])[0])
+    return tuple(_refine(g.neighbors, _seed_colors(g, common))[0])
 
 
 def _extend(n, nbrs_g, mh, colors_g, color_masks, mapping, used, counter, budget, depth):
@@ -172,20 +173,18 @@ def _extend(n, nbrs_g, mh, colors_g, color_masks, mapping, used, counter, budget
 def _root_search(g, h, cg, ch, budget, counter):
     n = g.order
     nbrs_g = g.neighbors
-    nbrs_h = h.neighbors
     mh = h.neighbor_masks
     sizes = Counter(cg)
     v0 = min(range(n), key=lambda v: (sizes[cg[v]], v))
+    pg, tables = _refine(nbrs_g, [(cg[v], 1 if v == v0 else 0) for v in range(n)])
     for w0 in range(n):
         if ch[w0] != cg[v0]:
             continue
         counter[0] += 1
         if counter[0] > budget:
             raise BudgetExceededError(f"isomorphism search exceeded {budget} nodes")
-        seeds_g = [(cg[v], 1 if v == v0 else 0) for v in range(n)]
-        seeds_h = [(ch[w], 1 if w == w0 else 0) for w in range(n)]
-        pg, ph = _refine_ranked([nbrs_g, nbrs_h], [seeds_g, seeds_h])
-        if sorted(pg) != sorted(ph):
+        ph = _replay(h.neighbors, [(ch[w], 1 if w == w0 else 0) for w in range(n)], pg, tables)
+        if ph is None:
             continue
         color_masks: dict[int, int] = {}
         for w, c in enumerate(ph):
@@ -218,11 +217,9 @@ def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Opt
     common_h = _common_matrix(mh, n)
     if _pair_profile(g, common_g) != _pair_profile(h, common_h):
         return None
-    cg, ch = _refine_ranked(
-        [g.neighbors, h.neighbors],
-        [_seed_colors(g, common_g), _seed_colors(h, common_h)],
-    )
-    if sorted(cg) != sorted(ch):
+    cg, tables = _refine(g.neighbors, _seed_colors(g, common_g))
+    ch = _replay(h.neighbors, _seed_colors(h, common_h), cg, tables)
+    if ch is None:
         return None
     counter = [0]
     mapping = _root_search(g, h, cg, ch, budget, counter)
@@ -254,7 +251,7 @@ def canonical_key(
     nbrs = g.neighbors
     masks = g.neighbor_masks
     common = _common_matrix(masks, n)
-    colors0 = _refine_ranked([nbrs], [_seed_colors(g, common)])[0]
+    colors0 = _refine(nbrs, _seed_colors(g, common))[0]
 
     best_chunks: Optional[list[int]] = None
     best_perm: Optional[list[int]] = None
@@ -295,7 +292,7 @@ def canonical_key(
             ):
                 break
             seeds = [(colors[u], 1 if u == v else 0) for u in range(n)]
-            new_colors = _refine_ranked([nbrs], [seeds])[0]
+            new_colors = _refine(nbrs, seeds)[0]
             in_placed[v] = True
             placed.append(v)
             chunks.append(chunk)
@@ -305,7 +302,8 @@ def canonical_key(
             in_placed[v] = False
 
     rec([], [], list(colors0))
-    assert best_perm is not None
+    if best_perm is None:
+        raise InvariantViolationError("canonical search ended without a labeling")
     labels = [0] * n
     for pos, v in enumerate(best_perm):
         labels[v] = pos

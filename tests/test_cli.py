@@ -144,6 +144,14 @@ class TestDecide:
                                "--n", "4", "--k", "2", "--witness")
         assert code == 2 and "--witness" in err
 
+    def test_crash_exits_2_not_1(self, capsys):
+        # the decider says yes; the oracle-backed bipartite witness at order 1200
+        # overflows the recursive search, and that crash must not read as "no"
+        code, _, err = run_cli(capsys, "decide", "ci-acc", "--n", "600", "--a", "1", "--b", "599",
+                               "--k", "2", "--witness")
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestOracleCmd:
     def test_isomorphic_pair(self, capsys, tmp_path):

@@ -14,15 +14,41 @@ from accordions import (
     canonical_key,
     cartesian_product,
     circulant,
+    circulant_graph,
     cycle_graph,
     path_graph,
     refinement_colors,
     verify_witness,
 )
+from accordions.oracle import _refine, _replay
 
 
 def _two_triangles():
     return Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+
+
+def _quartic_family(order):
+    """Every accordion, quartic circulant and cycle product of an even order."""
+    n, half = order // 2, (order - 1) // 2
+    graphs = [accordion(n, k) for k in range(1, n // 2 + 1)]
+    graphs += [circulant_graph(order, (a, b)) for a in range(1, half + 1) for b in range(a + 1, half + 1)]
+    graphs += [
+        cartesian_product(cycle_graph(d), cycle_graph(order // d))
+        for d in range(3, order) if order % d == 0 and 3 <= d <= order // d
+    ]
+    return graphs
+
+
+@pytest.fixture(scope="module")
+def networkx():
+    return pytest.importorskip("networkx")
+
+
+def _vf2_isomorphic(networkx, g, h):
+    gx, hx = networkx.Graph(g.edges), networkx.Graph(h.edges)
+    gx.add_nodes_from(range(g.order))
+    hx.add_nodes_from(range(h.order))
+    return networkx.is_isomorphic(gx, hx)
 
 
 class TestAreIsomorphic:
@@ -65,6 +91,29 @@ class TestAreIsomorphic:
             are_isomorphic(g, g.relabel(list(reversed(range(20)))), node_budget=2)
 
 
+class TestDifferentialVF2:
+    """are_isomorphic against networkx's independent VF2 matcher."""
+
+    @given(st.data())
+    def test_family_graphs_and_relabelings(self, networkx, data):
+        order = 2 * data.draw(st.integers(3, 12))
+        family = _quartic_family(order)
+        g = data.draw(st.sampled_from(family))
+        h = data.draw(st.one_of(st.just(g), st.sampled_from(family)))
+        h = h.relabel(data.draw(st.permutations(range(order))))
+        vm = are_isomorphic(g, h)
+        assert (vm is not None) == _vf2_isomorphic(networkx, g, h)
+        assert vm is None or verify_witness(g, h, vm)
+
+    @pytest.mark.parametrize("n", [29, 30, 37, 38])
+    def test_screen_passing_non_isomorphic_pairs(self, networkx, n):
+        perm = list(range(2 * n))
+        random.Random(n).shuffle(perm)
+        g, h = accordion(n, 3), accordion(n, 7).relabel(perm)
+        assert are_isomorphic(g, h) is None
+        assert not _vf2_isomorphic(networkx, g, h)
+
+
 class TestRefinementColors:
     def test_multiset_is_relabeling_invariant(self):
         g = cartesian_product(cycle_graph(3), path_graph(4))
@@ -81,6 +130,39 @@ class TestRefinementColors:
     def test_deterministic(self):
         g = accordion(6, 2)
         assert refinement_colors(g) == refinement_colors(g)
+
+    def test_exact_colours_are_pinned(self):
+        # canonical_key orders vertices by these ranks: the numbering must not drift
+        assert refinement_colors(path_graph(4)) == (0, 1, 1, 0)
+        assert refinement_colors(accordion(6, 2)) == (0,) * 12
+        assert refinement_colors(cartesian_product(cycle_graph(3), path_graph(4))) == (0, 1, 1, 0) * 3
+        assert refinement_colors(cartesian_product(path_graph(3), path_graph(4))) == (
+            0, 2, 2, 0, 1, 3, 3, 1, 0, 2, 2, 0,
+        )
+
+
+class TestReplay:
+    def test_replay_reproduces_the_reference_colours(self):
+        g = cartesian_product(cycle_graph(3), path_graph(4))
+        perm = [5, 0, 7, 2, 9, 4, 11, 6, 1, 8, 3, 10]
+        colors, tables = _refine(g.neighbors, [0] * g.order)
+        replayed = _replay(g.relabel(perm).neighbors, [0] * g.order, colors, tables)
+        assert replayed == [colors[perm.index(w)] for w in range(g.order)]
+
+    def test_unstable_graph_is_rejected_after_the_last_split(self):
+        # C4 is stable at round 0; P4 has the same histogram there, and only
+        # the final non-splitting round shows that it would still split
+        colors, tables = _refine(cycle_graph(4).neighbors, [0] * 4)
+        assert colors == [0] * 4 and len(tables) == 2
+        assert _replay(path_graph(4).neighbors, [0] * 4, colors, tables) is None
+
+    def test_histogram_mismatch_is_rejected(self):
+        # every signature of 2K4 occurs in K4 + 2K2, but in other numbers
+        k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        g = Graph(8, tuple(k4) + ((4, 5), (6, 7)))
+        h = Graph(8, tuple(k4) + tuple((i + 4, j + 4) for i, j in k4))
+        colors, tables = _refine(g.neighbors, [0] * 8)
+        assert _replay(h.neighbors, [0] * 8, colors, tables) is None
 
 
 class TestCanonicalKey:
