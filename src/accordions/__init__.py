@@ -66,6 +66,7 @@ from .witnesses import (
     circulant_accordion_witness,
     cycle_swap_automorphism,
     scaling_witness,
+    torus_witness,
     verify_witness,
 )
 

@@ -18,7 +18,7 @@ from . import oracle
 from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_iso_torus
 from .errors import InvalidParameterError, NotApplicableError
 from .graphs import accordion, cartesian_product, circulant, circulant_graph, cycle_graph
-from .witnesses import accordion_witness, circulant_accordion_witness, verify_witness
+from .witnesses import accordion_witness, circulant_accordion_witness, torus_witness, verify_witness
 
 __all__ = [
     "CensusRow",
@@ -144,7 +144,7 @@ def torus_rows(max_order: int, seed: int = 0, node_budget: Optional[int] = None)
                     found = oracle.are_isomorphic(ci, shuffled, node_budget)
                     verified = None
                     if decided:
-                        verified = found is not None and verify_witness(ci, shuffled, found)
+                        verified = verify_witness(ci, torus, torus_witness(m, a1, a2, n1, n2))
                     yield CensusRow(
                         "ci-torus",
                         {"nprime": m, "a1": a1, "a2": a2, "n1": n1, "n2": n2},

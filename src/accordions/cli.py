@@ -46,6 +46,7 @@ from .serialize import graph_from_json, graph_to_dot, graph_to_edgelist, graph_t
 from .witnesses import (
     accordion_witness,
     circulant_accordion_witness,
+    torus_witness,
     verify_witness,
 )
 
@@ -92,18 +93,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_witness(source, target, vm, direction: str) -> None:
-    # re-verify before printing; a failed self-check must never emit output
+def _witness_text(source, target, vm, direction: str) -> str:
+    # built and re-verified before the verdict is printed, so a witness that
+    # fails leaves stdout empty rather than next to "isomorphic: yes"
     if not verify_witness(source, target, vm):
         raise InvariantViolationError("witness failed re-verification before printing")
-    print(f"witness-direction: {direction}")
-    sys.stdout.write("witness: " + witness_to_json(source, target, vm))
+    return f"witness-direction: {direction}\nwitness: " + witness_to_json(source, target, vm)
 
 
 def _decide_acc_acc(args: argparse.Namespace) -> int:
     _require(args, ["n", "k1", "k2"], "decide acc-acc")
     n, k1, k2 = args.n, args.k1, args.k2
     v = accordions_isomorphic(n, k1, k2)
+    wit = ""
+    if args.witness and v.isomorphic:
+        wit = _witness_text(accordion(n, k2), accordion(n, k1), accordion_witness(n, k1, k2),
+                            f"A[{n},{k2}] -> A[{n},{k1}]")
     print("kind: acc-acc")
     print(f"n: {n}")
     print(f"k1: {k1}")
@@ -114,9 +119,7 @@ def _decide_acc_acc(args: argparse.Namespace) -> int:
         print(f"half-product mod n: {v.half_product % n}")
     print(f"branch: {v.branch}")
     print(f"isomorphic: {_yesno(v.isomorphic)}")
-    if args.witness and v.isomorphic:
-        wit = accordion_witness(n, k1, k2)
-        _print_witness(accordion(n, k2), accordion(n, k1), wit, f"A[{n},{k2}] -> A[{n},{k1}]")
+    sys.stdout.write(wit)
     return 0 if v.isomorphic else 1
 
 
@@ -134,6 +137,11 @@ def _decide_ci_acc(args: argparse.Namespace) -> int:
             return 1
     v = circulant_iso_accordion(n, a, b, k)
     two_n = 2 * n
+    wit = ""
+    if args.witness and v.isomorphic:
+        wit = _witness_text(circulant(n, a, b), accordion(n, k),
+                            circulant_accordion_witness(n, a, b, k),
+                            f"Ci[{two_n},{{{v.a},{v.b}}}] -> A[{n},{k}]")
     print("kind: ci-acc")
     print(f"n: {n}")
     print(f"a: {v.a}")
@@ -151,12 +159,7 @@ def _decide_ci_acc(args: argparse.Namespace) -> int:
         print(f"steps: {v.steps}")
         print(f"sign: {'+2' if v.sign == 1 else '-2' if v.sign == -1 else 'none'}")
     print(f"isomorphic: {_yesno(v.isomorphic)}")
-    if args.witness and v.isomorphic:
-        wit = circulant_accordion_witness(n, a, b, k)
-        _print_witness(
-            circulant(n, a, b), accordion(n, k), wit,
-            f"Ci[{two_n},{{{v.a},{v.b}}}] -> A[{n},{k}]",
-        )
+    sys.stdout.write(wit)
     return 0 if v.isomorphic else 1
 
 
@@ -165,32 +168,30 @@ def _decide_ci_torus(args: argparse.Namespace) -> int:
     if (args.n1 is None) != (args.n2 is None):
         raise InvalidParameterError("--n1 and --n2 must be given together")
     m, a1, a2 = args.nprime, args.a1, args.a2
+    found = torus_parameters(m, a1, a2) if args.n1 is None else (args.n1, args.n2)
+    ok = found is not None and circulant_iso_torus(m, a1, a2, *found)
+    wit = ""
+    if args.witness and ok:
+        n1, n2 = found
+        torus = cartesian_product(cycle_graph(n1), cycle_graph(n2))
+        wit = _witness_text(circulant_graph(m, (a1, a2)), torus, torus_witness(m, a1, a2, n1, n2),
+                            f"Ci[{m},{{{a1},{a2}}}] -> C{n1} x C{n2}")
     print("kind: ci-torus")
     print(f"nprime: {m}")
     print(f"a1: {a1}")
     print(f"a2: {a2}")
+    if found is None:
+        print("factors: none")
+        print("isomorphic: no")
+        return 1
+    n1, n2 = found
     if args.n1 is None:
-        found = torus_parameters(m, a1, a2)
-        if found is None:
-            print("factors: none")
-            print("isomorphic: no")
-            return 1
-        n1, n2 = found
         print(f"factors: {n1} x {n2}")
-    else:
-        n1, n2 = args.n1, args.n2
-    ok = circulant_iso_torus(m, a1, a2, n1, n2)
     print(f"gcd(nprime,a1): {gcd(m, a1 % m)}")
     print(f"gcd(nprime,a2): {gcd(m, a2 % m)}")
     print(f"gcd(n1,n2): {gcd(n1, n2)}")
     print(f"isomorphic: {_yesno(ok)}")
-    if args.witness and ok:
-        ci = circulant_graph(m, (a1, a2))
-        torus = cartesian_product(cycle_graph(n1), cycle_graph(n2))
-        vm = oracle.are_isomorphic(ci, torus, _node_budget())
-        if vm is None:
-            raise InvariantViolationError("decider says isomorphic but the search found no map")
-        _print_witness(ci, torus, vm, f"Ci[{m},{{{a1},{a2}}}] -> C{n1} x C{n2}")
+    sys.stdout.write(wit)
     return 0 if ok else 1
 
 

@@ -1,9 +1,10 @@
 """Explicit isomorphism and automorphism maps, plus the certificate checker.
 
-Every constructor in this module re-verifies its own output edge-by-edge
-before returning it; a failed self-check raises InvariantViolationError
-rather than silently returning a bad map.  Directions are fixed and
-documented per constructor; callers invert with VertexMap.invert().
+Every map is built in closed form; none is found by search.  Every
+constructor re-verifies its own output edge-by-edge before returning it; a
+failed self-check raises InvariantViolationError rather than silently
+returning a bad map.  Directions are fixed and documented per constructor;
+callers invert with VertexMap.invert().
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .deciders import accordions_isomorphic, circulant_iso_accordion
+from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_iso_torus
 from .errors import InvalidParameterError, InvariantViolationError
 from .graphs import (
     AccordionParams,
@@ -21,6 +22,7 @@ from .graphs import (
     accordion,
     cartesian_product,
     circulant,
+    circulant_graph,
     cycle_graph,
     path_graph,
 )
@@ -34,6 +36,7 @@ __all__ = [
     "scaling_witness",
     "bipartite_accordion_witness",
     "circulant_accordion_witness",
+    "torus_witness",
     "CylinderExtension",
     "accordion_from_cylinder",
 ]
@@ -126,8 +129,8 @@ def cycle_swap_automorphism(n: int, k: int) -> VertexMap:
 def _spoke_cycle_vertex(n: int, k1: int, start: int, pos: int) -> int:
     """Vertex at 1-based position pos of the alternating spoke cycle through v_start.
 
-    The cycle is (v_start, u_start, v_{start+k1}, u_{start+k1}, ...) in A[n,k1];
-    when gcd(n,k1) = 2 it has length n.  Returns the 0-based vertex index.
+    The cycle is (v_start, u_start, v_{start+k1}, u_{start+k1}, ...) in A[n,k1]
+    and has length 2n/gcd(n,k1).  Returns the 0-based vertex index.
     """
     t, r = divmod(pos - 1, 2)
     idx = (start - 1 + t * k1) % n
@@ -185,45 +188,24 @@ def scaling_witness(n: int, a: int, b: int) -> VertexMap:
                     f"scaling witness onto Ci[{two_n},{{{a},{b}}}]")
 
 
-_BASE_BIPARTITE_CACHE: dict[int, VertexMap] = {}
-
-
-def _bipartite_base_witness(n: int) -> VertexMap:
-    """Oracle-found isomorphism Ci[2n,{1,n-1}] -> A[n,2], cached per n.
-
-    The identity Ci[2n,{1,n-1}] ~ A[n,2] (n even) anchors every bipartite
-    witness; no closed-form map is constructed for it here, so the search
-    supplies one.  The cache is a read-mostly memo; a concurrent duplicate
-    computation is harmless.
-    """
-    cached = _BASE_BIPARTITE_CACHE.get(n)
-    if cached is not None:
-        return cached
-    from . import oracle  # deferred: oracle imports VertexMap from this module
-
-    vm = oracle.are_isomorphic(circulant(n, 1, n - 1), accordion(n, 2))
-    if vm is None:
-        raise InvariantViolationError(
-            f"Ci[{2 * n},{{1,{n - 1}}}] should be isomorphic to A[{n},2]"
-        )
-    _BASE_BIPARTITE_CACHE[n] = vm
-    return vm
-
-
 def bipartite_accordion_witness(n: int, a: int, b: int) -> VertexMap:
     """A verified isomorphism Ci[2n,{a,b}] -> A[n,2] for the both-odd regime.
 
-    Composes the inverse of the scaling witness with the cached base map
-    Ci[2n,{1,n-1}] -> A[n,2].
+    Composes the inverse of the scaling witness with the base map
+    Ci[2n,{1,n-1}] -> A[n,2] that fixes x_t -> u_t and sends
+    x_{n+t} -> v_{t+1} (0-based, t in [0,n)).  In the circulant x_t and
+    x_{n+t} are twins (both adjacent to x_{t+-1}, x_{n+t+-1}); in A[n,2]
+    u_t and v_{t+1} are twins (both adjacent to u_{t+-1}, v_{t+1+-1}); and
+    consecutive twin pairs span a K_{2,2} in both graphs.
     """
     verdict = circulant_iso_accordion(n, a, b, 2)
     if verdict.regime != "bipartite" or not verdict.isomorphic:
         raise InvalidParameterError(
             f"Ci[{2 * n},{{{a},{b}}}] is not isomorphic to A[{n},2] in the bipartite regime"
         )
-    base = _bipartite_base_witness(n)
-    vm = scaling_witness(n, verdict.a, verdict.b).invert().then(base)
-    return _checked(circulant(n, a, b), accordion(n, 2), vm.mapping,
+    base = list(range(n)) + [n + (t + 1) % n for t in range(n)]
+    to_base = scaling_witness(n, verdict.a, verdict.b).invert()
+    return _checked(circulant(n, a, b), accordion(n, 2), [base[j] for j in to_base.mapping],
                     f"bipartite witness Ci[{2 * n},{{{a},{b}}}] -> A[{n},2]")
 
 
@@ -256,14 +238,34 @@ def circulant_accordion_witness(n: int, a: int, b: int, k: int) -> VertexMap:
         for j in range(1, p + 1):
             sub = (j * ao + i * bo) if sign > 0 else ((2 - j) * ao + i * bo)
             src = (sub - 1) % two_n
-            t, r = divmod(j - 1, 2)
-            idx = (i - 1 + t * k) % n
-            tgt = n + idx if r == 0 else idx
             if m[src] != -1:
                 raise InvariantViolationError("circulant cycle decomposition collided")
-            m[src] = tgt
+            m[src] = _spoke_cycle_vertex(n, k, i, j)
     return _checked(circulant(n, a, b), accordion(n, k), m,
                     f"witness Ci[{2 * n},{{{a},{b}}}] -> A[{n},{k}]")
+
+
+def torus_witness(nprime: int, a1: int, a2: int, n1: int, n2: int) -> VertexMap:
+    """A verified isomorphism Ci[nprime,{a1,a2}] -> C_{n1} [] C_{n2}; refuses decider-false inputs.
+
+    With the lengths ordered so that gcd(nprime,a1) = n2 and gcd(nprime,a2) = n1,
+    a1 is a unit mod n1 and a multiple of n2, and a2 the reverse, so the CRT
+    map x_i -> (i*a1^-1 mod n1, i*a2^-1 mod n2) turns each length-a1 step
+    into a step around the n1-cycle and each length-a2 step into one around
+    the n2-cycle.  Vertex (x, y) of the product is x*n2 + y, as in
+    cartesian_product.
+    """
+    if not circulant_iso_torus(nprime, a1, a2, n1, n2):
+        raise InvalidParameterError(
+            f"Ci[{nprime},{{{a1},{a2}}}] is not isomorphic to C{n1} [] C{n2}"
+        )
+    ci = circulant_graph(nprime, (a1, a2))
+    if math.gcd(nprime, a1) != n2:
+        a1, a2 = a2, a1
+    s1, s2 = pow(a1, -1, n1), pow(a2, -1, n2)
+    m = [(i * s1 % n1) * n2 + i * s2 % n2 for i in range(nprime)]
+    return _checked(ci, cartesian_product(cycle_graph(n1), cycle_graph(n2)), m,
+                    f"torus witness Ci[{nprime},{{{a1},{a2}}}] -> C{n1} [] C{n2}")
 
 
 @dataclass(frozen=True)
@@ -274,7 +276,8 @@ class CylinderExtension:
     (mod n), so chords advance 2*steps positions around the rim;
     added_edges: the chords, 0-based; added_index_pairs: the same chords as
     1-based rim positions (r_i, l_j) (or (w_i, w_j) when the path is trivial);
-    to_accordion: an oracle-verified isomorphism graph -> A[n,k].
+    to_accordion: a verified isomorphism graph -> A[n,k] that sends row p of
+    the cylinder, (c, p) for c in [0,n1), onto the spoke cycle through v_{p+1}.
     """
 
     graph: Graph
@@ -316,13 +319,7 @@ def accordion_from_cylinder(n1: int, n2: int, k: int) -> CylinderExtension:
         added = [(i * n2 + n2 - 1, ((i + shift) % n1) * n2) for i in range(n1)]
         pairs = [(i + 1, ((i + shift) % n1) + 1) for i in range(n1)]
     graph = Graph(2 * n, base.edges + tuple(added))
-
-    from . import oracle  # deferred import, as in _bipartite_base_witness
-
-    vm = oracle.are_isomorphic(graph, accordion(n, k))
-    if vm is None:
-        raise InvariantViolationError(
-            f"chorded C_{n1} [] P_{n2} failed to match A[{n},{k}]"
-        )
+    m = [_spoke_cycle_vertex(n, k, p + 1, c + 1) for c in range(n1) for p in range(n2)]
+    vm = _checked(graph, accordion(n, k), m, f"chorded C_{n1} [] P_{n2} -> A[{n},{k}]")
     canonical_added = tuple(sorted((min(e), max(e)) for e in added))
     return CylinderExtension(graph, n, k, steps, canonical_added, tuple(pairs), vm)

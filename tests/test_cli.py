@@ -3,6 +3,7 @@
 import json
 
 from accordions import accordion, graph_from_json, verify_witness, witness_from_json
+from accordions import cli
 from accordions.cli import main
 from accordions.serialize import graph_to_json
 
@@ -144,13 +145,25 @@ class TestDecide:
                                "--n", "4", "--k", "2", "--witness")
         assert code == 2 and "--witness" in err
 
-    def test_crash_exits_2_not_1(self, capsys):
-        # the decider says yes; the oracle-backed bipartite witness at order 1200
-        # overflows the recursive search, and that crash must not read as "no"
-        code, _, err = run_cli(capsys, "decide", "ci-acc", "--n", "600", "--a", "1", "--b", "599",
+    def test_bipartite_witness_at_order_1200(self, capsys):
+        code, out, _ = run_cli(capsys, "decide", "ci-acc", "--n", "600", "--a", "1", "--b", "599",
                                "--k", "2", "--witness")
+        assert code == 0
+        doc = next(line for line in out.splitlines() if line.startswith("witness: "))
+        src, tgt, vm = witness_from_json(doc.removeprefix("witness: "))
+        assert verify_witness(src, tgt, vm)
+
+    def test_witness_crash_prints_no_verdict(self, capsys, monkeypatch):
+        # a crash must exit 2, not 1 ("no"), and must not leave "isomorphic: yes" behind
+        def crash(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "circulant_accordion_witness", crash)
+        code, out, err = run_cli(capsys, "decide", "ci-acc", "--n", "5", "--a", "3", "--b", "4",
+                                 "--k", "1", "--witness")
         assert code == 2
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "isomorphic:" not in out
 
 
 class TestOracleCmd:
@@ -196,6 +209,19 @@ class TestOracleCmd:
         good.write_text(graph_to_json(accordion(3, 1)))
         code, _, err = run_cli(capsys, "oracle", str(good), str(tmp_path / "absent.json"))
         assert code == 2
+
+    def test_order_1040_never_exits_1(self, capsys, tmp_path):
+        # A[520,1] against itself is isomorphic: a search that cannot finish
+        # must refuse with exit 2 and one error line, never answer "no"
+        f = tmp_path / "g.json"
+        f.write_text(graph_to_json(accordion(520, 1)))
+        code, out, err = run_cli(capsys, "oracle", str(f), str(f))
+        assert code in (0, 2)
+        if code == 0:
+            src, tgt, vm = witness_from_json(out.splitlines()[1])
+            assert verify_witness(src, tgt, vm)
+        else:
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_budget_env_override(self, capsys, tmp_path, monkeypatch):
         f = tmp_path / "g.json"

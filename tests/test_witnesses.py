@@ -19,13 +19,16 @@ from accordions import (
     cartesian_product,
     circulant,
     circulant_accordion_witness,
+    circulant_graph,
     circulant_iso_accordion,
+    circulant_iso_torus,
     cycle_graph,
     cycle_swap_automorphism,
     cylinder_cut_edges,
     edge_length,
     path_graph,
     scaling_witness,
+    torus_witness,
     verify_witness,
 )
 
@@ -157,7 +160,7 @@ class TestScalingWitness:
 
 class TestCirculantAccordionWitness:
     def test_bipartite_examples(self):
-        for n, a, b in [(4, 1, 3), (6, 1, 5), (8, 3, 5)]:
+        for n, a, b in [(4, 1, 3), (6, 1, 5), (8, 3, 5), (500, 1, 499), (510, 1, 509)]:
             vm = bipartite_accordion_witness(n, a, b)
             assert verify_witness(circulant(n, a, b), accordion(n, 2), vm)
 
@@ -196,6 +199,41 @@ class TestCirculantAccordionWitness:
         assert built > 30
 
 
+class TestTorusWitness:
+    def test_all_matches_up_to_order_36(self):
+        built = 0
+        for m in range(9, 37):
+            for n1 in range(3, m // 3 + 1):
+                if m % n1 != 0:
+                    continue
+                n2 = m // n1
+                for a1 in range(1, (m - 1) // 2 + 1):
+                    for a2 in range(a1 + 1, (m - 1) // 2 + 1):
+                        if not circulant_iso_torus(m, a1, a2, n1, n2):
+                            continue
+                        vm = torus_witness(m, a1, a2, n1, n2)
+                        torus = cartesian_product(cycle_graph(n1), cycle_graph(n2))
+                        assert verify_witness(circulant_graph(m, (a1, a2)), torus, vm), (m, a1, a2, n1, n2)
+                        built += 1
+        assert built == 62  # each coprime factor pair in both orders
+
+    def test_order_1001(self):
+        vm = torus_witness(1001, 286, 21, 7, 143)
+        torus = cartesian_product(cycle_graph(7), cycle_graph(143))
+        assert verify_witness(circulant_graph(1001, (286, 21)), torus, vm)
+
+    def test_lengths_in_either_order(self):
+        torus = cartesian_product(cycle_graph(3), cycle_graph(4))
+        for a1, a2 in [(3, 4), (4, 3)]:
+            vm = torus_witness(12, a1, a2, 3, 4)
+            assert verify_witness(circulant_graph(12, (a1, a2)), torus, vm)
+
+    def test_refuses_decider_false(self):
+        assert not circulant_iso_torus(12, 1, 4, 3, 4)
+        with pytest.raises(InvalidParameterError):
+            torus_witness(12, 1, 4, 3, 4)
+
+
 class TestAccordionFromCylinder:
     def test_a10_5_added_chords(self):
         r = accordion_from_cylinder(4, 5, 5)
@@ -220,6 +258,27 @@ class TestAccordionFromCylinder:
         r = accordion_from_cylinder(8, 3, 3)  # n = 12, gcd(12,3) = 3
         assert len(r.added_edges) == 8
         assert r.graph.size == accordion(12, 3).size
+
+
+def test_witnesses_never_call_the_oracle(monkeypatch, capsys):
+    from accordions import oracle
+    from accordions.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a witness constructor called the oracle")
+
+    monkeypatch.setattr(oracle, "are_isomorphic", refuse)
+    cycle_swap_automorphism(7, 3)
+    accordion_witness(14, 4, 6)
+    scaling_witness(8, 3, 5)
+    bipartite_accordion_witness(8, 3, 5)
+    circulant_accordion_witness(5, 3, 4, 1)
+    circulant_accordion_witness(4, 1, 3, 2)
+    torus_witness(12, 3, 4, 3, 4)
+    r = accordion_from_cylinder(4, 5, 5)
+    assert verify_witness(r.graph, accordion(10, 5), r.to_accordion)
+    assert main(["decide", "ci-torus", "--nprime", "15", "--a1", "3", "--a2", "5", "--witness"]) == 0
+    assert "witness: " in capsys.readouterr().out
 
 
 def test_cut_edges_leave_cylinder():
