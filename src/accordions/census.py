@@ -42,22 +42,26 @@ class CensusRow:
     witness_verified: Optional[bool]  # present iff the decider said isomorphic
     elapsed: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "decider": self.decider,
-            "oracle": self.oracle,
-            "agree": self.agree,
-            "witness_verified": self.witness_verified,
-            "elapsed": round(self.elapsed, 6),
-        }
-
 
 def _shuffled(g, rng):
     perm = list(range(g.order))
     rng.shuffle(perm)
     return g.relabel(perm)
+
+
+def _row(kind, params, g, shuffled, decide, witness, node_budget) -> CensusRow:
+    """`decide()` against the oracle on g and a relabeled graph; when the decider
+    says yes, `witness()` gives the (source, target, map) to verify.  A decider
+    that does not apply counts as a no."""
+    start = time.perf_counter()
+    try:
+        decided = decide()
+    except NotApplicableError:
+        decided = False
+    found = oracle.are_isomorphic(g, shuffled, node_budget) is not None
+    verified = verify_witness(*witness()) if decided else None
+    return CensusRow(kind, params, decided, found, decided == found, verified,
+                     time.perf_counter() - start)
 
 
 def accordion_pair_rows(max_n: int, seed: int = 0, node_budget: Optional[int] = None) -> Iterator[CensusRow]:
@@ -66,24 +70,11 @@ def accordion_pair_rows(max_n: int, seed: int = 0, node_budget: Optional[int] = 
     for n in range(3, max_n + 1):
         for k1 in range(1, n // 2 + 1):
             for k2 in range(k1, n // 2 + 1):
-                start = time.perf_counter()
-                decided = accordions_isomorphic(n, k1, k2).isomorphic
                 g1 = accordion(n, k1)
                 g2 = accordion(n, k2)
-                found = oracle.are_isomorphic(g1, _shuffled(g2, rng), node_budget)
-                verified = None
-                if decided:
-                    witness = accordion_witness(n, k1, k2)
-                    verified = verify_witness(g2, g1, witness)
-                yield CensusRow(
-                    "acc-acc",
-                    {"n": n, "k1": k1, "k2": k2},
-                    decided,
-                    found is not None,
-                    decided == (found is not None),
-                    verified,
-                    time.perf_counter() - start,
-                )
+                yield _row("acc-acc", {"n": n, "k1": k1, "k2": k2}, g1, _shuffled(g2, rng),
+                           lambda: accordions_isomorphic(n, k1, k2).isomorphic,
+                           lambda: (g2, g1, accordion_witness(n, k1, k2)), node_budget)
 
 
 def circulant_accordion_rows(max_n: int, seed: int = 0, node_budget: Optional[int] = None) -> Iterator[CensusRow]:
@@ -98,62 +89,31 @@ def circulant_accordion_rows(max_n: int, seed: int = 0, node_budget: Optional[in
             for b in range(a + 1, n):
                 ci = circulant(n, a, b)
                 for k in range(1, n // 2 + 1):
-                    start = time.perf_counter()
-                    try:
-                        decided = circulant_iso_accordion(n, a, b, k).isomorphic
-                    except NotApplicableError:
-                        decided = False
                     acc = accordion(n, k)
-                    found = oracle.are_isomorphic(ci, _shuffled(acc, rng), node_budget)
-                    verified = None
-                    if decided:
-                        witness = circulant_accordion_witness(n, a, b, k)
-                        verified = verify_witness(ci, acc, witness)
-                    yield CensusRow(
-                        "ci-acc",
-                        {"n": n, "a": a, "b": b, "k": k},
-                        decided,
-                        found is not None,
-                        decided == (found is not None),
-                        verified,
-                        time.perf_counter() - start,
-                    )
+                    yield _row("ci-acc", {"n": n, "a": a, "b": b, "k": k}, ci, _shuffled(acc, rng),
+                               lambda: circulant_iso_accordion(n, a, b, k).isomorphic,
+                               lambda: (ci, acc, circulant_accordion_witness(n, a, b, k)), node_budget)
 
 
 def torus_rows(max_order: int, seed: int = 0, node_budget: Optional[int] = None) -> Iterator[CensusRow]:
     """Ci[m,{a1,a2}] vs C_{n1} [] C_{n2} for every m <= max_order with a divisor
-    pair n1, n2 >= 3 and every normalized length pair a1 < a2."""
+    pair n1, n2 >= 3 and every normalized length pair a1 < a2.  All rows of one
+    (n1, n2) share one relabeled torus."""
     rng = random.Random(seed + 2)
     for m in range(9, max_order + 1):
-        divisor_pairs = [
-            (d, m // d)
-            for d in range(3, math.isqrt(m) + 1)
-            if m % d == 0 and m // d >= 3
-        ]
-        if not divisor_pairs:
-            continue
         top = (m - 1) // 2
-        for n1, n2 in divisor_pairs:
+        for n1 in range(3, math.isqrt(m) + 1):
+            n2 = m // n1
+            if m % n1 != 0 or n2 < 3:
+                continue
             torus = cartesian_product(cycle_graph(n1), cycle_graph(n2))
             shuffled = _shuffled(torus, rng)
             for a1 in range(1, top + 1):
                 for a2 in range(a1 + 1, top + 1):
-                    start = time.perf_counter()
-                    decided = circulant_iso_torus(m, a1, a2, n1, n2)
                     ci = circulant_graph(m, (a1, a2))
-                    found = oracle.are_isomorphic(ci, shuffled, node_budget)
-                    verified = None
-                    if decided:
-                        verified = verify_witness(ci, torus, torus_witness(m, a1, a2, n1, n2))
-                    yield CensusRow(
-                        "ci-torus",
-                        {"nprime": m, "a1": a1, "a2": a2, "n1": n1, "n2": n2},
-                        decided,
-                        found is not None,
-                        decided == (found is not None),
-                        verified,
-                        time.perf_counter() - start,
-                    )
+                    yield _row("ci-torus", {"nprime": m, "a1": a1, "a2": a2, "n1": n1, "n2": n2}, ci, shuffled,
+                               lambda: circulant_iso_torus(m, a1, a2, n1, n2),
+                               lambda: (ci, torus, torus_witness(m, a1, a2, n1, n2)), node_budget)
 
 
 @dataclass
@@ -168,7 +128,6 @@ class CensusReport:
 
 def run_census(
     max_n: int = 14,
-    max_circulant_n: Optional[int] = None,
     max_torus: int = 36,
     seed: int = 0,
     node_budget: Optional[int] = None,
@@ -176,19 +135,17 @@ def run_census(
     """Run the full cross-validation sweep and aggregate a summary.
 
     Accordion pairs go up to max_n, circulant-accordion comparisons up to
-    min(max_n, 10) unless overridden, torus comparisons up to order max_torus.
+    min(max_n, 10), torus comparisons up to order max_torus.
     """
     if max_n < 3:
         raise InvalidParameterError(f"census needs max_n >= 3, got {max_n}")
     if max_torus < 0:
         raise InvalidParameterError(f"max_torus must be >= 0, got {max_torus}")
-    circ_n = min(max_n, 10) if max_circulant_n is None else max_circulant_n
 
     start = time.perf_counter()
     rows: list[CensusRow] = []
     rows.extend(accordion_pair_rows(max_n, seed, node_budget))
-    if circ_n >= 3:
-        rows.extend(circulant_accordion_rows(circ_n, seed, node_budget))
+    rows.extend(circulant_accordion_rows(min(max_n, 10), seed, node_budget))
     rows.extend(torus_rows(max_torus, seed, node_budget))
 
     disagreements = [r.params | {"kind": r.kind} for r in rows if not r.agree]

@@ -8,6 +8,7 @@ variable ACCGRAPH_NODE_BUDGET.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -60,9 +61,12 @@ def _node_budget() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise InvalidParameterError(f"{ENV_NODE_BUDGET} must be an integer, got {raw!r}")
+    if budget < 1:
+        raise InvalidParameterError(f"{ENV_NODE_BUDGET} must be >= 1, got {budget}")
+    return budget
 
 
 def _require(args: argparse.Namespace, names: list[str], context: str) -> None:
@@ -272,7 +276,8 @@ def cmd_census(args: argparse.Namespace) -> int:
     out = Path(args.out)
     with out.open("w") as handle:
         for row in report.rows:
-            handle.write(json.dumps(row.to_dict(), separators=(",", ":")) + "\n")
+            doc = dataclasses.asdict(row) | {"elapsed": round(row.elapsed, 6)}
+            handle.write(json.dumps(doc, separators=(",", ":")) + "\n")
         handle.write(json.dumps({"summary": report.summary}, separators=(",", ":")) + "\n")
     summary = report.summary
     print(f"rows: {summary['rows']}")

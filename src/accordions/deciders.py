@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidParameterError, InvariantViolationError, NotApplicableError
-from .graphs import AccordionParams, CirculantParams, normalize_length
+from .graphs import AccordionParams, CirculantParams, _circulant_lengths
 from .modarith import steps_to_gcd
 
 __all__ = [
@@ -113,22 +113,6 @@ def unique_partner(n: int, k1: int) -> Optional[int]:
     return partners[0] if partners else None
 
 
-def _validated_torus_lengths(nprime: int, a1: int, a2: int) -> tuple[int, int]:
-    if nprime < 5:
-        raise InvalidParameterError(f"circulant order must be >= 5 for two lengths, got {nprime}")
-    na1 = normalize_length(a1, nprime)
-    na2 = normalize_length(a2, nprime)
-    bound = (nprime - 1) // 2
-    for name, val in (("a1", na1), ("a2", na2)):
-        if not 1 <= val <= bound:
-            raise InvalidParameterError(
-                f"length {name}={val} (normalized) must lie in [1, {bound}] for order {nprime}"
-            )
-    if na1 == na2:
-        raise InvalidParameterError(f"lengths must be distinct, both normalize to {na1}")
-    return na1, na2
-
-
 def circulant_iso_torus(nprime: int, a1: int, a2: int, n1: int, n2: int) -> bool:
     """Decide Ci[nprime,{a1,a2}] ~ C_{n1} [] C_{n2}.
 
@@ -137,7 +121,7 @@ def circulant_iso_torus(nprime: int, a1: int, a2: int, n1: int, n2: int) -> bool
     """
     if n1 < 3 or n2 < 3:
         raise InvalidParameterError(f"cycle factors must be >= 3, got n1={n1}, n2={n2}")
-    na1, na2 = _validated_torus_lengths(nprime, a1, a2)
+    na1, na2 = _circulant_lengths(nprime, (a1, a2))
     if nprime != n1 * n2 or math.gcd(n1, n2) != 1:
         return False
     g1 = math.gcd(nprime, na1)
@@ -147,7 +131,7 @@ def circulant_iso_torus(nprime: int, a1: int, a2: int, n1: int, n2: int) -> bool
 
 def torus_parameters(nprime: int, a1: int, a2: int) -> Optional[tuple[int, int]]:
     """Scan divisor pairs of nprime for one making the torus test true."""
-    _validated_torus_lengths(nprime, a1, a2)
+    _circulant_lengths(nprime, (a1, a2))
     for d in range(3, math.isqrt(nprime) + 1):
         if nprime % d != 0:
             continue

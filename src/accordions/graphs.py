@@ -139,6 +139,27 @@ def normalize_length(value: int, order: int) -> int:
     return min(r, order - r)
 
 
+def _circulant_lengths(order: int, lengths: Sequence[int]) -> tuple[int, ...]:
+    """The lengths normalized for a circulant of the given order.
+
+    Each must land in [1, (order-1)//2], so that it contributes a 2-regular
+    layer (length 0 is no edge, order/2 a perfect matching), and no two may
+    coincide.
+    """
+    bound = (order - 1) // 2
+    if bound < 1:
+        raise InvalidParameterError(f"a circulant of order {order} has no length in [1, (order-1)//2]")
+    norm = tuple(normalize_length(val, order) for val in lengths)
+    for val, r in zip(lengths, norm):
+        if not 1 <= r <= bound:
+            raise InvalidParameterError(
+                f"length {val} normalizes to {r}, outside [1, {bound}] for order {order}"
+            )
+    if len(set(norm)) != len(norm):
+        raise InvalidParameterError(f"lengths must be distinct after normalization, got {list(norm)}")
+    return norm
+
+
 @dataclass(frozen=True)
 class CirculantParams:
     """Validated (n, a, b) triple naming Ci[2n,{a,b}], the circulant on 2n vertices.
@@ -155,16 +176,7 @@ class CirculantParams:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise InvalidParameterError(f"circulant parameter n must be >= 3, got {self.n}")
-        two_n = 2 * self.n
-        a = normalize_length(self.a, two_n)
-        b = normalize_length(self.b, two_n)
-        for name, val in (("a", a), ("b", b)):
-            if not 1 <= val <= self.n - 1:
-                raise InvalidParameterError(
-                    f"circulant length {name}={val} (normalized) must lie in [1, {self.n - 1}]"
-                )
-        if a == b:
-            raise InvalidParameterError(f"circulant lengths must be distinct, both normalize to {a}")
+        a, b = _circulant_lengths(2 * self.n, (self.a, self.b))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -243,21 +255,10 @@ def circulant(n: int, a: int, b: int) -> Graph:
 def circulant_graph(order: int, lengths: Sequence[int]) -> Graph:
     """Circulant of arbitrary order with the given connection lengths.
 
-    Each normalized length must lie in [1, (order-1)//2] so it contributes a
-    2-regular layer; with two distinct lengths the graph is quartic.
+    Lengths are checked by `_circulant_lengths`; with two of them the graph
+    is quartic.
     """
-    if order < 3:
-        raise InvalidParameterError(f"circulant order must be >= 3, got {order}")
-    norm = []
-    for val in lengths:
-        r = normalize_length(val, order)
-        if not 1 <= r <= (order - 1) // 2:
-            raise InvalidParameterError(
-                f"length {val} normalizes to {r}, outside [1, {(order - 1) // 2}] for order {order}"
-            )
-        norm.append(r)
-    if len(set(norm)) != len(norm):
-        raise InvalidParameterError(f"lengths must be distinct after normalization, got {norm}")
+    norm = _circulant_lengths(order, lengths)
     edges = [(i, (i + r) % order) for r in norm for i in range(order)]
     return Graph(order, tuple(edges))
 

@@ -231,20 +231,16 @@ def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Opt
     return vm
 
 
-def canonical_key(
-    g: Graph,
-    node_budget: Optional[int] = None,
-    max_order: int = DEFAULT_CANONICAL_MAX_ORDER,
-) -> bytes:
+def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:
     """A total-order key with key(g) = key(h) iff g and h are isomorphic.
 
     Branch-and-bound minimization of the adjacency bit string over all vertex
     orderings compatible with iterated refinement; the key is the serialized
     canonically-relabeled graph.  Complete but expensive, hence the order cap.
     """
-    if g.order > max_order:
+    if g.order > DEFAULT_CANONICAL_MAX_ORDER:
         raise BudgetExceededError(
-            f"canonical_key is limited to {max_order} vertices by default, got {g.order}"
+            f"canonical_key is limited to {DEFAULT_CANONICAL_MAX_ORDER} vertices, got {g.order}"
         )
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     n = g.order

@@ -24,9 +24,8 @@ __all__ = [
 ]
 
 
-def graph_to_json(g: Graph) -> str:
-    doc = {"order": g.order, "edges": [list(e) for e in g.edges]}
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+def _graph_doc(g: Graph) -> dict:
+    return {"order": g.order, "edges": [list(e) for e in g.edges]}
 
 
 def _require_int(value: object, what: str) -> int:
@@ -35,11 +34,7 @@ def _require_int(value: object, what: str) -> int:
     return value
 
 
-def graph_from_json(text: str) -> Graph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(f"not a valid graph document: {exc}") from exc
+def _graph_from_doc(doc: object) -> Graph:
     if not isinstance(doc, dict) or set(doc) != {"order", "edges"}:
         raise InvalidParameterError('graph document must have exactly the keys "order" and "edges"')
     order = _require_int(doc["order"], "order")
@@ -52,6 +47,18 @@ def graph_from_json(text: str) -> Graph:
             raise InvalidParameterError(f"edge entry {item!r} is not an [i,j] pair")
         edges.append((_require_int(item[0], "edge endpoint"), _require_int(item[1], "edge endpoint")))
     return Graph(order, tuple(edges))
+
+
+def graph_to_json(g: Graph) -> str:
+    return json.dumps(_graph_doc(g), separators=(",", ":")) + "\n"
+
+
+def graph_from_json(text: str) -> Graph:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"not a valid graph document: {exc}") from exc
+    return _graph_from_doc(doc)
 
 
 def graph_to_dot(g: Graph) -> str:
@@ -69,11 +76,7 @@ def graph_to_edgelist(g: Graph) -> str:
 
 
 def witness_to_json(source: Graph, target: Graph, vm: VertexMap) -> str:
-    doc = {
-        "source": {"order": source.order, "edges": [list(e) for e in source.edges]},
-        "target": {"order": target.order, "edges": [list(e) for e in target.edges]},
-        "mapping": list(vm.mapping),
-    }
+    doc = {"source": _graph_doc(source), "target": _graph_doc(target), "mapping": list(vm.mapping)}
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
@@ -86,8 +89,8 @@ def witness_from_json(text: str) -> tuple[Graph, Graph, VertexMap]:
         raise InvalidParameterError(
             'witness document must have exactly the keys "source", "target" and "mapping"'
         )
-    source = graph_from_json(json.dumps(doc["source"]))
-    target = graph_from_json(json.dumps(doc["target"]))
+    source = _graph_from_doc(doc["source"])
+    target = _graph_from_doc(doc["target"])
     mapping = doc["mapping"]
     if not isinstance(mapping, list):
         raise InvalidParameterError("mapping must be a list of integers")

@@ -1,6 +1,9 @@
 """CLI surface: exit codes, document round-trips, witness self-checks."""
 
+import hashlib
 import json
+
+import pytest
 
 from accordions import accordion, graph_from_json, verify_witness, witness_from_json
 from accordions import cli
@@ -210,6 +213,20 @@ class TestOracleCmd:
         code, _, err = run_cli(capsys, "oracle", str(good), str(tmp_path / "absent.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_1_exits_2(self, capsys, tmp_path, monkeypatch, budget):
+        # A[6,1] vs A[6,2] is screened out without a search: a budget below 1
+        # must still be refused, not answered "no"
+        g = tmp_path / "g.json"
+        h = tmp_path / "h.json"
+        g.write_text(graph_to_json(accordion(6, 1)))
+        h.write_text(graph_to_json(accordion(6, 2)))
+        monkeypatch.setenv("ACCGRAPH_NODE_BUDGET", budget)
+        code, out, err = run_cli(capsys, "oracle", str(g), str(h))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_order_1040_never_exits_1(self, capsys, tmp_path):
         # A[520,1] against itself is isomorphic: a search that cannot finish
         # must refuse with exit 2 and one error line, never answer "no"
@@ -249,6 +266,18 @@ class TestCensusCmd:
             and row["agree"]
             for row in rows
         )
+
+    def test_default_run_is_golden(self, capsys, tmp_path):
+        # every row and the summary, apart from their timings, are pinned
+        out_path = tmp_path / "census.jsonl"
+        code, _, _ = run_cli(capsys, "census", "--out", str(out_path))
+        assert code == 0
+        digest = hashlib.sha256()
+        for line in out_path.read_text().splitlines():
+            doc = json.loads(line)
+            (doc["summary"] if "summary" in doc else doc).pop("elapsed")
+            digest.update((json.dumps(doc, separators=(",", ":")) + "\n").encode())
+        assert digest.hexdigest() == "710545b36188fe18287440ee7cfc4f7747fa648efdc83230f19c2ff0ada9eb7b"
 
     def test_invalid_max_n(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "census", "--max-n", "2",

@@ -11,6 +11,7 @@ from accordions import (
     INNER_CYCLE,
     OUTER_CYCLE,
     VERTICAL_SPOKE,
+    CirculantParams,
     Graph,
     InvalidParameterError,
     accordion,
@@ -18,6 +19,7 @@ from accordions import (
     cartesian_product,
     circulant,
     circulant_graph,
+    circulant_iso_torus,
     cycle_graph,
     cylinder_cut_edges,
     edge_length,
@@ -26,6 +28,7 @@ from accordions import (
     is_regular,
     normalize_length,
     path_graph,
+    torus_parameters,
 )
 
 
@@ -234,6 +237,19 @@ class TestCirculant:
         assert edge_length(10, 0, 7) == 3
         assert edge_length(10, 2, 7) == 5
         assert normalize_length(13, 10) == 3
+
+
+@pytest.mark.parametrize("order,lengths", [(4, (1, 2)), (12, (3, 9)), (12, (6, 1)), (12, (0, 1))])
+def test_every_circulant_entry_point_rejects_bad_lengths(order, lengths):
+    # out of range at order 4, duplicate after folding, the half-order, zero
+    with pytest.raises(InvalidParameterError):
+        circulant_graph(order, lengths)
+    with pytest.raises(InvalidParameterError):
+        CirculantParams(order // 2, *lengths)
+    with pytest.raises(InvalidParameterError):
+        circulant_iso_torus(order, *lengths, 3, 4)
+    with pytest.raises(InvalidParameterError):
+        torus_parameters(order, *lengths)
 
 
 @given(st.integers(3, 12), st.integers(0, 10_000))

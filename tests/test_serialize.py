@@ -99,3 +99,20 @@ def test_witness_parse_errors():
         witness_from_json('{"source":{},"target":{},"mapping":[]}')
     with pytest.raises(InvalidParameterError):
         witness_from_json("[]")
+
+
+_GRAPH = '{"order":2,"edges":[[0,1]]}'
+
+
+@pytest.mark.parametrize(
+    "source,target",
+    [
+        ("[]", _GRAPH),  # source is not an object
+        (_GRAPH, '{"order":2,"edges":[[0,1]],"extra":1}'),
+        ('{"order":true,"edges":[]}', _GRAPH),
+        (_GRAPH, '{"order":2,"edges":{"0":1}}'),
+    ],
+)
+def test_witness_parse_errors_in_nested_graphs(source, target):
+    with pytest.raises(InvalidParameterError):
+        witness_from_json(f'{{"source":{source},"target":{target},"mapping":[0,1]}}')
