@@ -4,12 +4,15 @@ Independent ground truth for the arithmetic deciders.  The pipeline is:
 cheap invariant screening (order, size, degrees, component sizes,
 bipartiteness, per-vertex triangle counts, the multiset of common-neighbour
 counts over all vertex pairs), then colour refinement seeded with those
-local counts, then a backtracking search over colour-compatible assignments
-with bitmask forward checking.  g is refined once and h is replayed against
-g's per-round colour tables, rejected at the first signature g lacks.  The
-first assignment v0 -> w0 is individualized: g is re-refined once and h is
-replayed per w0, which kills most of the symmetry of the vertex-transitive
-inputs this package produces.
+local counts, then one search over the individualization-refinement tree
+(McKay & Piperno, Practical graph isomorphism II, 2014).  g is refined once
+and h is replayed against g's per-round colour tables, rejected at the first
+signature g lacks.  are_isomorphic searches h's tree with a target: g's path
+individualizes the first vertex of each target cell, and every node of h is
+replayed against g's level at its depth.  canonical_key searches g's tree
+with a minimiser: the least relabeled leaf wins, and the automorphisms that
+equal leaves reveal prune equivalent branches.  The search keeps its own
+stack, so depth is not limited by the interpreter's recursion limit.
 
 Every map returned by are_isomorphic has been re-verified edge-by-edge
 before it escapes this module.  Searches are stateless per call and may run
@@ -127,73 +130,74 @@ def refinement_colors(g: Graph) -> tuple[int, ...]:
     return tuple(_refine(g.neighbors, _seed_colors(g, common))[0])
 
 
-def _extend(n, nbrs_g, mh, colors_g, color_masks, mapping, used, counter, budget, depth):
-    """Grow a partial map; `used` doubles as the set of images taken so far."""
-    if depth == n:
-        return True
-    best_v = -1
-    best_mask = 0
-    best_count = -1
-    for v in range(n):
-        if mapping[v] >= 0:
+def _individualize(colors, v):
+    return [(c, u == v) for u, c in enumerate(colors)]
+
+
+def _target_cell(colors):
+    """The smallest non-singleton colour class, ties to the lowest colour; None if discrete."""
+    sizes = Counter(colors)
+    cell = min(((size, c) for c, size in sizes.items() if size > 1), default=None)
+    return None if cell is None else [v for v, c in enumerate(colors) if c == cell[1]]
+
+
+def _tick(counter, budget):
+    counter[0] += 1
+    if counter[0] > budget:
+        raise BudgetExceededError(f"search exceeded {budget} nodes")
+
+
+def _orbit(points, perms):
+    """Everything the permutations `perms` carry `points` to, `points` included."""
+    orbit, grow = set(points), list(points)
+    while grow:
+        u = grow.pop()
+        for a in perms:
+            if a[u] not in orbit:
+                orbit.add(a[u])
+                grow.append(a[u])
+    return orbit
+
+
+def _search(colors, child, at_leaf, counter, budget, autos=()):
+    """Depth-first walk of the individualization-refinement tree below `colors`,
+    on an explicit stack; True as soon as `at_leaf` asks to stop.
+
+    A node's children individualize each vertex of its target cell in index
+    order; `child(depth, colors, v)` gives the child's colouring, or None to
+    prune it.  A vertex is skipped when the automorphisms in `autos` (which
+    `at_leaf` may grow) that fix the path carry an earlier sibling onto it.
+    """
+    cell = _target_cell(colors)
+    if cell is None:
+        return at_leaf(colors)
+    path = []
+    stack = [(colors, iter(cell), [])]
+    while stack:
+        colors, todo, siblings = stack[-1]
+        v = next(todo, None)
+        if v is None:
+            stack.pop()
+            if path:
+                path.pop()
             continue
-        m = color_masks.get(colors_g[v], 0) & ~used
-        for u in nbrs_g[v]:
-            if mapping[u] >= 0:
-                m &= mh[mapping[u]]
-        count = m.bit_count()
-        if count == 0:
-            return False
-        if best_count < 0 or count < best_count:
-            best_v, best_mask, best_count = v, m, count
-            if count == 1:
-                break
-    v = best_v
-    need = 0
-    for u in nbrs_g[v]:
-        if mapping[u] >= 0:
-            need |= 1 << mapping[u]
-    cand = best_mask
-    while cand:
-        lsb = cand & -cand
-        cand ^= lsb
-        w = lsb.bit_length() - 1
-        if (mh[w] & used) != need:
+        fixing = [a for a in autos if all(a[p] == p for p in path)]
+        skip = bool(fixing) and v in _orbit(siblings, fixing)
+        siblings.append(v)
+        if skip:
             continue
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceededError(f"isomorphism search exceeded {budget} nodes")
-        mapping[v] = w
-        if _extend(n, nbrs_g, mh, colors_g, color_masks, mapping, used | lsb, counter, budget, depth + 1):
-            return True
-        mapping[v] = -1
+        _tick(counter, budget)
+        nxt = child(len(path), colors, v)
+        if nxt is None:
+            continue
+        cell = _target_cell(nxt)
+        if cell is None:
+            if at_leaf(nxt):
+                return True
+            continue
+        path.append(v)
+        stack.append((nxt, iter(cell), []))
     return False
-
-
-def _root_search(g, h, cg, ch, budget, counter):
-    n = g.order
-    nbrs_g = g.neighbors
-    mh = h.neighbor_masks
-    sizes = Counter(cg)
-    v0 = min(range(n), key=lambda v: (sizes[cg[v]], v))
-    pg, tables = _refine(nbrs_g, [(cg[v], 1 if v == v0 else 0) for v in range(n)])
-    for w0 in range(n):
-        if ch[w0] != cg[v0]:
-            continue
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceededError(f"isomorphism search exceeded {budget} nodes")
-        ph = _replay(h.neighbors, [(ch[w], 1 if w == w0 else 0) for w in range(n)], pg, tables)
-        if ph is None:
-            continue
-        color_masks: dict[int, int] = {}
-        for w, c in enumerate(ph):
-            color_masks[c] = color_masks.get(c, 0) | (1 << w)
-        mapping = [-1] * n
-        mapping[v0] = w0
-        if _extend(n, nbrs_g, mh, pg, color_masks, mapping, 1 << w0, counter, budget, 1):
-            return mapping
-    return None
 
 
 def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Optional[VertexMap]:
@@ -217,15 +221,34 @@ def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Opt
     common_h = _common_matrix(mh, n)
     if _pair_profile(g, common_g) != _pair_profile(h, common_h):
         return None
-    cg, tables = _refine(g.neighbors, _seed_colors(g, common_g))
-    ch = _replay(h.neighbors, _seed_colors(h, common_h), cg, tables)
+    levels = [_refine(g.neighbors, _seed_colors(g, common_g))]
+    ch = _replay(h.neighbors, _seed_colors(h, common_h), *levels[0])
     if ch is None:
         return None
     counter = [0]
-    mapping = _root_search(g, h, cg, ch, budget, counter)
-    if mapping is None:
+    found = []
+
+    def child(depth, colors, w):
+        # g's path individualizes the first vertex of each target cell; a level
+        # is refined only when h's search first reaches its depth
+        if depth + 1 == len(levels):
+            _tick(counter, budget)
+            cg = levels[depth][0]
+            levels.append(_refine(g.neighbors, _individualize(cg, _target_cell(cg)[0])))
+        return _replay(h.neighbors, _individualize(colors, w), *levels[depth + 1])
+
+    def at_leaf(colors):
+        # h's colouring is discrete only where g's is, at g's last level
+        image = {c: w for w, c in enumerate(colors)}
+        mapping = [image[c] for c in levels[-1][0]]
+        if all((mh[mapping[u]] >> mapping[v]) & 1 for u, v in g.edges):
+            found.append(mapping)
+            return True
+        return False
+
+    if not _search(ch, child, at_leaf, counter, budget):
         return None
-    vm = VertexMap(n, n, tuple(mapping))
+    vm = VertexMap(n, n, tuple(found[0]))
     if not verify_witness(g, h, vm):
         raise InvariantViolationError("search produced a map that fails verification")
     return vm
@@ -234,73 +257,31 @@ def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Opt
 def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:
     """A total-order key with key(g) = key(h) iff g and h are isomorphic.
 
-    Branch-and-bound minimization of the adjacency bit string over all vertex
-    orderings compatible with iterated refinement; the key is the serialized
-    canonically-relabeled graph.  Complete but expensive, hence the order cap.
+    Searches g's individualization-refinement tree for the leaf whose
+    relabeled edge list is least, skipping branches that an automorphism
+    found at an earlier, equal leaf maps onto explored ones; the key is the
+    serialized relabeled graph.  Complete but expensive, hence the order cap.
     """
     if g.order > DEFAULT_CANONICAL_MAX_ORDER:
         raise BudgetExceededError(
             f"canonical_key is limited to {DEFAULT_CANONICAL_MAX_ORDER} vertices, got {g.order}"
         )
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    n = g.order
     nbrs = g.neighbors
-    masks = g.neighbor_masks
-    common = _common_matrix(masks, n)
-    colors0 = _refine(nbrs, _seed_colors(g, common))[0]
+    colors = _refine(nbrs, _seed_colors(g, _common_matrix(g.neighbor_masks, g.order)))[0]
+    best = []  # [least relabeled edge list, its labels]
+    autos = []
 
-    best_chunks: Optional[list[int]] = None
-    best_perm: Optional[list[int]] = None
-    in_placed = [False] * n
-    counter = [0]
+    def at_leaf(labels):
+        edges = sorted((min(labels[u], labels[v]), max(labels[u], labels[v])) for u, v in g.edges)
+        if not best or edges < best[0]:
+            best[:] = [edges, labels]
+        elif edges == best[0]:
+            vertex = {c: v for v, c in enumerate(best[1])}
+            autos.append([vertex[c] for c in labels])
+        return False
 
-    def rec(placed: list[int], chunks: list[int], colors: list[int]) -> None:
-        nonlocal best_chunks, best_perm
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceededError(f"canonical labeling exceeded {budget} nodes")
-        depth = len(placed)
-        if best_chunks is not None and chunks > best_chunks[:depth]:
-            return
-        if depth == n:
-            if best_chunks is None or chunks < best_chunks:
-                best_chunks = list(chunks)
-                best_perm = list(placed)
-            return
-        target = min(colors[v] for v in range(n) if not in_placed[v])
-        scored = []
-        for v in range(n):
-            if in_placed[v] or colors[v] != target:
-                continue
-            chunk = 0
-            mv = masks[v]
-            for p in placed:
-                chunk = (chunk << 1) | ((mv >> p) & 1)
-            scored.append((chunk, v))
-        scored.sort()
-        for chunk, v in scored:
-            # candidates are in ascending chunk order: once one compares worse
-            # against the incumbent on a tight prefix, the rest do too
-            if (
-                best_chunks is not None
-                and chunk > best_chunks[depth]
-                and chunks == best_chunks[:depth]
-            ):
-                break
-            seeds = [(colors[u], 1 if u == v else 0) for u in range(n)]
-            new_colors = _refine(nbrs, seeds)[0]
-            in_placed[v] = True
-            placed.append(v)
-            chunks.append(chunk)
-            rec(placed, chunks, new_colors)
-            chunks.pop()
-            placed.pop()
-            in_placed[v] = False
-
-    rec([], [], list(colors0))
-    if best_perm is None:
+    _search(colors, lambda depth, cs, v: _refine(nbrs, _individualize(cs, v))[0], at_leaf, [0], budget, autos)
+    if not best:
         raise InvariantViolationError("canonical search ended without a labeling")
-    labels = [0] * n
-    for pos, v in enumerate(best_perm):
-        labels[v] = pos
-    return graph_to_json(g.relabel(labels)).encode("utf-8")
+    return graph_to_json(g.relabel(best[1])).encode("utf-8")

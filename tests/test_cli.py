@@ -228,17 +228,17 @@ class TestOracleCmd:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_order_1040_never_exits_1(self, capsys, tmp_path):
-        # A[520,1] against itself is isomorphic: a search that cannot finish
-        # must refuse with exit 2 and one error line, never answer "no"
+        # A[520,1] against itself is isomorphic: the answer must be "yes"
+        # with a witness that checks, not a refusal and never "no"
+        g = accordion(520, 1)
         f = tmp_path / "g.json"
-        f.write_text(graph_to_json(accordion(520, 1)))
+        f.write_text(graph_to_json(g))
         code, out, err = run_cli(capsys, "oracle", str(f), str(f))
-        assert code in (0, 2)
-        if code == 0:
-            src, tgt, vm = witness_from_json(out.splitlines()[1])
-            assert verify_witness(src, tgt, vm)
-        else:
-            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "isomorphic: yes"
+        src, tgt, vm = witness_from_json(out.splitlines()[1])
+        assert src == tgt == g
+        assert verify_witness(src, tgt, vm)
 
     def test_budget_env_override(self, capsys, tmp_path, monkeypatch):
         f = tmp_path / "g.json"

@@ -1,6 +1,7 @@
 """Brute-force oracle: soundness, completeness at desk scale, canonical keys."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -90,6 +91,21 @@ class TestAreIsomorphic:
         with pytest.raises(BudgetExceededError):
             are_isomorphic(g, g.relabel(list(reversed(range(20)))), node_budget=2)
 
+    def test_search_needs_no_recursion(self):
+        # a perfect matching on 400 vertices splits one edge per level: the
+        # search is 200 levels deep, beyond a recursion limit of 200
+        g = Graph(400, tuple((2 * i, 2 * i + 1) for i in range(200)))
+        perm = list(range(400))
+        random.Random(400).shuffle(perm)
+        h = g.relabel(perm)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            vm = are_isomorphic(g, h)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert vm is not None and verify_witness(g, h, vm)
+
 
 class TestDifferentialVF2:
     """are_isomorphic against networkx's independent VF2 matcher."""
@@ -112,6 +128,14 @@ class TestDifferentialVF2:
         g, h = accordion(n, 3), accordion(n, 7).relabel(perm)
         assert are_isomorphic(g, h) is None
         assert not _vf2_isomorphic(networkx, g, h)
+
+    @pytest.mark.parametrize("order", [12, 16])
+    def test_canonical_keys_match_vf2(self, networkx, order):
+        family = _quartic_family(order)
+        keys = [canonical_key(g) for g in family]
+        for i, g in enumerate(family):
+            for j in range(i + 1, len(family)):
+                assert (keys[i] == keys[j]) == _vf2_isomorphic(networkx, g, family[j]), (order, i, j)
 
 
 class TestRefinementColors:
@@ -179,6 +203,14 @@ class TestCanonicalKey:
 
     def test_non_partners_differ(self):
         assert canonical_key(accordion(10, 2)) != canonical_key(accordion(10, 4))
+
+    @pytest.mark.parametrize("g", [circulant(8, 2, 6), accordion(10, 2)], ids=["Ci16-2-6", "A10-2"])
+    def test_automorphisms_prune_symmetric_graphs(self, g):
+        # two copies of K4,4, and an accordion of twin pairs: without pruning
+        # by the automorphisms found on the way, each needs over 20000 nodes
+        perm = list(range(g.order))
+        random.Random(g.order).shuffle(perm)
+        assert canonical_key(g, node_budget=1000) == canonical_key(g.relabel(perm), node_budget=1000)
 
     def test_key_is_parseable_graph_doc(self):
         from accordions import graph_from_json
