@@ -14,10 +14,10 @@ every operation in this module is a pure function.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
 
@@ -104,6 +104,21 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.neighbors)
 
+    @cached_property
+    def local_invariants(self) -> "LocalInvariants":
+        """Seed colours and pair profile, from common-neighbour counts over the
+        pairs at distance <= 2; computed once per Graph object."""
+        nbrs = self.neighbors
+        seeds, pairs = [], []
+        for v, common in enumerate(_common_neighbor_counts(self)):
+            nb = nbrs[v]
+            around = sorted([common.get(w, 0) for w in nb])
+            seeds.append((len(nb), sum(around) // 2, *around))
+            pairs += [(w in nb, c) for w, c in common.items() if w > v]
+            pairs += [(True, 0) for w in nb if w > v and w not in common]
+        triangles = tuple(sorted(seed[1] for seed in seeds))
+        return LocalInvariants(tuple(seeds), (triangles, tuple(sorted(Counter(pairs).items()))))
+
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
@@ -115,6 +130,35 @@ class Graph:
         if sorted(perm) != list(range(self.order)):
             raise InvalidParameterError("relabeling must be a permutation of the vertices")
         return Graph(self.order, tuple((perm[i], perm[j]) for i, j in self.edges))
+
+
+class LocalInvariants(NamedTuple):
+    """Isomorphism invariants read off a graph's common-neighbour counts.
+
+    `seeds[v]` is (degree, triangles at v, *sorted common-neighbour counts of v
+    with each neighbour).  `profile` is the sorted triangle counts and the
+    multiset, as sorted ((adjacent?, #common), multiplicity) items, of the
+    vertex pairs that are adjacent or share a neighbour; between graphs of one
+    order the remaining (0, 0) pairs follow by subtraction.
+    """
+
+    seeds: tuple[tuple[int, ...], ...]
+    profile: tuple
+
+
+def _common_neighbor_counts(g: Graph) -> list[dict[int, int]]:
+    """Per vertex v, {w: number of common neighbours of v and w} over the w != v
+    that end a path of length 2: at most d(d-1) entries in a d-regular graph."""
+    nbrs = g.neighbors
+    counts = []
+    for v, nb in enumerate(nbrs):
+        row: dict[int, int] = {}
+        for u in nb:
+            for w in nbrs[u]:
+                row[w] = row.get(w, 0) + 1
+        row.pop(v, None)
+        counts.append(row)
+    return counts
 
 
 @dataclass(frozen=True)

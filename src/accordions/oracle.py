@@ -2,8 +2,9 @@
 
 Independent ground truth for the arithmetic deciders.  The pipeline is:
 cheap invariant screening (order, size, degrees, component sizes,
-bipartiteness, per-vertex triangle counts, the multiset of common-neighbour
-counts over all vertex pairs), then colour refinement seeded with those
+bipartiteness, then per-vertex triangle counts and the multiset of
+(adjacent?, #common neighbours) over the pairs at distance <= 2, once per
+graph: `Graph.local_invariants`), then colour refinement seeded with those
 local counts, then one search over the individualization-refinement tree
 (McKay & Piperno, Practical graph isomorphism II, 2014).  g is refined once
 and h is replayed against g's per-round colour tables, rejected at the first
@@ -15,8 +16,9 @@ equal leaves reveal prune equivalent branches.  The search keeps its own
 stack, so depth is not limited by the interpreter's recursion limit.
 
 Every map returned by are_isomorphic has been re-verified edge-by-edge
-before it escapes this module.  Searches are stateless per call and may run
-in parallel; a single search is sequential.
+before it escapes this module.  Searches keep no state between calls apart
+from each Graph's cached local invariants, which are deterministic, so they
+may run in parallel; a single search is sequential.
 """
 
 from __future__ import annotations
@@ -67,38 +69,6 @@ def _component_sizes(masks, n):
     return sorted(sizes)
 
 
-def _common_matrix(masks, n):
-    return [[(masks[i] & masks[j]).bit_count() for j in range(n)] for i in range(n)]
-
-
-def _triangle_counts(g: Graph, common) -> list[int]:
-    return [sum(common[v][w] for w in g.neighbors[v]) // 2 for v in range(g.order)]
-
-
-def _pair_profile(g: Graph, common) -> tuple:
-    """Isomorphism-invariant summary of all vertex pairs: (adjacent?, #common neighbours)."""
-    n = g.order
-    masks = g.neighbor_masks
-    pairs = []
-    for i in range(n):
-        mi = masks[i]
-        row = common[i]
-        for j in range(i + 1, n):
-            pairs.append(((mi >> j) & 1, row[j]))
-    pairs.sort()
-    return (tuple(sorted(_triangle_counts(g, common))), tuple(pairs))
-
-
-def _seed_colors(g: Graph, common) -> list[tuple]:
-    """Per-vertex starting invariants: degree, triangle count, common-neighbour multiset."""
-    tri = _triangle_counts(g, common)
-    seeds = []
-    for v in range(g.order):
-        nbr_common = tuple(sorted(common[v][w] for w in g.neighbors[v]))
-        seeds.append((len(g.neighbors[v]), tri[v]) + nbr_common)
-    return seeds
-
-
 def _refine(nbrs, seeds):
     """Refine one graph: its stable colours and each round's signature -> rank
     table, the last from the round that split nothing (replay checks stability)."""
@@ -126,8 +96,7 @@ def _replay(nbrs, seeds, ref_colors, tables):
 
 def refinement_colors(g: Graph) -> tuple[int, ...]:
     """Stable per-vertex colours after refinement; an isomorphism invariant multiset."""
-    common = _common_matrix(g.neighbor_masks, g.order)
-    return tuple(_refine(g.neighbors, _seed_colors(g, common))[0])
+    return tuple(_refine(g.neighbors, g.local_invariants.seeds)[0])
 
 
 def _individualize(colors, v):
@@ -172,20 +141,27 @@ def _search(colors, child, at_leaf, counter, budget, autos=()):
     if cell is None:
         return at_leaf(colors)
     path = []
-    stack = [(colors, iter(cell), [])]
+    # a node: its colours, untried and tried cell vertices, and [the orbit of
+    # the tried ones under `fixing` (the automorphisms that fix the path), how
+    # many of `autos` `fixing` has seen]; `fixing` is refreshed when `autos` grows
+    stack = [(colors, iter(cell), [], [set(), [], 0])]
     while stack:
-        colors, todo, siblings = stack[-1]
+        colors, todo, siblings, prune = stack[-1]
         v = next(todo, None)
         if v is None:
             stack.pop()
             if path:
                 path.pop()
             continue
-        fixing = [a for a in autos if all(a[p] == p for p in path)]
-        skip = bool(fixing) and v in _orbit(siblings, fixing)
+        orbit, fixing, known = prune
+        if known < len(autos):
+            fixing = fixing + [a for a in autos[known:] if all(a[p] == p for p in path)]
+            orbit = _orbit(siblings, fixing)
+            prune[:] = orbit, fixing, len(autos)
         siblings.append(v)
-        if skip:
+        if v in orbit:
             continue
+        orbit |= _orbit([v], fixing)
         _tick(counter, budget)
         nxt = child(len(path), colors, v)
         if nxt is None:
@@ -196,7 +172,7 @@ def _search(colors, child, at_leaf, counter, budget, autos=()):
                 return True
             continue
         path.append(v)
-        stack.append((nxt, iter(cell), []))
+        stack.append((nxt, iter(cell), [], [set(), [], 0]))
     return False
 
 
@@ -217,12 +193,10 @@ def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Opt
         return None
     if is_bipartite(g) != is_bipartite(h):
         return None
-    common_g = _common_matrix(mg, n)
-    common_h = _common_matrix(mh, n)
-    if _pair_profile(g, common_g) != _pair_profile(h, common_h):
+    if g.local_invariants.profile != h.local_invariants.profile:
         return None
-    levels = [_refine(g.neighbors, _seed_colors(g, common_g))]
-    ch = _replay(h.neighbors, _seed_colors(h, common_h), *levels[0])
+    levels = [_refine(g.neighbors, g.local_invariants.seeds)]
+    ch = _replay(h.neighbors, h.local_invariants.seeds, *levels[0])
     if ch is None:
         return None
     counter = [0]
@@ -268,7 +242,7 @@ def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:
         )
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     nbrs = g.neighbors
-    colors = _refine(nbrs, _seed_colors(g, _common_matrix(g.neighbor_masks, g.order)))[0]
+    colors = _refine(nbrs, g.local_invariants.seeds)[0]
     best = []  # [least relabeled edge list, its labels]
     autos = []
 

@@ -21,7 +21,8 @@ from accordions import (
     refinement_colors,
     verify_witness,
 )
-from accordions.oracle import _refine, _replay
+from accordions import graphs, oracle
+from accordions.oracle import _refine, _replay, _search
 
 
 def _two_triangles():
@@ -138,6 +139,84 @@ class TestDifferentialVF2:
                 assert (keys[i] == keys[j]) == _vf2_isomorphic(networkx, g, family[j]), (order, i, j)
 
 
+def _dense_screens(g):
+    """The dense reference: common counts as popcounts of mask intersections over
+    all n^2 pairs, and the pair profile as the sorted tuple of all n(n-1)/2 pairs."""
+    n, masks, nbrs = g.order, g.neighbor_masks, g.neighbors
+    common = [[(masks[i] & masks[j]).bit_count() for j in range(n)] for i in range(n)]
+    triangles = [sum(common[v][w] for w in nbrs[v]) // 2 for v in range(n)]
+    seeds = tuple((len(nbrs[v]), triangles[v], *sorted(common[v][w] for w in nbrs[v])) for v in range(n))
+    pairs = sorted(((masks[i] >> j) & 1, common[i][j]) for i in range(n) for j in range(i + 1, n))
+    return seeds, (tuple(sorted(triangles)), tuple(pairs))
+
+
+class TestSparseScreens:
+    """The screens from length-2 paths against the dense reference."""
+
+    @pytest.mark.parametrize("order", range(6, 31, 2))
+    def test_family_graphs_and_relabelings_match_the_dense_reference(self, order):
+        family = _quartic_family(order)
+        rng = random.Random(order)
+        for g in list(family):
+            perm = list(range(order))
+            rng.shuffle(perm)
+            family.append(g.relabel(perm))
+        dense = [_dense_screens(g) for g in family]
+        sparse = [g.local_invariants for g in family]
+        assert [s.seeds for s in sparse] == [seeds for seeds, _ in dense]
+        # two profiles are equal under the sparse screens exactly when they are
+        # equal under the dense ones: the pairing of the two is a bijection
+        profiles = [(s.profile, d) for s, (_, d) in zip(sparse, dense)]
+        assert len({s for s, _ in profiles}) == len({d for _, d in profiles}) == len(set(profiles))
+
+    @staticmethod
+    def _assert_at_most_d_times_d_minus_1_entries(g):
+        # one entry at most per path v-u-w with w != v: d(d-1) in a d-regular graph
+        counts = graphs._common_neighbor_counts(g)
+        for v, common in enumerate(counts):
+            assert len(common) <= sum(g.degree(u) - 1 for u in g.neighbors[v])
+            assert v not in common and 0 not in common.values()
+        d = max(g.degrees)
+        assert min(g.degrees) < d or max(map(len, counts)) <= d * (d - 1)
+
+    def test_each_common_neighbour_map_has_at_most_d_times_d_minus_1_entries(self):
+        for g in _quartic_family(24) + [path_graph(5), _two_triangles()]:
+            self._assert_at_most_d_times_d_minus_1_entries(g)
+
+    def test_order_20000_pair_is_rejected_by_the_profile(self):
+        # the dense n^2 matrix would hold 4 * 10^8 counts at this order
+        g, h = accordion(10000, 1), accordion(10000, 3)
+        self._assert_at_most_d_times_d_minus_1_entries(g)
+        self._assert_at_most_d_times_d_minus_1_entries(h)
+        assert g.local_invariants.profile != h.local_invariants.profile
+        assert are_isomorphic(g, h) is None
+
+
+class TestScreenCache:
+    def test_screens_are_computed_once_per_graph(self, monkeypatch):
+        calls = []
+        count = graphs._common_neighbor_counts
+        monkeypatch.setattr(graphs, "_common_neighbor_counts", lambda g: calls.append(g) or count(g))
+        perm = list(range(20))
+        random.Random(20).shuffle(perm)
+        h = cartesian_product(cycle_graph(4), cycle_graph(5)).relabel(perm)
+        gs = [circulant_graph(20, ab) for ab in ((1, 2), (2, 3), (4, 5), (1, 4), (3, 4))]
+        verdicts = [are_isomorphic(g, h) is not None for g in gs]
+        assert verdicts == [False, False, True, False, False]
+        assert sum(1 for g in calls if g is h) == 1
+        assert len(calls) == len(gs) + 1
+        copy = h.relabel(list(range(20)))
+        assert copy == h and "local_invariants" in vars(h) and "local_invariants" not in vars(copy)
+
+    def test_oracle_holds_no_module_level_cache(self):
+        state = [
+            name for name, value in vars(oracle).items()
+            if not name.startswith("__")
+            and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))
+        ]
+        assert state == []
+
+
 class TestRefinementColors:
     def test_multiset_is_relabeling_invariant(self):
         g = cartesian_product(cycle_graph(3), path_graph(4))
@@ -189,6 +268,30 @@ class TestReplay:
         assert _replay(h.neighbors, [0] * 8, colors, tables) is None
 
 
+class TestSearch:
+    """Orbit pruning in `_search`, on one cell {0,1,2,3} whose children are leaves."""
+
+    @staticmethod
+    def _tried(autos, at_leaf=lambda colors: False):
+        tried = []
+
+        def child(depth, colors, v):
+            tried.append(v)
+            return [(u - v) % 4 for u in range(4)]
+
+        _search([0] * 4, child, at_leaf, [0], 100, autos)
+        return tried
+
+    def test_siblings_in_the_orbit_of_tried_ones_are_skipped(self):
+        assert self._tried([]) == [0, 1, 2, 3]
+        assert self._tried([[1, 0, 3, 2]]) == [0, 2]
+
+    def test_automorphisms_found_on_the_way_prune_later_siblings(self):
+        # (0 2)(1 3), found at the first leaf, joins the orbit of 0 to 2 and then 1 to 3
+        autos = []
+        assert self._tried(autos, lambda colors: autos.append([2, 3, 0, 1]) if not autos else False) == [0, 1]
+
+
 class TestCanonicalKey:
     def test_relabeling_invariance_c5(self):
         g = cycle_graph(5)
@@ -211,6 +314,13 @@ class TestCanonicalKey:
         perm = list(range(g.order))
         random.Random(g.order).shuffle(perm)
         assert canonical_key(g, node_budget=1000) == canonical_key(g.relabel(perm), node_budget=1000)
+
+    def test_orbit_pruning_node_count_is_pinned(self):
+        g = circulant(8, 2, 6)
+        key = canonical_key(g, node_budget=163)
+        with pytest.raises(BudgetExceededError):
+            canonical_key(g, node_budget=162)
+        assert key == canonical_key(g.relabel(list(reversed(range(16)))), node_budget=163)
 
     def test_key_is_parseable_graph_doc(self):
         from accordions import graph_from_json
