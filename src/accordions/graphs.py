@@ -14,7 +14,7 @@ every operation in this module is a pure function.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -92,13 +92,24 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Adjacency as bitmasks; bit w of entry v is set iff v~w."""
-        masks = [0] * self.order
-        for i, j in self.edges:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return tuple(masks)
+    def components(self) -> tuple[tuple[int, ...], bool]:
+        """(sorted component sizes, bipartite?), from one BFS 2-colouring."""
+        color = [-1] * self.order
+        sizes, bipartite = [], True
+        for start in range(self.order):
+            if color[start] != -1:
+                continue
+            color[start] = 0
+            queue = [start]
+            for v in queue:  # grows while it is walked: a BFS over the component
+                for w in self.neighbors[v]:
+                    if color[w] == -1:
+                        color[w] = color[v] ^ 1
+                        queue.append(w)
+                    elif color[w] == color[v]:
+                        bipartite = False
+            sizes.append(len(queue))
+        return tuple(sorted(sizes)), bipartite
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -123,7 +134,7 @@ class Graph:
         return len(self.neighbors[v])
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (self.neighbor_masks[i] >> j) & 1 == 1
+        return j in self.neighbors[i]
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image of the graph under the bijection v -> perm[v]."""
@@ -309,8 +320,7 @@ def circulant_graph(order: int, lengths: Sequence[int]) -> Graph:
 
 def edge_length(order: int, i: int, j: int) -> int:
     """Circulant length of the pair {i, j}: min(d, order-d) with d = i-j mod order."""
-    d = (i - j) % order
-    return min(d, order - d)
+    return normalize_length(i - j, order)
 
 
 def cylinder_cut_edges(n: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -331,38 +341,12 @@ def cylinder_cut_edges(n: int, k: int) -> tuple[tuple[int, int], ...]:
 
 
 def is_bipartite(g: Graph) -> bool:
-    """BFS 2-coloring: true iff the graph has no odd cycle."""
-    color = [-1] * g.order
-    for start in range(g.order):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors[v]:
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    """True iff the graph has no odd cycle."""
+    return g.components[1]
 
 
 def is_connected(g: Graph) -> bool:
-    """BFS reachability from vertex 0 covers every vertex."""
-    seen = [False] * g.order
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == g.order
+    return len(g.components[0]) == 1
 
 
 def is_regular(g: Graph, d: int) -> bool:

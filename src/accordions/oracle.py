@@ -1,12 +1,13 @@
 """Brute-force graph isomorphism with certificates.
 
 Independent ground truth for the arithmetic deciders.  The pipeline is:
-cheap invariant screening (order, size, degrees, component sizes,
-bipartiteness, then per-vertex triangle counts and the multiset of
-(adjacent?, #common neighbours) over the pairs at distance <= 2, once per
-graph: `Graph.local_invariants`), then colour refinement seeded with those
-local counts, then one search over the individualization-refinement tree
-(McKay & Piperno, Practical graph isomorphism II, 2014).  g is refined once
+cheap invariant screening (order, then component sizes with bipartiteness
+from one BFS, `Graph.components`, then the profile: per-vertex triangle
+counts and the multiset of (adjacent?, #common neighbours) over the pairs
+at distance <= 2, `Graph.local_invariants`; both are computed once per
+graph), then colour refinement seeded with those local counts, then one
+search over the individualization-refinement tree (McKay & Piperno,
+Practical graph isomorphism II, 2014).  g is refined once
 and h is replayed against g's per-round colour tables, rejected at the first
 signature g lacks.  are_isomorphic searches h's tree with a target: g's path
 individualizes the first vertex of each target cell, and every node of h is
@@ -15,10 +16,10 @@ with a minimiser: the least relabeled leaf wins, and the automorphisms that
 equal leaves reveal prune equivalent branches.  The search keeps its own
 stack, so depth is not limited by the interpreter's recursion limit.
 
-Every map returned by are_isomorphic has been re-verified edge-by-edge
-before it escapes this module.  Searches keep no state between calls apart
-from each Graph's cached local invariants, which are deterministic, so they
-may run in parallel; a single search is sequential.
+Every map returned by are_isomorphic has passed `verify_witness` at the
+leaf that produced it.  Searches keep no state between calls apart from
+each Graph's cached invariants, which are deterministic, so they may run
+in parallel; a single search is sequential.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import Counter
 from typing import Optional
 
 from .errors import BudgetExceededError, InvariantViolationError
-from .graphs import Graph, is_bipartite
+from .graphs import Graph
 from .serialize import graph_to_json
 from .witnesses import VertexMap, verify_witness
 
@@ -41,32 +42,6 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_CANONICAL_MAX_ORDER = 30
-
-
-def _bits(x: int):
-    while x:
-        lsb = x & -x
-        yield lsb.bit_length() - 1
-        x ^= lsb
-
-
-def _component_sizes(masks, n):
-    seen = 0
-    sizes = []
-    for s in range(n):
-        if (seen >> s) & 1:
-            continue
-        frontier = 1 << s
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= masks[v]
-            frontier = nxt & ~comp
-        seen |= comp
-        sizes.append(comp.bit_count())
-    return sorted(sizes)
 
 
 def _refine(nbrs, seeds):
@@ -183,15 +158,9 @@ def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Opt
     BudgetExceededError rather than returning a wrong answer.
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    if g.order != h.order or g.size != h.size:
-        return None
-    n = g.order
-    if sorted(g.degrees) != sorted(h.degrees):
-        return None
-    mg, mh = g.neighbor_masks, h.neighbor_masks
-    if _component_sizes(mg, n) != _component_sizes(mh, n):
-        return None
-    if is_bipartite(g) != is_bipartite(h):
+    # no size or degree screen: equal profiles have equal sizes (their adjacent
+    # pairs count the edges), and replay checks degrees, seeds[v][0]
+    if g.order != h.order or g.components != h.components:
         return None
     if g.local_invariants.profile != h.local_invariants.profile:
         return None
@@ -214,18 +183,13 @@ def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Opt
     def at_leaf(colors):
         # h's colouring is discrete only where g's is, at g's last level
         image = {c: w for w, c in enumerate(colors)}
-        mapping = [image[c] for c in levels[-1][0]]
-        if all((mh[mapping[u]] >> mapping[v]) & 1 for u, v in g.edges):
-            found.append(mapping)
+        vm = VertexMap(g.order, h.order, tuple(image[c] for c in levels[-1][0]))
+        if verify_witness(g, h, vm):
+            found.append(vm)
             return True
         return False
 
-    if not _search(ch, child, at_leaf, counter, budget):
-        return None
-    vm = VertexMap(n, n, tuple(found[0]))
-    if not verify_witness(g, h, vm):
-        raise InvariantViolationError("search produced a map that fails verification")
-    return vm
+    return found[0] if _search(ch, child, at_leaf, counter, budget) else None
 
 
 def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:

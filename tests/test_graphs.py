@@ -64,10 +64,17 @@ class TestGraphType:
         with pytest.raises(InvalidParameterError):
             cycle_graph(3).relabel([0, 0, 1])
 
-    def test_neighbor_masks_match_neighbors(self):
-        g = accordion(5, 2)
-        for v in range(g.order):
-            assert sorted(w for w in range(g.order) if (g.neighbor_masks[v] >> w) & 1) == list(g.neighbors[v])
+    def test_components_are_sorted_sizes_and_bipartiteness(self):
+        c3_c4 = Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)))
+        two_c4 = Graph(8, tuple((4 * c + i, 4 * c + (i + 1) % 4) for c in range(2) for i in range(4)))
+        cases = [(c3_c4, ((3, 4), False)), (two_c4, ((4, 4), True)), (Graph(1, ()), ((1,), True))]
+        for g, expected in cases:
+            assert g.components == expected
+            assert is_connected(g) == (len(expected[0]) == 1)
+            assert is_bipartite(g) == expected[1]
+        copy = c3_c4.relabel([6, 5, 4, 3, 2, 1, 0])
+        assert "components" in vars(c3_c4) and "components" not in vars(copy)
+        assert copy.components == ((3, 4), False)
 
 
 class TestCyclesAndPaths:

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -142,7 +143,8 @@ class TestDifferentialVF2:
 def _dense_screens(g):
     """The dense reference: common counts as popcounts of mask intersections over
     all n^2 pairs, and the pair profile as the sorted tuple of all n(n-1)/2 pairs."""
-    n, masks, nbrs = g.order, g.neighbor_masks, g.neighbors
+    n, nbrs = g.order, g.neighbors
+    masks = [sum(1 << w for w in nb) for nb in nbrs]
     common = [[(masks[i] & masks[j]).bit_count() for j in range(n)] for i in range(n)]
     triangles = [sum(common[v][w] for w in nbrs[v]) // 2 for v in range(n)]
     seeds = tuple((len(nbrs[v]), triangles[v], *sorted(common[v][w] for w in nbrs[v])) for v in range(n))
@@ -184,11 +186,49 @@ class TestSparseScreens:
             self._assert_at_most_d_times_d_minus_1_entries(g)
 
     def test_order_20000_pair_is_rejected_by_the_profile(self):
-        # the dense n^2 matrix would hold 4 * 10^8 counts at this order
+        # both graphs are connected and not bipartite, so the pair passes the
+        # components screen; the peak bound leaves no room for an n^2 structure,
+        # be it a common-neighbour matrix (4 * 10^8 counts) or adjacency
+        # bitmasks (about 50 MB per graph at this order)
         g, h = accordion(10000, 1), accordion(10000, 3)
+        tracemalloc.start()
+        try:
+            assert are_isomorphic(g, h) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
+        assert g.components == h.components == ((20000,), False)
+        assert g.local_invariants.profile != h.local_invariants.profile
         self._assert_at_most_d_times_d_minus_1_entries(g)
         self._assert_at_most_d_times_d_minus_1_entries(h)
-        assert g.local_invariants.profile != h.local_invariants.profile
+
+
+def _cycles(*lengths):
+    """The disjoint union of cycles of the given lengths."""
+    edges, start = [], 0
+    for t in lengths:
+        edges += [(start + i, start + (i + 1) % t) for i in range(t)]
+        start += t
+    return Graph(start, tuple(edges))
+
+
+class TestScreenCoverage:
+    """Pairs told apart only by a screen that is gone or merged: with equal
+    profiles, a later stage must still reject them."""
+
+    def test_degree_multisets_are_checked_by_replay(self):
+        net = Graph(6, ((0, 4), (1, 5), (2, 3), (3, 4), (3, 5), (4, 5)))
+        h = Graph(6, ((0, 4), (0, 5), (1, 2), (1, 4), (2, 4), (3, 4)))
+        assert net.size == h.size and net.components == h.components
+        assert sorted(net.degrees) == [1, 1, 1, 3, 3, 3] and sorted(h.degrees) == [1, 1, 2, 2, 2, 4]
+        assert net.local_invariants.profile == h.local_invariants.profile
+        assert are_isomorphic(net, h) is None
+
+    @pytest.mark.parametrize("lengths", [(6, 6), (5, 7)], ids=["2C6", "C5+C7"])
+    def test_components_and_bipartiteness_are_one_screen(self, lengths):
+        g, h = _cycles(12), _cycles(*lengths)
+        assert g.local_invariants.profile == h.local_invariants.profile
         assert are_isomorphic(g, h) is None
 
 
