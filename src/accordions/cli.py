@@ -98,10 +98,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _witness_text(source, target, vm, direction: str) -> str:
-    # built and re-verified before the verdict is printed, so a witness that
-    # fails leaves stdout empty rather than next to "isomorphic: yes"
+    # the one check of a closed-form witness, made against independently built
+    # graphs before the verdict is printed, so a witness that fails leaves
+    # stdout empty rather than next to "isomorphic: yes"
     if not verify_witness(source, target, vm):
-        raise InvariantViolationError("witness failed re-verification before printing")
+        raise InvariantViolationError("witness failed verification before printing")
     return f"witness-direction: {direction}\nwitness: " + witness_to_json(source, target, vm)
 
 

@@ -157,7 +157,7 @@ def test_criterion_8_property_suites():
             if unique_partner(n, k1) != (partners[0] if partners else None):
                 failures.append(("partner-scan", n, k1))
 
-    # every constructed witness verifies (constructors self-check; verify again)
+    # every constructed witness verifies (constructors are unchecked closed forms)
     for n in range(3, 15):
         for k1 in range(1, n // 2 + 1):
             for k2 in range(k1, n // 2 + 1):

@@ -1,12 +1,12 @@
-"""CLI surface: exit codes, document round-trips, witness self-checks."""
+"""CLI surface: exit codes, document round-trips, the checks made on emitted witnesses."""
 
 import hashlib
 import json
 
 import pytest
 
-from accordions import accordion, graph_from_json, verify_witness, witness_from_json
-from accordions import cli
+from accordions import VertexMap, accordion, graph_from_json, verify_witness, witness_from_json
+from accordions import census, cli
 from accordions.cli import main
 from accordions.serialize import graph_to_json
 
@@ -168,6 +168,15 @@ class TestDecide:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "isomorphic:" not in out
 
+    def test_wrong_witness_prints_no_verdict(self, capsys, monkeypatch):
+        # constructors do not check themselves: the check before printing is the one guard
+        monkeypatch.setattr(cli, "accordion_witness", lambda n, k1, k2: VertexMap.identity(28))
+        code, out, err = run_cli(capsys, "decide", "acc-acc", "--n", "14", "--k1", "4", "--k2", "6",
+                                 "--witness")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestOracleCmd:
     def test_isomorphic_pair(self, capsys, tmp_path):
@@ -278,6 +287,26 @@ class TestCensusCmd:
             (doc["summary"] if "summary" in doc else doc).pop("elapsed")
             digest.update((json.dumps(doc, separators=(",", ":")) + "\n").encode())
         assert digest.hexdigest() == "710545b36188fe18287440ee7cfc4f7747fa648efdc83230f19c2ff0ada9eb7b"
+
+    def test_wrong_witness_is_a_recorded_failure(self, capsys, tmp_path, monkeypatch):
+        # a wrong map reaches witness_verified: false instead of aborting the census
+        real = census.accordion_witness
+
+        def wrong_at_14_4_6(n, k1, k2):
+            return VertexMap.identity(28) if (n, k1, k2) == (14, 4, 6) else real(n, k1, k2)
+
+        monkeypatch.setattr(census, "accordion_witness", wrong_at_14_4_6)
+        out_path = tmp_path / "rows.jsonl"
+        code, out, _ = run_cli(capsys, "census", "--max-n", "14", "--max-torus", "0",
+                               "--out", str(out_path))
+        assert code == 1
+        assert "  WITNESS-FAIL {'n': 14, 'k1': 4, 'k2': 6, 'kind': 'acc-acc'}" in out.splitlines()
+        assert "result: FAIL" in out
+        rows = [json.loads(line) for line in out_path.read_text().splitlines()[:-1]]
+        failed = [row for row in rows if row["witness_verified"] is False]
+        assert [(row["kind"], row["params"]) for row in failed] == [
+            ("acc-acc", {"n": 14, "k1": 4, "k2": 6})
+        ]
 
     def test_invalid_max_n(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "census", "--max-n", "2",

@@ -158,6 +158,33 @@ class TestScalingWitness:
             scaling_witness(n, a, b)
 
 
+class TestBipartiteClosedForm:
+    @staticmethod
+    def composed(n, a, b):
+        # the composition the closed form replaces: inverse scaling, then the base map
+        base = list(range(n)) + [n + (t + 1) % n for t in range(n)]
+        v = circulant_iso_accordion(n, a, b, 2)
+        return tuple(base[j] for j in scaling_witness(n, v.a, v.b).invert().mapping)
+
+    def test_equals_the_composition(self):
+        checked = 0
+        for n in range(4, 41):  # A[n,2] needs n >= 4
+            for a in range(1, n, 2):
+                for b in range(a + 2, n, 2):  # both odd: the bipartite regime
+                    if not circulant_iso_accordion(n, a, b, 2).isomorphic:
+                        continue
+                    vm = bipartite_accordion_witness(n, a, b)
+                    assert vm.mapping == self.composed(n, a, b), (n, a, b)
+                    assert verify_witness(circulant(n, a, b), accordion(n, 2), vm), (n, a, b)
+                    checked += 1
+        assert checked == 86
+
+    def test_equals_the_composition_at_order_1200(self):
+        vm = bipartite_accordion_witness(600, 1, 599)
+        assert vm.mapping == self.composed(600, 1, 599)
+        assert verify_witness(circulant(600, 1, 599), accordion(600, 2), vm)
+
+
 class TestCirculantAccordionWitness:
     def test_bipartite_examples(self):
         for n, a, b in [(4, 1, 3), (6, 1, 5), (8, 3, 5), (500, 1, 499), (510, 1, 509)]:
@@ -279,6 +306,33 @@ def test_witnesses_never_call_the_oracle(monkeypatch, capsys):
     assert verify_witness(r.graph, accordion(10, 5), r.to_accordion)
     assert main(["decide", "ci-torus", "--nprime", "15", "--a1", "3", "--a2", "5", "--witness"]) == 0
     assert "witness: " in capsys.readouterr().out
+
+
+def test_map_constructors_build_no_graph(monkeypatch):
+    # each map is a closed form; the graphs it is checked against are the emitter's
+    from accordions import graphs
+
+    built = []
+    post_init = graphs.Graph.__post_init__
+
+    def counting(self):
+        built.append(self.order)
+        post_init(self)
+
+    monkeypatch.setattr(graphs.Graph, "__post_init__", counting)
+    maps = [
+        cycle_swap_automorphism(1000, 7),
+        accordion_witness(1000, 6, 334),
+        scaling_witness(1000, 3, 997),
+        bipartite_accordion_witness(1000, 3, 997),
+        circulant_accordion_witness(1000, 3, 997, 2),
+        circulant_accordion_witness(1000, 25, 2, 25),
+        torus_witness(1001, 286, 21, 7, 143),
+    ]
+    assert built == []
+    assert [vm.source_order for vm in maps] == [2000] * 6 + [1001]
+    circulant(1000, 1, 2)
+    assert built == [2000]  # the counter sees a graph that is built
 
 
 def test_cut_edges_leave_cylinder():
