@@ -68,10 +68,10 @@ def accordion_pair_rows(max_n: int, seed: int = 0, node_budget: Optional[int] = 
     """All accordion pairs A[n,k1] vs A[n,k2], k1 <= k2, for 3 <= n <= max_n."""
     rng = random.Random(seed)
     for n in range(3, max_n + 1):
+        accs = [accordion(n, k) for k in range(1, n // 2 + 1)]
         for k1 in range(1, n // 2 + 1):
             for k2 in range(k1, n // 2 + 1):
-                g1 = accordion(n, k1)
-                g2 = accordion(n, k2)
+                g1, g2 = accs[k1 - 1], accs[k2 - 1]
                 yield _row("acc-acc", {"n": n, "k1": k1, "k2": k2}, g1, _shuffled(g2, rng),
                            lambda: accordions_isomorphic(n, k1, k2).isomorphic,
                            lambda: (g2, g1, accordion_witness(n, k1, k2)), node_budget)
@@ -85,11 +85,12 @@ def circulant_accordion_rows(max_n: int, seed: int = 0, node_budget: Optional[in
     """
     rng = random.Random(seed + 1)
     for n in range(3, max_n + 1):
+        accs = [accordion(n, k) for k in range(1, n // 2 + 1)]
         for a in range(1, n):
             for b in range(a + 1, n):
                 ci = circulant(n, a, b)
                 for k in range(1, n // 2 + 1):
-                    acc = accordion(n, k)
+                    acc = accs[k - 1]
                     yield _row("ci-acc", {"n": n, "a": a, "b": b, "k": k}, ci, _shuffled(acc, rng),
                                lambda: circulant_iso_accordion(n, a, b, k).isomorphic,
                                lambda: (ci, acc, circulant_accordion_witness(n, a, b, k)), node_budget)

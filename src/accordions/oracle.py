@@ -5,13 +5,23 @@ cheap invariant screening (order, then component sizes with bipartiteness
 from one BFS, `Graph.components`, then the profile: per-vertex triangle
 counts and the multiset of (adjacent?, #common neighbours) over the pairs
 at distance <= 2, `Graph.local_invariants`; both are computed once per
-graph), then colour refinement seeded with those local counts, then one
+graph), then the multiset of per-vertex seeds (degree, triangles, common
+counts over the neighbours), then colour refinement from those seeds, then one
 search over the individualization-refinement tree (McKay & Piperno,
-Practical graph isomorphism II, 2014).  g is refined once
-and h is replayed against g's per-round colour tables, rejected at the first
-signature g lacks.  are_isomorphic searches h's tree with a target: g's path
+Practical graph isomorphism II, 2014).
+
+Refinement keeps an ordered partition; a vertex's colour is the start of
+its cell, so a discrete colouring is a permutation.  It works through a
+queue of splitter cells, counts neighbours only for the vertices a splitter
+touches, and queues the pieces of a split cell by the smaller-half rule, in
+O((n+m) log n) (Berkholz, Bonsma & Grohe, 2013).  Each splitter leaves an
+event in a trace: the count profile of every cell it hits, split or not.
+g is refined once and writes the trace; h is replayed against it and
+rejected at the first event that differs.  An individualized child queues
+only its new singleton, because its parent colouring is already equitable.
+are_isomorphic searches h's tree with a target: g's path
 individualizes the first vertex of each target cell, and every node of h is
-replayed against g's level at its depth.  canonical_key searches g's tree
+replayed against g's trace at its depth.  canonical_key searches g's tree
 with a minimiser: the least relabeled leaf wins, and the automorphisms that
 equal leaves reveal prune equivalent branches.  The search keeps its own
 stack, so depth is not limited by the interpreter's recursion limit.
@@ -24,7 +34,9 @@ in parallel; a single search is sequential.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from .errors import BudgetExceededError, InvariantViolationError
@@ -44,38 +56,117 @@ DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_CANONICAL_MAX_ORDER = 30
 
 
-def _refine(nbrs, seeds):
-    """Refine one graph: its stable colours and each round's signature -> rank
-    table, the last from the round that split nothing (replay checks stability)."""
-    tables = [{s: i for i, s in enumerate(sorted(set(seeds)))}]
-    colors = [tables[0][s] for s in seeds]
-    while True:
-        sigs = [(colors[v], *sorted([colors[w] for w in nb])) for v, nb in enumerate(nbrs)]
-        tables.append({s: i for i, s in enumerate(sorted(set(sigs)))})
-        if len(tables[-1]) == len(tables[-2]):
-            return colors, tables
-        colors = [tables[-1][s] for s in sigs]
-
-
-def _replay(nbrs, seeds, ref_colors, tables):
-    """Refine a second graph against the reference's tables; its colours, or None
-    at the first signature a round's table lacks or on a histogram mismatch."""
-    try:
-        colors = [tables[0][s] for s in seeds]
-        for table in tables[1:]:
-            colors = [table[(colors[v], *sorted([colors[w] for w in nb]))] for v, nb in enumerate(nbrs)]
-    except KeyError:
-        return None
-    return colors if sorted(colors) == sorted(ref_colors) else None
-
-
-def refinement_colors(g: Graph) -> tuple[int, ...]:
-    """Stable per-vertex colours after refinement; an isomorphism invariant multiset."""
-    return tuple(_refine(g.neighbors, g.local_invariants.seeds)[0])
+def _partition(seeds):
+    """The ordered partition of the vertices by seed value, every cell queued:
+    each vertex's colour is the start of its cell, the cells in seed order."""
+    starts, at = {}, 0
+    for seed, size in sorted(Counter(seeds).items()):
+        starts[seed] = at
+        at += size
+    return [starts[s] for s in seeds], list(starts.values())
 
 
 def _individualize(colors, v):
-    return [(c, u == v) for u, c in enumerate(colors)]
+    """`colors` with v split off the end of its cell, queued alone: the parent
+    colouring is equitable, so the rest of the cell needs no splitter."""
+    colors = list(colors)
+    colors[v] += colors.count(colors[v]) - 1
+    return colors, [colors[v]]
+
+
+def _splits(nbrs, colors, queue):
+    """Refine the ordered partition `colors` in place to the coarsest equitable
+    one below it, splitting by the cells in `queue` first; yield each splitter's
+    event before its splits are made.
+
+    An event is the splitter's start and, for every cell the splitter hits, one
+    (cell start, neighbour count, vertices with that count) per count.  A hit
+    cell splits by count: the vertices with no neighbour in the splitter keep
+    the cell's start, the hit pieces follow in count order.  The pieces join the
+    queue by the smaller-half rule (Berkholz, Bonsma & Grohe 2013): all of them
+    if the cell was queued, else all but the largest.  The walk stops once the
+    partition is discrete.
+    """
+    n = len(colors)
+    order = sorted(range(n), key=colors.__getitem__)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    size = [0] * n
+    for c in colors:
+        size[c] += 1
+    cells = n - size.count(0)
+    queued = [False] * n
+    for s in queue:
+        queued[s] = True
+    queue = deque(queue)
+    while queue and cells < n:
+        s = queue.popleft()
+        queued[s] = False
+        counts = {}
+        for u in order[s:s + size[s]]:
+            for w in nbrs[u]:
+                counts[w] = counts.get(w, 0) + 1
+        pieces = {}
+        for w, k in counts.items():
+            pieces.setdefault((colors[w], k), []).append(w)
+        keys = sorted(pieces)
+        yield s, tuple((c, k, len(pieces[c, k])) for c, k in keys)
+        for c, group in groupby(keys, itemgetter(0)):
+            group = [pieces[key] for key in group]
+            hit = sum(map(len, group))
+            if len(group) == 1 and hit == size[c]:
+                continue
+            # move the hit vertices to the tail of the cell, in count order
+            t = c + size[c]
+            for piece in reversed(group):
+                for v in piece:
+                    t -= 1
+                    u, p = order[t], pos[v]
+                    order[t], order[p] = v, u
+                    pos[v], pos[u] = t, p
+            size[c] -= hit
+            starts = [c] if size[c] else []
+            for piece in group:
+                if t != c:
+                    for v in piece:
+                        colors[v] = t
+                size[t] = len(piece)
+                starts.append(t)
+                t += len(piece)
+            cells += len(starts) - 1
+            if not queued[c]:
+                starts.remove(max(starts, key=size.__getitem__))
+            for x in starts:
+                if not queued[x]:
+                    queued[x] = True
+                    queue.append(x)
+
+
+def _refine(nbrs, start):
+    """Refine one graph from `start`, its colours and queued cells: the stable
+    colours and the trace, every event of `_splits`."""
+    colors = list(start[0])
+    return colors, list(_splits(nbrs, colors, start[1]))
+
+
+def _replay(nbrs, start, trace):
+    """Refine a second graph from `start` while it follows the reference's
+    trace: its colours, or None at the first event that differs or once the
+    trace has ended.  The events fix the cells and the queue, so a graph that
+    follows every event ends with the trace."""
+    colors = list(start[0])
+    events = iter(trace)
+    for event in _splits(nbrs, colors, start[1]):
+        if event != next(events, None):
+            return None
+    return colors
+
+
+def refinement_colors(g: Graph) -> tuple[int, ...]:
+    """Stable per-vertex colours after refinement, each the start of its cell in
+    the ordered partition; an isomorphism invariant multiset."""
+    return tuple(_refine(g.neighbors, _partition(g.local_invariants.seeds))[0])
 
 
 def _target_cell(colors):
@@ -159,13 +250,14 @@ def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Opt
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     # no size or degree screen: equal profiles have equal sizes (their adjacent
-    # pairs count the edges), and replay checks degrees, seeds[v][0]
+    # pairs count the edges), and equal seed multisets have equal degrees
     if g.order != h.order or g.components != h.components:
         return None
-    if g.local_invariants.profile != h.local_invariants.profile:
+    gs, hs = g.local_invariants.seeds, h.local_invariants.seeds
+    if g.local_invariants.profile != h.local_invariants.profile or Counter(gs) != Counter(hs):
         return None
-    levels = [_refine(g.neighbors, g.local_invariants.seeds)]
-    ch = _replay(h.neighbors, h.local_invariants.seeds, *levels[0])
+    levels = [_refine(g.neighbors, _partition(gs))]
+    ch = _replay(h.neighbors, _partition(hs), levels[0][1])
     if ch is None:
         return None
     counter = [0]
@@ -178,7 +270,7 @@ def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Opt
             _tick(counter, budget)
             cg = levels[depth][0]
             levels.append(_refine(g.neighbors, _individualize(cg, _target_cell(cg)[0])))
-        return _replay(h.neighbors, _individualize(colors, w), *levels[depth + 1])
+        return _replay(h.neighbors, _individualize(colors, w), levels[depth + 1][1])
 
     def at_leaf(colors):
         # h's colouring is discrete only where g's is, at g's last level
@@ -206,7 +298,7 @@ def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:
         )
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     nbrs = g.neighbors
-    colors = _refine(nbrs, g.local_invariants.seeds)[0]
+    colors = _refine(nbrs, _partition(g.local_invariants.seeds))[0]
     best = []  # [least relabeled edge list, its labels]
     autos = []
 

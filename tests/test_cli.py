@@ -308,6 +308,16 @@ class TestCensusCmd:
             ("acc-acc", {"n": 14, "k1": 4, "k2": 6})
         ]
 
+    def test_each_accordion_is_built_once_per_grid(self, monkeypatch):
+        # the default grids use A[3..14, k] (48 graphs) and A[3..10, k] (24)
+        built = []
+        real = census.accordion
+        monkeypatch.setattr(census, "accordion", lambda n, k: built.append((n, k)) or real(n, k))
+        assert census.run_census().ok
+        assert len(built) == 72
+        pairs, circulants = built[:48], built[48:]
+        assert len(set(pairs)) == 48 and len(set(circulants)) == 24
+
     def test_invalid_max_n(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "census", "--max-n", "2",
                                "--out", str(tmp_path / "r.jsonl"))

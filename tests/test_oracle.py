@@ -1,8 +1,11 @@
 """Brute-force oracle: soundness, completeness at desk scale, canonical keys."""
 
+import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given
@@ -23,7 +26,7 @@ from accordions import (
     verify_witness,
 )
 from accordions import graphs, oracle
-from accordions.oracle import _refine, _replay, _search
+from accordions.oracle import _individualize, _partition, _refine, _replay, _search, _target_cell
 
 
 def _two_triangles():
@@ -217,13 +220,25 @@ class TestScreenCoverage:
     """Pairs told apart only by a screen that is gone or merged: with equal
     profiles, a later stage must still reject them."""
 
-    def test_degree_multisets_are_checked_by_replay(self):
+    def test_degree_multisets_are_screened(self):
         net = Graph(6, ((0, 4), (1, 5), (2, 3), (3, 4), (3, 5), (4, 5)))
         h = Graph(6, ((0, 4), (0, 5), (1, 2), (1, 4), (2, 4), (3, 4)))
         assert net.size == h.size and net.components == h.components
         assert sorted(net.degrees) == [1, 1, 1, 3, 3, 3] and sorted(h.degrees) == [1, 1, 2, 2, 2, 4]
         assert net.local_invariants.profile == h.local_invariants.profile
         assert are_isomorphic(net, h) is None
+
+    def test_seed_multisets_are_screened_before_refinement(self, monkeypatch):
+        # equal degrees, profiles and seed class sizes; only the seed values
+        # differ: g has two vertices seeded (3, 2, 1, 1, 2), h has one
+        g = Graph(6, ((0, 3), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)))
+        h = Graph(6, ((0, 1), (0, 2), (0, 3), (0, 5), (2, 3), (2, 5), (3, 4), (4, 5)))
+        assert sorted(g.degrees) == sorted(h.degrees) and g.components == h.components
+        assert g.local_invariants.profile == h.local_invariants.profile
+        gc, hc = Counter(g.local_invariants.seeds), Counter(h.local_invariants.seeds)
+        assert sorted(gc.values()) == sorted(hc.values()) and gc != hc
+        monkeypatch.setattr(oracle, "_refine", lambda *args: pytest.fail("refinement was reached"))
+        assert are_isomorphic(g, h) is None
 
     @pytest.mark.parametrize("lengths", [(6, 6), (5, 7)], ids=["2C6", "C5+C7"])
     def test_components_and_bipartiteness_are_one_screen(self, lengths):
@@ -275,37 +290,112 @@ class TestRefinementColors:
         assert refinement_colors(g) == refinement_colors(g)
 
     def test_exact_colours_are_pinned(self):
-        # canonical_key orders vertices by these ranks: the numbering must not drift
-        assert refinement_colors(path_graph(4)) == (0, 1, 1, 0)
+        # canonical_key orders vertices by these colours, the starts of their
+        # cells in the ordered partition: the numbering must not drift
+        assert refinement_colors(path_graph(4)) == (0, 2, 2, 0)
         assert refinement_colors(accordion(6, 2)) == (0,) * 12
-        assert refinement_colors(cartesian_product(cycle_graph(3), path_graph(4))) == (0, 1, 1, 0) * 3
+        assert refinement_colors(cartesian_product(cycle_graph(3), path_graph(4))) == (0, 6, 6, 0) * 3
         assert refinement_colors(cartesian_product(path_graph(3), path_graph(4))) == (
-            0, 2, 2, 0, 1, 3, 3, 1, 0, 2, 2, 0,
+            0, 4, 4, 0, 8, 10, 10, 8, 0, 4, 4, 0,
         )
+
+
+def _uniform(n):
+    """One cell holding every vertex, queued."""
+    return [0] * n, [0]
 
 
 class TestReplay:
     def test_replay_reproduces_the_reference_colours(self):
         g = cartesian_product(cycle_graph(3), path_graph(4))
         perm = [5, 0, 7, 2, 9, 4, 11, 6, 1, 8, 3, 10]
-        colors, tables = _refine(g.neighbors, [0] * g.order)
-        replayed = _replay(g.relabel(perm).neighbors, [0] * g.order, colors, tables)
+        colors, trace = _refine(g.neighbors, _uniform(g.order))
+        replayed = _replay(g.relabel(perm).neighbors, _uniform(g.order), trace)
         assert replayed == [colors[perm.index(w)] for w in range(g.order)]
 
-    def test_unstable_graph_is_rejected_after_the_last_split(self):
-        # C4 is stable at round 0; P4 has the same histogram there, and only
-        # the final non-splitting round shows that it would still split
-        colors, tables = _refine(cycle_graph(4).neighbors, [0] * 4)
-        assert colors == [0] * 4 and len(tables) == 2
-        assert _replay(path_graph(4).neighbors, [0] * 4, colors, tables) is None
+    def test_unstable_graph_is_rejected_at_its_first_event(self):
+        # C4 is stable from the start, yet its one splitter's event is traced;
+        # P4 has the same single cell and differs at that event
+        colors, trace = _refine(cycle_graph(4).neighbors, _uniform(4))
+        assert colors == [0] * 4 and trace == [(0, ((0, 2, 4),))]
+        assert _replay(path_graph(4).neighbors, _uniform(4), trace) is None
 
     def test_histogram_mismatch_is_rejected(self):
-        # every signature of 2K4 occurs in K4 + 2K2, but in other numbers
+        # every neighbour count of 2K4 occurs in K4 + 2K2, but in other numbers
         k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         g = Graph(8, tuple(k4) + ((4, 5), (6, 7)))
         h = Graph(8, tuple(k4) + tuple((i + 4, j + 4) for i, j in k4))
-        colors, tables = _refine(g.neighbors, [0] * 8)
-        assert _replay(h.neighbors, [0] * 8, colors, tables) is None
+        colors, trace = _refine(g.neighbors, _uniform(8))
+        assert _replay(h.neighbors, _uniform(8), trace) is None
+
+
+def _synchronous_refinement(nbrs, seeds):
+    """The reference: every round gives each vertex the signature (colour,
+    sorted neighbour colours) and ranks the signatures, until a round splits
+    no class."""
+    colors = list(seeds)
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in nb))) for v, nb in enumerate(nbrs)]
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        if len(ranks) == len(set(colors)):
+            return colors
+        colors = [ranks[s] for s in sigs]
+
+
+def _same_partition(a, b):
+    """Whether two colourings put the same vertices together."""
+    return len(set(a)) == len(set(b)) == len(set(zip(a, b)))
+
+
+class TestWorklistRefinement:
+    """The worklist refinement against the synchronous reference."""
+
+    @pytest.mark.parametrize("order", range(6, 31, 2))
+    def test_family_graphs_match_the_reference_and_replay_their_relabelings(self, order):
+        rng = random.Random(order)
+        for g in _quartic_family(order):
+            perm = list(range(order))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            carried = lambda colors: [colors[v] for v in sorted(range(order), key=perm.__getitem__)]
+            starts = [(_partition(g.local_invariants.seeds), _partition(h.local_invariants.seeds))]
+            root = _refine(g.neighbors, starts[0][0])[0]
+            starts += [(_individualize(root, v), _individualize(carried(root), perm[v]))
+                       for v in _target_cell(root) or ()]
+            # the reference is label-free, so on h it gives g's partition carried
+            # through perm, which is what replay must return
+            for g_start, h_start in starts:
+                colors, trace = _refine(g.neighbors, g_start)
+                assert _same_partition(colors, _synchronous_refinement(g.neighbors, g_start[0]))
+                assert _replay(h.neighbors, h_start, trace) == carried(colors)
+
+
+class _CountingSequence(Sequence):
+    """A sequence that counts how often its items are read."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
+
+    def __len__(self):
+        return len(self.items)
+
+
+class TestRefinementWork:
+    def test_individualized_child_reads_o_m_log_n_neighbour_lists(self):
+        # A[503,3] is one cell; with one vertex individualized it splits, one
+        # distance at a time, into 504 cells: two singletons (that vertex and
+        # one more) and 502 pairs.  Rounds over every vertex read the 1006
+        # neighbour lists once per round, about 170 times.
+        g = accordion(503, 3)
+        root = _refine(g.neighbors, _partition(g.local_invariants.seeds))[0]
+        nbrs = _CountingSequence(g.neighbors)
+        colors = _refine(nbrs, _individualize(root, _target_cell(root)[0]))[0]
+        assert len(set(root)) == 1 and len(set(colors)) == 504
+        assert nbrs.reads < g.size * math.log2(g.order)
 
 
 class TestSearch:
