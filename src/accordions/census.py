@@ -99,22 +99,25 @@ def circulant_accordion_rows(max_n: int, seed: int = 0, node_budget: Optional[in
 def torus_rows(max_order: int, seed: int = 0, node_budget: Optional[int] = None) -> Iterator[CensusRow]:
     """Ci[m,{a1,a2}] vs C_{n1} [] C_{n2} for every m <= max_order with a divisor
     pair n1, n2 >= 3 and every normalized length pair a1 < a2.  All rows of one
-    (n1, n2) share one relabeled torus."""
+    (n1, n2) share one relabeled torus, and all rows of one order its circulants."""
     rng = random.Random(seed + 2)
     for m in range(9, max_order + 1):
+        factors = [(n1, m // n1) for n1 in range(3, math.isqrt(m) + 1) if m % n1 == 0 and m // n1 >= 3]
+        if not factors:
+            continue
         top = (m - 1) // 2
-        for n1 in range(3, math.isqrt(m) + 1):
-            n2 = m // n1
-            if m % n1 != 0 or n2 < 3:
-                continue
+        lengths = [(a1, a2) for a1 in range(1, top + 1) for a2 in range(a1 + 1, top + 1)]
+        cis = {}  # each built by the row that first needs it, so no row pays for many
+        for n1, n2 in factors:
             torus = cartesian_product(cycle_graph(n1), cycle_graph(n2))
             shuffled = _shuffled(torus, rng)
-            for a1 in range(1, top + 1):
-                for a2 in range(a1 + 1, top + 1):
-                    ci = circulant_graph(m, (a1, a2))
-                    yield _row("ci-torus", {"nprime": m, "a1": a1, "a2": a2, "n1": n1, "n2": n2}, ci, shuffled,
-                               lambda: circulant_iso_torus(m, a1, a2, n1, n2),
-                               lambda: (ci, torus, torus_witness(m, a1, a2, n1, n2)), node_budget)
+            for a1, a2 in lengths:
+                if (a1, a2) not in cis:
+                    cis[a1, a2] = circulant_graph(m, (a1, a2))
+                ci = cis[a1, a2]
+                yield _row("ci-torus", {"nprime": m, "a1": a1, "a2": a2, "n1": n1, "n2": n2}, ci, shuffled,
+                           lambda: circulant_iso_torus(m, a1, a2, n1, n2),
+                           lambda: (ci, torus, torus_witness(m, a1, a2, n1, n2)), node_budget)
 
 
 @dataclass

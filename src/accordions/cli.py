@@ -17,8 +17,8 @@ from pathlib import Path
 from . import oracle
 from .census import run_census
 from .deciders import (
+    accordion_circulant_clause,
     accordion_is_bipartite,
-    accordion_is_circulant,
     accordions_isomorphic,
     circulant_is_bipartite,
     circulant_is_connected,
@@ -203,15 +203,8 @@ def _decide_ci_torus(args: argparse.Namespace) -> int:
 def _decide_acc_circulant(args: argparse.Namespace) -> int:
     _require(args, ["n", "k"], "decide acc-circulant")
     n, k = args.n, args.k
-    ok = accordion_is_circulant(n, k)
-    if k % 2 == 1:
-        clause = "k-odd"
-    elif n % 2 == 1:
-        clause = "k-even-n-odd"
-    elif k == 2:
-        clause = "k-2-n-even"
-    else:
-        clause = "none"
+    clause = accordion_circulant_clause(n, k)
+    ok = clause != "none"
     print("kind: acc-circulant")
     print(f"n: {n}")
     print(f"k: {k}")

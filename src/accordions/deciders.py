@@ -17,6 +17,7 @@ from .modarith import steps_to_gcd
 __all__ = [
     "AccAccVerdict",
     "CiAccVerdict",
+    "accordion_circulant_clause",
     "accordion_is_bipartite",
     "accordion_is_circulant",
     "circulant_is_bipartite",
@@ -36,10 +37,19 @@ def accordion_is_bipartite(n: int, k: int) -> bool:
     return p.n % 2 == 0 and p.k % 2 == 0
 
 
+def accordion_circulant_clause(n: int, k: int) -> str:
+    """The clause making A[n,k] circulant: k-odd, k-even-n-odd, k-2-n-even, or none."""
+    p = AccordionParams(n, k)
+    if p.k % 2 == 1:
+        return "k-odd"
+    if p.n % 2 == 1:
+        return "k-even-n-odd"
+    return "k-2-n-even" if p.k == 2 else "none"
+
+
 def accordion_is_circulant(n: int, k: int) -> bool:
     """A[n,k] is circulant iff k is odd, or k is even and n is odd, or k=2 and n is even."""
-    p = AccordionParams(n, k)
-    return p.k % 2 == 1 or (p.k % 2 == 0 and p.n % 2 == 1) or (p.k == 2 and p.n % 2 == 0)
+    return accordion_circulant_clause(n, k) != "none"
 
 
 def circulant_is_bipartite(n: int, a: int, b: int) -> bool:

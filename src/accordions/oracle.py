@@ -275,7 +275,7 @@ def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Opt
     def at_leaf(colors):
         # h's colouring is discrete only where g's is, at g's last level
         image = {c: w for w, c in enumerate(colors)}
-        vm = VertexMap(g.order, h.order, tuple(image[c] for c in levels[-1][0]))
+        vm = VertexMap(tuple(image[c] for c in levels[-1][0]))
         if verify_witness(g, h, vm):
             found.append(vm)
             return True

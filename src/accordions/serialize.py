@@ -94,6 +94,10 @@ def witness_from_json(text: str) -> tuple[Graph, Graph, VertexMap]:
     mapping = doc["mapping"]
     if not isinstance(mapping, list):
         raise InvalidParameterError("mapping must be a list of integers")
-    vm = VertexMap(source.order, target.order,
-                   tuple(_require_int(x, "mapping entry") for x in mapping))
-    return source, target, vm
+    images = tuple(_require_int(x, "mapping entry") for x in mapping)
+    if source.order != target.order:
+        raise InvalidParameterError(f"orders differ: {source.order} vs {target.order}")
+    if len(images) != source.order:
+        raise InvalidParameterError(f"mapping has {len(images)} entries for order {source.order}")
+    # whether the map is a bijection and an isomorphism is verify_witness's question
+    return source, target, VertexMap(images)

@@ -5,7 +5,7 @@ builds no graph and does not check its own output: the code that emits a
 certificate checks it once with verify_witness against graphs built
 independently of the map (the CLI before it prints a verdict, the census
 when it fills witness_verified).  Directions are fixed and documented per
-constructor; callers invert with VertexMap.invert().
+constructor.
 """
 
 from __future__ import annotations
@@ -41,62 +41,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VertexMap:
-    """A vertex bijection between two graphs of equal order; mapping[i] is the image of i."""
+    """A vertex map between two graphs; mapping[i] is the image of i.
 
-    source_order: int
-    target_order: int
+    The constructor checks nothing: verify_witness is the one check of a map.
+    """
+
     mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.source_order != self.target_order:
-            raise InvalidParameterError(
-                f"orders differ: {self.source_order} vs {self.target_order}"
-            )
-        if len(self.mapping) != self.source_order:
-            raise InvalidParameterError(
-                f"mapping has {len(self.mapping)} entries for order {self.source_order}"
-            )
-        for img in self.mapping:
-            if not 0 <= img < self.target_order:
-                raise InvalidParameterError(f"image {img} out of range")
-        object.__setattr__(self, "mapping", tuple(self.mapping))
 
     @staticmethod
     def identity(order: int) -> "VertexMap":
-        return VertexMap(order, order, tuple(range(order)))
-
-    def is_bijection(self) -> bool:
-        return len(set(self.mapping)) == self.source_order
-
-    def invert(self) -> "VertexMap":
-        if not self.is_bijection():
-            raise InvalidParameterError("cannot invert a non-bijective map")
-        inv = [0] * self.source_order
-        for v, img in enumerate(self.mapping):
-            inv[img] = v
-        return VertexMap(self.target_order, self.source_order, tuple(inv))
-
-    def then(self, other: "VertexMap") -> "VertexMap":
-        """Composition: apply self first, then other."""
-        if self.target_order != other.source_order:
-            raise InvalidParameterError("composition orders do not match")
-        return VertexMap(
-            self.source_order,
-            other.target_order,
-            tuple(other.mapping[img] for img in self.mapping),
-        )
+        return VertexMap(tuple(range(order)))
 
 
 def verify_witness(g: Graph, h: Graph, vm: VertexMap) -> bool:
-    """True iff vm is a bijection carrying the edge set of g exactly onto that of h."""
-    if vm.source_order != g.order or vm.target_order != h.order:
-        raise InvalidParameterError(
-            f"map is {vm.source_order}->{vm.target_order} but graphs have orders "
-            f"{g.order} and {h.order}"
-        )
-    if not vm.is_bijection():
-        return False
+    """True iff vm permutes range(order) and carries the edge set of g exactly onto that of h."""
     m = vm.mapping
+    if len(m) != g.order or g.order != h.order:
+        raise InvalidParameterError(
+            f"map has {len(m)} entries but graphs have orders {g.order} and {h.order}"
+        )
+    if sorted(m) != list(range(len(m))):
+        return False
     mapped = {(m[i], m[j]) if m[i] < m[j] else (m[j], m[i]) for i, j in g.edges}
     return mapped == set(h.edges)
 
@@ -109,7 +74,7 @@ def cycle_swap_automorphism(n: int, k: int) -> VertexMap:
     """
     AccordionParams(n, k)
     m = [n + (-j) % n for j in range(n)] + [(-j) % n for j in range(n)]
-    return VertexMap(2 * n, 2 * n, tuple(m))
+    return VertexMap(tuple(m))
 
 
 def _spoke_cycle_vertex(n: int, k1: int, start: int, pos: int) -> int:
@@ -143,7 +108,7 @@ def accordion_witness(n: int, k1: int, k2: int) -> VertexMap:
         pos = i if forward or i == 1 else n + 2 - i
         m[i - 1] = _spoke_cycle_vertex(n, k1, 1, pos)       # u_i of A[n,k2]
         m[n + i - 1] = _spoke_cycle_vertex(n, k1, 2, pos)   # v_i of A[n,k2]
-    return VertexMap(2 * n, 2 * n, tuple(m))
+    return VertexMap(tuple(m))
 
 
 def scaling_witness(n: int, a: int, b: int) -> VertexMap:
@@ -161,7 +126,7 @@ def scaling_witness(n: int, a: int, b: int) -> VertexMap:
         raise InvalidParameterError(f"lengths must be coprime to {two_n}, got ({a},{b})")
     if a + b != n:
         raise InvalidParameterError(f"lengths must sum to n={n}, got {a}+{b}={a + b}")
-    return VertexMap(two_n, two_n, tuple(((j + 1) * a - 1) % two_n for j in range(two_n)))
+    return VertexMap(tuple(((j + 1) * a - 1) % two_n for j in range(two_n)))
 
 
 def bipartite_accordion_witness(n: int, a: int, b: int) -> VertexMap:
@@ -183,7 +148,7 @@ def bipartite_accordion_witness(n: int, a: int, b: int) -> VertexMap:
     two_n = 2 * n
     base = list(range(n)) + [n + (t + 1) % n for t in range(n)]
     inv = pow(verdict.a, -1, two_n)
-    return VertexMap(two_n, two_n, tuple(base[((t + 1) * inv - 1) % two_n] for t in range(two_n)))
+    return VertexMap(tuple(base[((t + 1) * inv - 1) % two_n] for t in range(two_n)))
 
 
 def circulant_accordion_witness(n: int, a: int, b: int, k: int) -> VertexMap:
@@ -218,7 +183,7 @@ def circulant_accordion_witness(n: int, a: int, b: int, k: int) -> VertexMap:
             if m[src] != -1:
                 raise InvariantViolationError("circulant cycle decomposition collided")
             m[src] = _spoke_cycle_vertex(n, k, i, j)
-    return VertexMap(two_n, two_n, tuple(m))
+    return VertexMap(tuple(m))
 
 
 def torus_witness(nprime: int, a1: int, a2: int, n1: int, n2: int) -> VertexMap:
@@ -239,7 +204,7 @@ def torus_witness(nprime: int, a1: int, a2: int, n1: int, n2: int) -> VertexMap:
         a1, a2 = a2, a1
     s1, s2 = pow(a1, -1, n1), pow(a2, -1, n2)
     m = [(i * s1 % n1) * n2 + i * s2 % n2 for i in range(nprime)]
-    return VertexMap(nprime, nprime, tuple(m))
+    return VertexMap(tuple(m))
 
 
 @dataclass(frozen=True)
@@ -294,6 +259,6 @@ def accordion_from_cylinder(n1: int, n2: int, k: int) -> CylinderExtension:
     pairs = [(i + 1, ((i + shift) % n1) + 1) for i in range(n1)]
     graph = Graph(2 * n, base.edges + tuple(added))
     m = [_spoke_cycle_vertex(n, k, p + 1, c + 1) for c in range(n1) for p in range(n2)]
-    vm = VertexMap(2 * n, 2 * n, tuple(m))
+    vm = VertexMap(tuple(m))
     canonical_added = tuple(sorted((min(e), max(e)) for e in added))
     return CylinderExtension(graph, n, k, steps, canonical_added, tuple(pairs), vm)

@@ -318,6 +318,16 @@ class TestCensusCmd:
         pairs, circulants = built[:48], built[48:]
         assert len(set(pairs)) == 48 and len(set(circulants)) == 24
 
+    def test_each_torus_circulant_is_built_once(self, monkeypatch):
+        # torus_rows(36) uses 1032 distinct circulants over 1450 rows
+        built = []
+        real = census.circulant_graph
+        monkeypatch.setattr(census, "circulant_graph",
+                            lambda m, lengths: built.append((m, lengths)) or real(m, lengths))
+        rows = list(census.torus_rows(36))
+        assert len(rows) == 1450 and all(row.agree for row in rows)
+        assert len(built) == 1032 and len(set(built)) == 1032
+
     def test_invalid_max_n(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "census", "--max-n", "2",
                                "--out", str(tmp_path / "r.jsonl"))

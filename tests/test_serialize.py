@@ -14,6 +14,7 @@ from accordions import (
     graph_to_dot,
     graph_to_edgelist,
     graph_to_json,
+    verify_witness,
     witness_from_json,
     witness_to_json,
 )
@@ -88,7 +89,7 @@ def test_graph_parse_errors(text):
 def test_witness_roundtrip():
     g = cycle_graph(4)
     h = g.relabel([1, 2, 3, 0])
-    vm = VertexMap(4, 4, (1, 2, 3, 0))
+    vm = VertexMap((1, 2, 3, 0))
     doc = witness_to_json(g, h, vm)
     src, tgt, back = witness_from_json(doc)
     assert src == g and tgt == h and back == vm
@@ -99,6 +100,34 @@ def test_witness_parse_errors():
         witness_from_json('{"source":{},"target":{},"mapping":[]}')
     with pytest.raises(InvalidParameterError):
         witness_from_json("[]")
+
+
+_C3 = '{"order":3,"edges":[[0,1],[0,2],[1,2]]}'
+_K4 = '{"order":4,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}'
+
+
+@pytest.mark.parametrize(
+    "source,target,mapping",
+    [
+        (_C3, _K4, "[0,1,2]"),  # orders differ
+        (_K4, _C3, "[0,1,2]"),
+        (_C3, _C3, "[0,1]"),  # short mapping
+        (_C3, _C3, "[0,1,2,0]"),  # long mapping
+        (_C3, _C3, "[0,1,2.0]"),  # non-integer entry
+        (_C3, _C3, "[0,1,true]"),
+        (_C3, _C3, '"012"'),  # not a list
+    ],
+)
+def test_witness_mapping_errors(source, target, mapping):
+    with pytest.raises(InvalidParameterError):
+        witness_from_json(f'{{"source":{source},"target":{target},"mapping":{mapping}}}')
+
+
+def test_witness_bijectivity_is_left_to_verify_witness():
+    # a well-formed document parses; verify_witness rejects the map
+    src, tgt, vm = witness_from_json(f'{{"source":{_C3},"target":{_C3},"mapping":[0,1,5]}}')
+    assert vm.mapping == (0, 1, 5)
+    assert not verify_witness(src, tgt, vm)
 
 
 _GRAPH = '{"order":2,"edges":[[0,1]]}'
