@@ -61,11 +61,13 @@ from .witnesses import (
     CylinderExtension,
     VertexMap,
     accordion_from_cylinder,
+    accordion_rotation,
     accordion_witness,
     bipartite_accordion_witness,
     circulant_accordion_witness,
     cycle_swap_automorphism,
     scaling_witness,
+    torus_rotations,
     torus_witness,
     verify_witness,
 )

@@ -2,8 +2,11 @@
 
 Each row pits an arithmetic decider against the brute-force oracle on one
 parameter tuple; the oracle side is fed a seeded random relabeling of the
-second graph so agreement also exercises relabeling invariance.  Rows are
-independent and deterministic given the seed.
+second graph so agreement also exercises relabeling invariance.  The second
+graph is always an accordion or a torus, and the oracle also gets closed-form
+generators of a group transitive on its vertices, relabeled the same way, to
+prune its search; it checks them itself.  Rows are independent and
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -18,7 +21,16 @@ from . import oracle
 from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_iso_torus
 from .errors import InvalidParameterError, NotApplicableError
 from .graphs import accordion, cartesian_product, circulant, circulant_graph, cycle_graph
-from .witnesses import accordion_witness, circulant_accordion_witness, torus_witness, verify_witness
+from .witnesses import (
+    VertexMap,
+    accordion_rotation,
+    accordion_witness,
+    circulant_accordion_witness,
+    cycle_swap_automorphism,
+    torus_rotations,
+    torus_witness,
+    verify_witness,
+)
 
 __all__ = [
     "CensusRow",
@@ -43,22 +55,38 @@ class CensusRow:
     elapsed: float
 
 
-def _shuffled(g, rng):
+def _accordions(n):
+    """A[n,k] for 1 <= k <= n/2, each with its rotation and cycle swap."""
+    return [(accordion(n, k), (accordion_rotation(n, k), cycle_swap_automorphism(n, k)))
+            for k in range(1, n // 2 + 1)]
+
+
+def _shuffled(g, autos, rng):
+    """g relabeled by a random permutation perm, and the automorphisms `autos`
+    of g carried along: a' with a'[perm[i]] = perm[a[i]] is one of the result."""
     perm = list(range(g.order))
     rng.shuffle(perm)
-    return g.relabel(perm)
+    conjugated = []
+    for a in autos:
+        m = [0] * g.order
+        for i, ai in enumerate(a.mapping):
+            m[perm[i]] = perm[ai]
+        conjugated.append(VertexMap(tuple(m)))
+    return g.relabel(perm), conjugated
 
 
-def _row(kind, params, g, shuffled, decide, witness, node_budget) -> CensusRow:
-    """`decide()` against the oracle on g and a relabeled graph; when the decider
-    says yes, `witness()` gives the (source, target, map) to verify.  A decider
-    that does not apply counts as a no."""
+def _row(kind, params, g, target, decide, witness, node_budget) -> CensusRow:
+    """`decide()` against the oracle on g and `target`, a relabeled graph with
+    automorphisms of it; when the decider says yes, `witness()` gives the
+    (source, target, map) to verify.  A decider that does not apply counts as
+    a no."""
     start = time.perf_counter()
     try:
         decided = decide()
     except NotApplicableError:
         decided = False
-    found = oracle.are_isomorphic(g, shuffled, node_budget) is not None
+    h, autos = target
+    found = oracle.are_isomorphic(g, h, node_budget, autos) is not None
     verified = verify_witness(*witness()) if decided else None
     return CensusRow(kind, params, decided, found, decided == found, verified,
                      time.perf_counter() - start)
@@ -68,11 +96,11 @@ def accordion_pair_rows(max_n: int, seed: int = 0, node_budget: Optional[int] = 
     """All accordion pairs A[n,k1] vs A[n,k2], k1 <= k2, for 3 <= n <= max_n."""
     rng = random.Random(seed)
     for n in range(3, max_n + 1):
-        accs = [accordion(n, k) for k in range(1, n // 2 + 1)]
+        accs = _accordions(n)
         for k1 in range(1, n // 2 + 1):
             for k2 in range(k1, n // 2 + 1):
-                g1, g2 = accs[k1 - 1], accs[k2 - 1]
-                yield _row("acc-acc", {"n": n, "k1": k1, "k2": k2}, g1, _shuffled(g2, rng),
+                (g1, _), (g2, autos) = accs[k1 - 1], accs[k2 - 1]
+                yield _row("acc-acc", {"n": n, "k1": k1, "k2": k2}, g1, _shuffled(g2, autos, rng),
                            lambda: accordions_isomorphic(n, k1, k2).isomorphic,
                            lambda: (g2, g1, accordion_witness(n, k1, k2)), node_budget)
 
@@ -85,13 +113,13 @@ def circulant_accordion_rows(max_n: int, seed: int = 0, node_budget: Optional[in
     """
     rng = random.Random(seed + 1)
     for n in range(3, max_n + 1):
-        accs = [accordion(n, k) for k in range(1, n // 2 + 1)]
+        accs = _accordions(n)
         for a in range(1, n):
             for b in range(a + 1, n):
                 ci = circulant(n, a, b)
                 for k in range(1, n // 2 + 1):
-                    acc = accs[k - 1]
-                    yield _row("ci-acc", {"n": n, "a": a, "b": b, "k": k}, ci, _shuffled(acc, rng),
+                    acc, autos = accs[k - 1]
+                    yield _row("ci-acc", {"n": n, "a": a, "b": b, "k": k}, ci, _shuffled(acc, autos, rng),
                                lambda: circulant_iso_accordion(n, a, b, k).isomorphic,
                                lambda: (ci, acc, circulant_accordion_witness(n, a, b, k)), node_budget)
 
@@ -110,7 +138,7 @@ def torus_rows(max_order: int, seed: int = 0, node_budget: Optional[int] = None)
         cis = {}  # each built by the row that first needs it, so no row pays for many
         for n1, n2 in factors:
             torus = cartesian_product(cycle_graph(n1), cycle_graph(n2))
-            shuffled = _shuffled(torus, rng)
+            shuffled = _shuffled(torus, torus_rotations(n1, n2), rng)
             for a1, a2 in lengths:
                 if (a1, a2) not in cis:
                     cis[a1, a2] = circulant_graph(m, (a1, a2))
@@ -138,8 +166,10 @@ def run_census(
 ) -> CensusReport:
     """Run the full cross-validation sweep and aggregate a summary.
 
-    Accordion pairs go up to max_n, circulant-accordion comparisons up to
-    min(max_n, 10), torus comparisons up to order max_torus.
+    Accordion pairs A[n,k1] vs A[n,k2] go up to n = max_n, circulant-accordion
+    comparisons Ci[2n,{a,b}] vs A[n,k] up to n = min(max_n, 10), and torus
+    comparisons up to order max_torus.  A longer ci-acc grid is
+    circulant_accordion_rows(n) called directly.
     """
     if max_n < 3:
         raise InvalidParameterError(f"census needs max_n >= 3, got {max_n}")

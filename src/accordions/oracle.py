@@ -23,7 +23,10 @@ are_isomorphic searches h's tree with a target: g's path
 individualizes the first vertex of each target cell, and every node of h is
 replayed against g's trace at its depth.  canonical_key searches g's tree
 with a minimiser: the least relabeled leaf wins, and the automorphisms that
-equal leaves reveal prune equivalent branches.  The search keeps its own
+equal leaves reveal prune equivalent branches.  are_isomorphic prunes
+the same way by automorphisms of h that its caller supplies (closed-form
+generators, such as a torus's rotations); it checks each one with
+`verify_witness` before the search uses it.  The search keeps its own
 stack, so depth is not limited by the interpreter's recursion limit.
 
 Every map returned by are_isomorphic has passed `verify_witness` at the
@@ -37,9 +40,9 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import groupby
 from operator import itemgetter
-from typing import Optional
+from typing import Optional, Sequence
 
-from .errors import BudgetExceededError, InvariantViolationError
+from .errors import BudgetExceededError, InvalidParameterError, InvariantViolationError
 from .graphs import Graph
 from .serialize import graph_to_json
 from .witnesses import VertexMap, verify_witness
@@ -242,11 +245,23 @@ def _search(colors, child, at_leaf, counter, budget, autos=()):
     return False
 
 
-def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Optional[VertexMap]:
+def are_isomorphic(
+    g: Graph,
+    h: Graph,
+    node_budget: Optional[int] = None,
+    automorphisms: Sequence[VertexMap] = (),
+) -> Optional[VertexMap]:
     """A verified isomorphism g -> h, or None when the graphs are not isomorphic.
 
     Complete at desk scale; a configurable node budget aborts with
     BudgetExceededError rather than returning a wrong answer.
+
+    `automorphisms` are maps of h onto itself, typically generators of a
+    group acting on it.  When the pair reaches the search, each is checked
+    with verify_witness(h, h, a), and one that fails raises
+    InvalidParameterError.  The search then skips a vertex of h that they
+    carry onto a sibling already tried: its subtree is the image of one that
+    found no isomorphism.  The returned map is the same with or without them.
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     # no size or degree screen: equal profiles have equal sizes (their adjacent
@@ -260,6 +275,11 @@ def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Opt
     ch = _replay(h.neighbors, _partition(hs), levels[0][1])
     if ch is None:
         return None
+    autos = []
+    for a in automorphisms:
+        if not verify_witness(h, h, a):
+            raise InvalidParameterError("a map given as an automorphism of h is not one")
+        autos.append(a.mapping)
     counter = [0]
     found = []
 
@@ -281,7 +301,7 @@ def are_isomorphic(g: Graph, h: Graph, node_budget: Optional[int] = None) -> Opt
             return True
         return False
 
-    return found[0] if _search(ch, child, at_leaf, counter, budget) else None
+    return found[0] if _search(ch, child, at_leaf, counter, budget, autos) else None
 
 
 def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:

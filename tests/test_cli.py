@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import chain
 
 import pytest
 
@@ -332,3 +333,16 @@ class TestCensusCmd:
         code, _, err = run_cli(capsys, "census", "--max-n", "2",
                                "--out", str(tmp_path / "r.jsonl"))
         assert code == 2 and "error" in err
+
+    def test_extended_run_verdicts_are_pinned(self):
+        # acc-acc to n = 30, ci-acc to n = 14, ci-torus to order 60: 11837 rows,
+        # every verdict column pinned, timings left out
+        rows = list(chain(census.accordion_pair_rows(30), census.circulant_accordion_rows(14),
+                          census.torus_rows(60)))
+        assert len(rows) == 11837
+        assert all(row.agree and row.witness_verified is not False for row in rows)
+        digest = hashlib.sha256()
+        for row in rows:
+            cols = [row.kind, row.params, row.decider, row.oracle, row.agree, row.witness_verified]
+            digest.update((json.dumps(cols, sort_keys=True, separators=(",", ":")) + "\n").encode())
+        assert digest.hexdigest() == "1064541744c8c5e6111008ec400e210e2838b98ca261aa5df9750dd26c1de763"

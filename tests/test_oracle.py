@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 from accordions import (
     BudgetExceededError,
     Graph,
+    InvalidParameterError,
+    VertexMap,
     accordion,
+    accordion_rotation,
     are_isomorphic,
     canonical_key,
     cartesian_product,
@@ -23,9 +26,10 @@ from accordions import (
     cycle_graph,
     path_graph,
     refinement_colors,
+    torus_rotations,
     verify_witness,
 )
-from accordions import graphs, oracle
+from accordions import census, graphs, oracle
 from accordions.oracle import _individualize, _partition, _refine, _replay, _search, _target_cell
 
 
@@ -420,6 +424,53 @@ class TestSearch:
         # (0 2)(1 3), found at the first leaf, joins the orbit of 0 to 2 and then 1 to 3
         autos = []
         assert self._tried(autos, lambda colors: autos.append([2, 3, 0, 1]) if not autos else False) == [0, 1]
+
+
+class TestAutomorphismPruning:
+    """are_isomorphic with caller-supplied automorphisms of h."""
+
+    def test_a_non_automorphism_is_refused(self):
+        g = accordion(6, 2)
+        swap_u0_u1 = VertexMap((1, 0) + tuple(range(2, 12)))
+        with pytest.raises(InvalidParameterError):
+            are_isomorphic(g, g, automorphisms=[accordion_rotation(6, 2), swap_u0_u1])
+
+    def test_maps_are_checked_against_h(self):
+        # the rotation of A[6,2] is an automorphism of g, not of a relabeling of it
+        g = accordion(6, 2)
+        perm = list(range(12))
+        random.Random(6).shuffle(perm)
+        h = g.relabel(perm)
+        rotation = accordion_rotation(6, 2)
+        assert verify_witness(g, g, rotation) and not verify_witness(h, h, rotation)
+        with pytest.raises(InvalidParameterError):
+            are_isomorphic(g, h, automorphisms=[rotation])
+
+    def test_maps_are_the_same_with_and_without_the_generators(self, monkeypatch):
+        # on every isomorphic row of the default census grid
+        real, compared = oracle.are_isomorphic, []
+
+        def both(g, h, node_budget=None, automorphisms=()):
+            vm = real(g, h, node_budget, automorphisms)
+            if vm is not None:
+                assert automorphisms and real(g, h, node_budget) == vm
+                compared.append(vm)
+            return vm
+
+        monkeypatch.setattr(oracle, "are_isomorphic", both)
+        assert census.run_census().ok
+        assert len(compared) == 135
+
+    def test_search_node_count_is_pinned(self):
+        # Ci[15,{1,5}] is not C3 [] C5; h is vertex-transitive, so refinement
+        # leaves it one cell: the first root image fails after one replay, and
+        # the rotations carry it onto all the others
+        g = circulant_graph(15, (1, 5))
+        h, autos = census._shuffled(cartesian_product(cycle_graph(3), cycle_graph(5)),
+                                    torus_rotations(3, 5), random.Random(15))
+        assert are_isomorphic(g, h, node_budget=2, automorphisms=autos) is None
+        with pytest.raises(BudgetExceededError):
+            are_isomorphic(g, h, node_budget=2)
 
 
 class TestCanonicalKey:
