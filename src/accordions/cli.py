@@ -1,8 +1,9 @@
 """Command-line surface: generate graphs, run deciders, emit witnesses, census.
 
 Exit codes are a total contract: 0 = yes/success, 1 = no, 2 = invalid input
-or error.  The oracle node budget can be overridden with the environment
-variable ACCGRAPH_NODE_BUDGET.
+or error.  `cmd_decide` is the one place that checks a requested witness
+(verify_witness, before anything is printed) and maps a verdict to 0 or 1.
+The oracle node budget can be overridden with ACCGRAPH_NODE_BUDGET.
 """
 
 from __future__ import annotations
@@ -97,124 +98,61 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _witness_text(source, target, vm, direction: str) -> str:
-    # the one check of a closed-form witness, made against independently built
-    # graphs before the verdict is printed, so a witness that fails leaves
-    # stdout empty rather than next to "isomorphic: yes"
-    if not verify_witness(source, target, vm):
-        raise InvariantViolationError("witness failed verification before printing")
-    return f"witness-direction: {direction}\nwitness: " + witness_to_json(source, target, vm)
-
-
-def _decide_acc_acc(args: argparse.Namespace) -> int:
-    _require(args, ["n", "k1", "k2"], "decide acc-acc")
+def _acc_acc(args: argparse.Namespace):
     n, k1, k2 = args.n, args.k1, args.k2
     v = accordions_isomorphic(n, k1, k2)
-    wit = ""
-    if args.witness and v.isomorphic:
-        wit = _witness_text(accordion(n, k2), accordion(n, k1), accordion_witness(n, k1, k2),
-                            f"A[{n},{k2}] -> A[{n},{k1}]")
-    print("kind: acc-acc")
-    print(f"n: {n}")
-    print(f"k1: {k1}")
-    print(f"k2: {k2}")
-    print(f"gcd(n,k1): {v.gcd1}")
-    print(f"gcd(n,k2): {v.gcd2}")
+    fields = {"n": n, "k1": k1, "k2": k2, "gcd(n,k1)": v.gcd1, "gcd(n,k2)": v.gcd2}
     if v.half_product is not None:
-        print(f"half-product mod n: {v.half_product % n}")
-    print(f"branch: {v.branch}")
-    print(f"isomorphic: {_yesno(v.isomorphic)}")
-    sys.stdout.write(wit)
-    return 0 if v.isomorphic else 1
+        fields["half-product mod n"] = v.half_product % n
+    fields["branch"] = v.branch
+    return fields, v.isomorphic, lambda: (
+        accordion(n, k2), accordion(n, k1), accordion_witness(n, k1, k2), f"A[{n},{k2}] -> A[{n},{k1}]")
 
 
-def _decide_ci_acc(args: argparse.Namespace) -> int:
-    _require(args, ["n", "a", "b"], "decide ci-acc")
+def _ci_acc(args: argparse.Namespace):
     n, a, b = args.n, args.a, args.b
-    k = args.k
+    k = find_accordion_param(n, a, b) if args.k is None else args.k
     if k is None:
-        k = find_accordion_param(n, a, b)
-        if k is None:
-            print("kind: ci-acc")
-            print(f"n: {n}")
-            print("matched-k: none")
-            print("isomorphic: no")
-            return 1
+        return {"n": n, "matched-k": "none"}, False, None
     v = circulant_iso_accordion(n, a, b, k)
     two_n = 2 * n
-    wit = ""
-    if args.witness and v.isomorphic:
-        wit = _witness_text(circulant(n, a, b), accordion(n, k),
-                            circulant_accordion_witness(n, a, b, k),
-                            f"Ci[{two_n},{{{v.a},{v.b}}}] -> A[{n},{k}]")
-    print("kind: ci-acc")
-    print(f"n: {n}")
-    print(f"a: {v.a}")
-    print(f"b: {v.b}")
-    print(f"matched-k: {v.k}")
-    print(f"regime: {v.regime}")
-    print(f"connected: {_yesno(v.connected)}")
-    print(f"gcd(2n,a): {gcd(two_n, v.a)}")
-    print(f"gcd(2n,b): {gcd(two_n, v.b)}")
+    fields = {"n": n, "a": v.a, "b": v.b, "matched-k": v.k, "regime": v.regime,
+              "connected": _yesno(v.connected), "gcd(2n,a)": gcd(two_n, v.a), "gcd(2n,b)": gcd(two_n, v.b)}
     if v.regime == "bipartite":
-        print(f"a+b: {v.a + v.b}")
+        fields["a+b"] = v.a + v.b
     else:
-        print(f"oriented-swap: {_yesno(v.swapped)}")
-        print(f"gcd(n,k): {v.q}")
-        print(f"steps: {v.steps}")
-        print(f"sign: {'+2' if v.sign == 1 else '-2' if v.sign == -1 else 'none'}")
-    print(f"isomorphic: {_yesno(v.isomorphic)}")
-    sys.stdout.write(wit)
-    return 0 if v.isomorphic else 1
+        fields |= {"oriented-swap": _yesno(v.swapped), "gcd(n,k)": v.q, "steps": v.steps,
+                   "sign": "+2" if v.sign == 1 else "-2" if v.sign == -1 else "none"}
+    return fields, v.isomorphic, lambda: (
+        circulant(n, a, b), accordion(n, k), circulant_accordion_witness(n, a, b, k),
+        f"Ci[{two_n},{{{v.a},{v.b}}}] -> A[{n},{k}]")
 
 
-def _decide_ci_torus(args: argparse.Namespace) -> int:
-    _require(args, ["nprime", "a1", "a2"], "decide ci-torus")
+def _ci_torus(args: argparse.Namespace):
     if (args.n1 is None) != (args.n2 is None):
         raise InvalidParameterError("--n1 and --n2 must be given together")
     m, a1, a2 = args.nprime, args.a1, args.a2
     found = torus_parameters(m, a1, a2) if args.n1 is None else (args.n1, args.n2)
-    ok = found is not None and circulant_iso_torus(m, a1, a2, *found)
-    wit = ""
-    if args.witness and ok:
-        n1, n2 = found
-        torus = cartesian_product(cycle_graph(n1), cycle_graph(n2))
-        wit = _witness_text(circulant_graph(m, (a1, a2)), torus, torus_witness(m, a1, a2, n1, n2),
-                            f"Ci[{m},{{{a1},{a2}}}] -> C{n1} x C{n2}")
-    print("kind: ci-torus")
-    print(f"nprime: {m}")
-    print(f"a1: {a1}")
-    print(f"a2: {a2}")
+    fields = {"nprime": m, "a1": a1, "a2": a2}
     if found is None:
-        print("factors: none")
-        print("isomorphic: no")
-        return 1
+        return fields | {"factors": "none"}, False, None
     n1, n2 = found
+    ok = circulant_iso_torus(m, a1, a2, n1, n2)
     if args.n1 is None:
-        print(f"factors: {n1} x {n2}")
-    print(f"gcd(nprime,a1): {gcd(m, a1 % m)}")
-    print(f"gcd(nprime,a2): {gcd(m, a2 % m)}")
-    print(f"gcd(n1,n2): {gcd(n1, n2)}")
-    print(f"isomorphic: {_yesno(ok)}")
-    sys.stdout.write(wit)
-    return 0 if ok else 1
+        fields["factors"] = f"{n1} x {n2}"
+    fields |= {"gcd(nprime,a1)": gcd(m, a1 % m), "gcd(nprime,a2)": gcd(m, a2 % m),
+               "gcd(n1,n2)": gcd(n1, n2)}
+    return fields, ok, lambda: (
+        circulant_graph(m, (a1, a2)), cartesian_product(cycle_graph(n1), cycle_graph(n2)),
+        torus_witness(m, a1, a2, n1, n2), f"Ci[{m},{{{a1},{a2}}}] -> C{n1} x C{n2}")
 
 
-def _decide_acc_circulant(args: argparse.Namespace) -> int:
-    _require(args, ["n", "k"], "decide acc-circulant")
-    n, k = args.n, args.k
-    clause = accordion_circulant_clause(n, k)
-    ok = clause != "none"
-    print("kind: acc-circulant")
-    print(f"n: {n}")
-    print(f"k: {k}")
-    print(f"clause: {clause}")
-    print(f"circulant: {_yesno(ok)}")
-    return 0 if ok else 1
+def _acc_circulant(args: argparse.Namespace):
+    clause = accordion_circulant_clause(args.n, args.k)
+    return {"n": args.n, "k": args.k, "clause": clause}, clause != "none", None
 
 
-def _decide_predicate(args: argparse.Namespace) -> int:
-    _require(args, ["family"], f"decide {args.kind}")
+def _predicate(args: argparse.Namespace):
     if args.family == "accordion":
         _require(args, ["n", "k"], f"decide {args.kind} --family accordion")
         if args.kind == "bipartite":
@@ -228,24 +166,41 @@ def _decide_predicate(args: argparse.Namespace) -> int:
             ok = circulant_is_bipartite(args.n, args.a, args.b)
         else:
             ok = circulant_is_connected(args.n, args.a, args.b)
-    print(f"kind: {args.kind}")
-    print(f"family: {args.family}")
-    print(f"{args.kind}: {_yesno(ok)}")
-    return 0 if ok else 1
+    return {"family": args.family}, ok, None
+
+
+# kind -> (required flags, verdict label, answer).  An answer gives the printed
+# fields, the verdict and, for the "isomorphic" kinds alone, a thunk building
+# the certificate (source, target, map, direction) of a yes.
+_KINDS = {
+    "acc-acc": (["n", "k1", "k2"], "isomorphic", _acc_acc),
+    "ci-acc": (["n", "a", "b"], "isomorphic", _ci_acc),
+    "ci-torus": (["nprime", "a1", "a2"], "isomorphic", _ci_torus),
+    "acc-circulant": (["n", "k"], "circulant", _acc_circulant),
+    "bipartite": (["family"], "bipartite", _predicate),
+    "connected": (["family"], "connected", _predicate),
+}
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    if args.witness and args.kind not in ("acc-acc", "ci-acc", "ci-torus"):
+    required, label, answer = _KINDS[args.kind]
+    if args.witness and label != "isomorphic":
         raise InvalidParameterError(f"--witness is not supported for kind {args.kind}")
-    dispatch = {
-        "acc-acc": _decide_acc_acc,
-        "ci-acc": _decide_ci_acc,
-        "ci-torus": _decide_ci_torus,
-        "acc-circulant": _decide_acc_circulant,
-        "bipartite": _decide_predicate,
-        "connected": _decide_predicate,
-    }
-    return dispatch[args.kind](args)
+    _require(args, required, f"decide {args.kind}")
+    fields, verdict, certificate = answer(args)
+    witness = ""
+    if args.witness and verdict:
+        source, target, vm, direction = certificate()
+        # checked against independently built graphs: a failing witness leaves stdout empty
+        if not verify_witness(source, target, vm):
+            raise InvariantViolationError("witness failed verification before printing")
+        witness = f"witness-direction: {direction}\nwitness: " + witness_to_json(source, target, vm)
+    print(f"kind: {args.kind}")
+    for key, value in fields.items():
+        print(f"{key}: {value}")
+    print(f"{label}: {_yesno(verdict)}")
+    sys.stdout.write(witness)
+    return 0 if verdict else 1
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -261,13 +216,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    # fail before the sweep, but open (and truncate) an existing report only after it
+    out = Path(args.out)
+    if not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
+        raise InvalidParameterError(f"--out: {out.parent} is not a writable directory")
     report = run_census(
         max_n=args.max_n,
         max_torus=args.max_torus,
         seed=args.seed,
         node_budget=_node_budget(),
     )
-    out = Path(args.out)
     with out.open("w") as handle:
         for row in report.rows:
             doc = dataclasses.asdict(row) | {"elapsed": round(row.elapsed, 6)}
@@ -308,10 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     decide = sub.add_parser("decide", help="run an isomorphism or structure decider")
-    decide.add_argument(
-        "kind",
-        choices=["acc-acc", "ci-acc", "ci-torus", "acc-circulant", "bipartite", "connected"],
-    )
+    decide.add_argument("kind", choices=list(_KINDS))
     decide.add_argument("--n", type=int)
     decide.add_argument("--k", type=int)
     decide.add_argument("--k1", type=int)

@@ -18,6 +18,51 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _decide_requests():
+    """About 900 decide requests: every kind, every printed branch, and invalid input."""
+    for n in range(3, 15):
+        for k1 in range(1, n // 2 + 1):
+            for k2 in range(k1, n // 2 + 1):
+                yield ["acc-acc", "--n", n, "--k1", k1, "--k2", k2] + ["--witness"] * (n % 2 == 0 or k1 == k2)
+    for n in range(2, 10):
+        for a in range(1, n):
+            for b in range(a + 1, n + 1):
+                args = ["--n", n, "--a", a, "--b", b]
+                yield ["ci-acc", *args]
+                yield ["ci-acc", *args, "--k", 1, "--witness"]
+                yield ["ci-acc", *args, "--k", 2, "--witness"]
+    for m in (9, 10, 12, 14, 15, 20, 21):
+        for a1 in range(1, m // 2 + 1):
+            for a2 in range(a1 + 1, m // 2 + 1):
+                yield ["ci-torus", "--nprime", m, "--a1", a1, "--a2", a2, "--witness"]
+    for m, a1, a2, n1, n2 in ((12, 3, 4, 3, 4), (12, 3, 4, 4, 3), (12, 1, 5, 3, 4), (15, 3, 5, 3, 5),
+                              (12, 2, 3, 2, 6)):
+        yield ["ci-torus", "--nprime", m, "--a1", a1, "--a2", a2, "--n1", n1, "--n2", n2, "--witness"]
+    for n in range(3, 13):
+        for k in range(1, n // 2 + 1):
+            yield ["acc-circulant", "--n", n, "--k", k]
+    for kind in ("bipartite", "connected"):
+        for n in range(2, 9):
+            for k in range(0, 5):
+                yield [kind, "--family", "accordion", "--n", n, "--k", k]
+        for n in range(1, 7):
+            for a in range(0, n + 1):
+                for b in range(a + 1, n + 1):
+                    yield [kind, "--family", "circulant", "--n", n, "--a", a, "--b", b]
+    yield from (
+        ["acc-acc", "--n", 10, "--k1", 2],
+        ["ci-acc", "--a", 1, "--b", 3],
+        ["ci-torus", "--nprime", 12, "--a1", 3],
+        ["acc-circulant", "--k", 2],
+        ["bipartite", "--n", 4, "--k", 2],
+        ["connected", "--family", "circulant", "--n", 4, "--a", 1],
+        ["bipartite", "--family", "accordion", "--n", 4, "--k", 2, "--witness"],
+        ["acc-circulant", "--n", 8, "--k", 3, "--witness"],
+        ["ci-torus", "--nprime", 12, "--a1", 3, "--a2", 4, "--n1", 3],
+        ["ci-acc", "--n", 6, "--a", 2, "--b", 4, "--k", 2],
+    )
+
+
 class TestGen:
     def test_json_roundtrip(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "accordion", "--n", "10", "--k", "5")
@@ -157,26 +202,46 @@ class TestDecide:
         src, tgt, vm = witness_from_json(doc.removeprefix("witness: "))
         assert verify_witness(src, tgt, vm)
 
-    def test_witness_crash_prints_no_verdict(self, capsys, monkeypatch):
+    # each certificate kind: the witness constructor cli calls, a request answered
+    # "yes", and the order of its graphs
+    WITNESS_KINDS = [
+        pytest.param("accordion_witness", ["acc-acc", "--n", "14", "--k1", "4", "--k2", "6"], 28,
+                     id="acc-acc"),
+        pytest.param("circulant_accordion_witness", ["ci-acc", "--n", "5", "--a", "3", "--b", "4",
+                                                     "--k", "1"], 10, id="ci-acc"),
+        pytest.param("torus_witness", ["ci-torus", "--nprime", "12", "--a1", "3", "--a2", "4"], 12,
+                     id="ci-torus"),
+    ]
+
+    @pytest.mark.parametrize("constructor, argv, order", WITNESS_KINDS)
+    def test_witness_crash_prints_no_verdict(self, capsys, monkeypatch, constructor, argv, order):
         # a crash must exit 2, not 1 ("no"), and must not leave "isomorphic: yes" behind
         def crash(*args):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(cli, "circulant_accordion_witness", crash)
-        code, out, err = run_cli(capsys, "decide", "ci-acc", "--n", "5", "--a", "3", "--b", "4",
-                                 "--k", "1", "--witness")
-        assert code == 2
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "isomorphic:" not in out
-
-    def test_wrong_witness_prints_no_verdict(self, capsys, monkeypatch):
-        # constructors do not check themselves: the check before printing is the one guard
-        monkeypatch.setattr(cli, "accordion_witness", lambda n, k1, k2: VertexMap.identity(28))
-        code, out, err = run_cli(capsys, "decide", "acc-acc", "--n", "14", "--k1", "4", "--k2", "6",
-                                 "--witness")
+        monkeypatch.setattr(cli, constructor, crash)
+        code, out, err = run_cli(capsys, "decide", *argv, "--witness")
         assert code == 2
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert len(err.splitlines()) == 1 and err.startswith("error: RecursionError")
+
+    @pytest.mark.parametrize("constructor, argv, order", WITNESS_KINDS)
+    def test_wrong_witness_prints_no_verdict(self, capsys, monkeypatch, constructor, argv, order):
+        # constructors do not check themselves: the check before printing is the one guard
+        monkeypatch.setattr(cli, constructor, lambda *args: VertexMap.identity(order))
+        code, out, err = run_cli(capsys, "decide", *argv, "--witness")
+        assert code == 2
+        assert out == ""
+        assert err == "error: witness failed verification before printing\n"
+
+    def test_every_decide_output_is_pinned(self, capsys):
+        # exit code, stdout and stderr of each request, hashed in order
+        requests = [["decide", *map(str, request)] for request in _decide_requests()]
+        assert len(requests) == 894
+        digest = hashlib.sha256()
+        for argv in requests:
+            digest.update((json.dumps([argv, *run_cli(capsys, *argv)]) + "\n").encode())
+        assert digest.hexdigest() == "79daa7cb0c8e3634b2572e80db2ec84a34c8b5bcddae85e85034526cb8d5e6c0"
 
 
 class TestOracleCmd:
@@ -328,6 +393,18 @@ class TestCensusCmd:
         rows = list(census.torus_rows(36))
         assert len(rows) == 1450 and all(row.agree for row in rows)
         assert len(built) == 1032 and len(set(built)) == 1032
+
+    @pytest.mark.parametrize("parent", ["absent", "file"])
+    def test_bad_out_exits_2_before_the_sweep(self, capsys, tmp_path, monkeypatch, parent):
+        # the sweep must not start: main would turn a failure raised inside it into exit 2 too
+        sweeps = []
+        monkeypatch.setattr(cli, "run_census", lambda **kwargs: sweeps.append(kwargs))
+        (tmp_path / "file").write_text("")
+        code, out, err = run_cli(capsys, "census", "--out", str(tmp_path / parent / "r.jsonl"))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: --out")
+        assert sweeps == []
 
     def test_invalid_max_n(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "census", "--max-n", "2",
