@@ -112,9 +112,12 @@ def _acc_acc(args: argparse.Namespace):
 def _ci_acc(args: argparse.Namespace):
     n, a, b = args.n, args.a, args.b
     k = find_accordion_param(n, a, b) if args.k is None else args.k
-    if k is None:
+    try:
+        v = None if k is None else circulant_iso_accordion(n, a, b, k)
+    except NotApplicableError:  # both lengths even: disconnected, so no accordion matches
+        v = None
+    if v is None:
         return {"n": n, "matched-k": "none"}, False, None
-    v = circulant_iso_accordion(n, a, b, k)
     two_n = 2 * n
     fields = {"n": n, "a": v.a, "b": v.b, "matched-k": v.k, "regime": v.regime,
               "connected": _yesno(v.connected), "gcd(2n,a)": gcd(two_n, v.a), "gcd(2n,b)": gcd(two_n, v.b)}
@@ -303,7 +306,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         InvalidParameterError,
-        NotApplicableError,
         BudgetExceededError,
         InvariantViolationError,
         OSError,

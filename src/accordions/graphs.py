@@ -17,6 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
@@ -85,11 +86,14 @@ class Graph:
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbour lists, in that order without a sort: the sorted
+        edges reach v first from its smaller neighbours i in (i, v), then from
+        its larger ones j in (v, j)."""
         adj: list[list[int]] = [[] for _ in range(self.order)]
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], bool]:
@@ -117,18 +121,27 @@ class Graph:
 
     @cached_property
     def local_invariants(self) -> "LocalInvariants":
-        """Seed colours and pair profile, from common-neighbour counts over the
-        pairs at distance <= 2; computed once per Graph object."""
-        nbrs = self.neighbors
-        seeds, pairs = [], []
-        for v, common in enumerate(_common_neighbor_counts(self)):
-            nb = nbrs[v]
-            around = sorted([common.get(w, 0) for w in nb])
-            seeds.append((len(nb), sum(around) // 2, *around))
-            pairs += [(w in nb, c) for w, c in common.items() if w > v]
-            pairs += [(True, 0) for w in nb if w > v and w not in common]
+        """Seed colours and pair profile, from one count of the length-2 paths
+        (`_path_counts`) and one pass over the edges; computed once per Graph
+        object.  Each edge takes its pair's count out of the Counter, so what
+        is left there are the non-adjacent pairs that share a neighbour."""
+        n = self.order
+        counts = _path_counts(self)
+        around: list[list[int]] = [[] for _ in range(n)]
+        adjacent = []
+        for v, w in self.edges:
+            c = counts.pop(v * n + w, 0)
+            around[v].append(c)
+            around[w].append(c)
+            adjacent.append(c)
+        seeds = []
+        for common in around:
+            common.sort()
+            seeds.append((len(common), sum(common) // 2, *common))
         triangles = tuple(sorted(seed[1] for seed in seeds))
-        return LocalInvariants(tuple(seeds), (triangles, tuple(sorted(Counter(pairs).items()))))
+        pairs = [((True, c), m) for c, m in Counter(adjacent).items()]
+        pairs += [((False, c), m) for c, m in Counter(counts.values()).items()]
+        return LocalInvariants(tuple(seeds), (triangles, tuple(sorted(pairs))))
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
@@ -157,19 +170,12 @@ class LocalInvariants(NamedTuple):
     profile: tuple
 
 
-def _common_neighbor_counts(g: Graph) -> list[dict[int, int]]:
-    """Per vertex v, {w: number of common neighbours of v and w} over the w != v
-    that end a path of length 2: at most d(d-1) entries in a d-regular graph."""
-    nbrs = g.neighbors
-    counts = []
-    for v, nb in enumerate(nbrs):
-        row: dict[int, int] = {}
-        for u in nb:
-            for w in nbrs[u]:
-                row[w] = row.get(w, 0) + 1
-        row.pop(v, None)
-        counts.append(row)
-    return counts
+def _path_counts(g: Graph) -> Counter:
+    """{v * order + w: number of common neighbours of v and w} over the pairs
+    v < w at the ends of a path of length 2: one entry per pair, so at most
+    the sum of C(d(u), 2) over the middle vertices u."""
+    n = g.order
+    return Counter([v * n + w for nb in g.neighbors for v, w in combinations(nb, 2)])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Independent ground truth for the arithmetic deciders.  The pipeline is:
 cheap invariant screening (order, then component sizes with bipartiteness
 from one BFS, `Graph.components`, then the profile: per-vertex triangle
 counts and the multiset of (adjacent?, #common neighbours) over the pairs
-at distance <= 2, `Graph.local_invariants`; both are computed once per
+at distance <= 2, `Graph.local_invariants`, read off one Counter of the
+length-2 paths and one pass over the edges; both are computed once per
 graph), then the multiset of per-vertex seeds (degree, triangles, common
 counts over the neighbours), then colour refinement from those seeds, then one
 search over the individualization-refinement tree (McKay & Piperno,

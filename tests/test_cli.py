@@ -133,11 +133,13 @@ class TestDecide:
         assert code == 1
         assert "matched-k: none" in out
 
-    def test_ci_acc_both_even_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "decide", "ci-acc", "--n", "6", "--a", "2", "--b", "4",
-                               "--k", "2")
-        assert code == 2
-        assert "disconnected" in err
+    @pytest.mark.parametrize("k", [[], ["--k", "1"], ["--k", "2", "--witness"]], ids=["no-k", "k1", "k2"])
+    def test_ci_acc_both_even_answers_no(self, capsys, k):
+        # Ci[12,{2,4}] is disconnected, so no accordion matches: a "no", not invalid input
+        code, out, err = run_cli(capsys, "decide", "ci-acc", "--n", "6", "--a", "2", "--b", "4", *k)
+        assert code == 1
+        assert out == "kind: ci-acc\nn: 6\nmatched-k: none\nisomorphic: no\n"
+        assert err == ""
 
     def test_ci_acc_witness(self, capsys):
         code, out, _ = run_cli(capsys, "decide", "ci-acc", "--n", "5", "--a", "3", "--b", "4",
@@ -241,7 +243,7 @@ class TestDecide:
         digest = hashlib.sha256()
         for argv in requests:
             digest.update((json.dumps([argv, *run_cli(capsys, *argv)]) + "\n").encode())
-        assert digest.hexdigest() == "79daa7cb0c8e3634b2572e80db2ec84a34c8b5bcddae85e85034526cb8d5e6c0"
+        assert digest.hexdigest() == "247dc831936e0f6551f2ba638dfa80b326948d09bde6b1d64ede8d254cfe76aa"
 
 
 class TestOracleCmd:

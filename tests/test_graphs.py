@@ -1,6 +1,7 @@
 """Family constructors, edge classes, and structural predicates."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -75,6 +76,30 @@ class TestGraphType:
         copy = c3_c4.relabel([6, 5, 4, 3, 2, 1, 0])
         assert "components" in vars(c3_c4) and "components" not in vars(copy)
         assert copy.components == ((3, 4), False)
+
+    def test_neighbour_lists_come_out_ascending(self):
+        # the lists are built from the sorted edges with no sort of their own:
+        # however the edges are given, each list must still be ascending
+        rng = random.Random(5)
+        base = [accordion(7, 2), circulant(9, 2, 5), cartesian_product(cycle_graph(3), cycle_graph(5)),
+                path_graph(6), Graph(5, ((3, 1), (4, 1)))]
+        graphs = []
+        for g in base:
+            edges = list(g.edges)
+            shuffled = edges[:]
+            rng.shuffle(shuffled)
+            flipped = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in shuffled]
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            graphs += [Graph(g.order, tuple(reversed(edges))), Graph(g.order, tuple(flipped)),
+                       Graph(g.order, tuple((j, i) for i, j in edges)), g.relabel(perm)]
+        for g in graphs:
+            adjacent = [set() for _ in range(g.order)]
+            for i, j in g.edges:
+                adjacent[i].add(j)
+                adjacent[j].add(i)
+            for v in range(g.order):
+                assert g.neighbors[v] == tuple(sorted(adjacent[v]))
 
 
 class TestCyclesAndPaths:

@@ -1,5 +1,6 @@
 """Brute-force oracle: soundness, completeness at desk scale, canonical keys."""
 
+import hashlib
 import math
 import random
 import sys
@@ -180,16 +181,15 @@ class TestSparseScreens:
 
     @staticmethod
     def _assert_at_most_d_times_d_minus_1_entries(g):
-        # one entry at most per path v-u-w with w != v: d(d-1) in a d-regular graph
-        counts = graphs._common_neighbor_counts(g)
-        for v, common in enumerate(counts):
-            assert len(common) <= sum(g.degree(u) - 1 for u in g.neighbors[v])
-            assert v not in common and 0 not in common.values()
-        d = max(g.degrees)
-        assert min(g.degrees) < d or max(map(len, counts)) <= d * (d - 1)
+        # one key per pair v < w at the ends of some path v-u-w: at most the sum
+        # of C(d(u), 2), which is d(d-1) per end vertex in a d-regular graph
+        counts = graphs._path_counts(g)
+        assert len(counts) <= sum(math.comb(d, 2) for d in g.degrees)
+        assert all(key // g.order < key % g.order for key in counts)
+        assert min(counts.values(), default=1) >= 1
 
     def test_each_common_neighbour_map_has_at_most_d_times_d_minus_1_entries(self):
-        for g in _quartic_family(24) + [path_graph(5), _two_triangles()]:
+        for g in _quartic_family(24) + [path_graph(5), _two_triangles(), Graph(4, ((1, 2),))]:
             self._assert_at_most_d_times_d_minus_1_entries(g)
 
     def test_order_20000_pair_is_rejected_by_the_profile(self):
@@ -209,6 +209,48 @@ class TestSparseScreens:
         assert g.local_invariants.profile != h.local_invariants.profile
         self._assert_at_most_d_times_d_minus_1_entries(g)
         self._assert_at_most_d_times_d_minus_1_entries(h)
+
+
+def _census_graphs():
+    """Every graph that the default census builds: the accordions with n <= 14,
+    the ci-acc circulants with n <= 10, and the torus circulants and tori up
+    to order 36."""
+    for n in range(3, 15):
+        yield from (accordion(n, k) for k in range(1, n // 2 + 1))
+    for n in range(3, 11):
+        yield from (circulant(n, a, b) for a in range(1, n) for b in range(a + 1, n))
+    for m in range(9, 37):
+        factors = [(n1, m // n1) for n1 in range(3, math.isqrt(m) + 1) if m % n1 == 0 and m // n1 >= 3]
+        if factors:
+            top = (m - 1) // 2
+            yield from (circulant_graph(m, (a1, a2)) for a1 in range(1, top + 1) for a2 in range(a1 + 1, top + 1))
+            yield from (cartesian_product(cycle_graph(n1), cycle_graph(n2)) for n1, n2 in factors)
+
+
+def _large_graphs():
+    """A[501,3] and A[1000,6], each followed by one seeded relabeling."""
+    rng = random.Random(13)
+    for g in (accordion(501, 3), accordion(1000, 6)):
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        yield from (g, g.relabel(perm))
+
+
+class TestScreenValues:
+    """The screens' exact values, pinned: a faster kernel must leave every
+    seed and profile byte-identical, or census verdicts may move."""
+
+    @pytest.mark.parametrize("graphs_of, count, expected", [
+        (_census_graphs, 1220, "9917f192a9763a485283c4932a1b44ec04dbc59388177e09c60d390f046870a0"),
+        (_large_graphs, 4, "c06dfaf7883c165f6aa63db3a78dc99b76cb95fbd806360cb4f0613ce36fc56a"),
+    ], ids=["census", "large"])
+    def test_local_invariants_are_pinned(self, graphs_of, count, expected):
+        digest, seen = hashlib.sha256(), 0
+        for g in graphs_of():
+            digest.update(repr(g.local_invariants).encode() + b"\n")
+            seen += 1
+        assert seen == count
+        assert digest.hexdigest() == expected
 
 
 def _cycles(*lengths):
@@ -254,8 +296,8 @@ class TestScreenCoverage:
 class TestScreenCache:
     def test_screens_are_computed_once_per_graph(self, monkeypatch):
         calls = []
-        count = graphs._common_neighbor_counts
-        monkeypatch.setattr(graphs, "_common_neighbor_counts", lambda g: calls.append(g) or count(g))
+        count = graphs._path_counts
+        monkeypatch.setattr(graphs, "_path_counts", lambda g: calls.append(g) or count(g))
         perm = list(range(20))
         random.Random(20).shuffle(perm)
         h = cartesian_product(cycle_graph(4), cycle_graph(5)).relabel(perm)
