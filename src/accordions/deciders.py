@@ -228,10 +228,18 @@ def circulant_iso_accordion(n: int, a: int, b: int, k: int) -> CiAccVerdict:
 
 
 def find_accordion_param(n: int, a: int, b: int) -> Optional[int]:
-    """First k in [1, n//2] with Ci[2n,{a,b}] ~ A[n,k], or None."""
+    """First k in [1, n//2] with Ci[2n,{a,b}] ~ A[n,k], or None.
+
+    With both normalized lengths odd, the bipartite clause of
+    `circulant_iso_accordion` admits k = 2 alone, so that one k is tried
+    instead of the scan (n >= 4 there: at n = 3 the lengths are 1 and 2).
+    Only mixed parity scans every k.
+    """
     p = CirculantParams(n, a, b)
     if p.a % 2 == 0 and p.b % 2 == 0:
         return None  # disconnected; no accordion partner exists
+    if p.a % 2 == 1 and p.b % 2 == 1:
+        return 2 if circulant_iso_accordion(n, a, b, 2).isomorphic else None
     for k in range(1, n // 2 + 1):
         if circulant_iso_accordion(n, a, b, k).isomorphic:
             return k

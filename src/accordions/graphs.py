@@ -56,6 +56,8 @@ def _canonical_edges(order: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[
     out = []
     for edge in edges:
         i, j = edge
+        if type(i) is not int or type(j) is not int:  # not bool or float: serialize writes %d
+            raise InvalidParameterError(f"edge endpoints must be integers, got ({i!r},{j!r})")
         if i == j:
             raise InvalidParameterError(f"self-loop at vertex {i}")
         if not (0 <= i < order and 0 <= j < order):
@@ -76,6 +78,8 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if type(self.order) is not int:
+            raise InvalidParameterError(f"graph order must be an integer, got {self.order!r}")
         if self.order < 1:
             raise InvalidParameterError(f"graph order must be >= 1, got {self.order}")
         object.__setattr__(self, "edges", _canonical_edges(self.order, self.edges))

@@ -4,11 +4,19 @@ The JSON graph document is bit-exact by construction: keys "order" then
 "edges", edges ascending pairs sorted lexicographically, compact separators,
 no trailing whitespace, newline-terminated.  Golden files and round-trip
 diffs rely on this.
+
+Documents are written by one string-formatting pass, not by the json
+encoder: a Graph holds only ints (its constructor refuses anything else), so
+``%d`` writes exactly what ``json.dumps(doc, separators=(",", ":"))`` would,
+without first building a list per edge.  tests/test_serialize.py keeps that
+encoder as the reference and pins the two byte-identical.  Reading still
+goes through ``json.loads``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .errors import InvalidParameterError
 from .graphs import Graph
@@ -22,10 +30,6 @@ __all__ = [
     "witness_to_json",
     "witness_from_json",
 ]
-
-
-def _graph_doc(g: Graph) -> dict:
-    return {"order": g.order, "edges": [list(e) for e in g.edges]}
 
 
 def _require_int(value: object, what: str) -> int:
@@ -49,8 +53,14 @@ def _graph_from_doc(doc: object) -> Graph:
     return Graph(order, tuple(edges))
 
 
+def _graph_text(g: Graph) -> str:
+    # one format string for all the edges: a third faster than one per edge
+    edges = ",".join(["[%d,%d]"] * len(g.edges)) % tuple(chain.from_iterable(g.edges))
+    return '{"order":%d,"edges":[%s]}' % (g.order, edges)
+
+
 def graph_to_json(g: Graph) -> str:
-    return json.dumps(_graph_doc(g), separators=(",", ":")) + "\n"
+    return _graph_text(g) + "\n"
 
 
 def graph_from_json(text: str) -> Graph:
@@ -76,8 +86,8 @@ def graph_to_edgelist(g: Graph) -> str:
 
 
 def witness_to_json(source: Graph, target: Graph, vm: VertexMap) -> str:
-    doc = {"source": _graph_doc(source), "target": _graph_doc(target), "mapping": list(vm.mapping)}
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return '{"source":%s,"target":%s,"mapping":[%s]}\n' % (
+        _graph_text(source), _graph_text(target), ",".join(map(str, vm.mapping)))
 
 
 def witness_from_json(text: str) -> tuple[Graph, Graph, VertexMap]:

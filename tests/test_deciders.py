@@ -3,6 +3,7 @@
 import pytest
 
 from accordions import (
+    CirculantParams,
     InvalidParameterError,
     NotApplicableError,
     accordion,
@@ -156,6 +157,29 @@ class TestCirculantAccordion:
     @pytest.mark.parametrize("n,a,b,expected", [(4, 1, 3, 2), (3, 1, 2, 1), (6, 2, 4, None)])
     def test_find_accordion_param(self, n, a, b, expected):
         assert find_accordion_param(n, a, b) == expected
+
+    def test_find_accordion_param_matches_the_full_scan(self):
+        # the reference tries every k, as find_accordion_param did before its
+        # both-lengths-odd shortcut; the two must agree, exceptions included
+        def full_scan(n, a, b):
+            p = CirculantParams(n, a, b)
+            if p.a % 2 == 0 and p.b % 2 == 0:
+                return None
+            for k in range(1, n // 2 + 1):
+                if circulant_iso_accordion(n, a, b, k).isomorphic:
+                    return k
+            return None
+
+        def outcome(f, n, a, b):
+            try:
+                return f(n, a, b)
+            except (InvalidParameterError, NotApplicableError) as exc:
+                return type(exc), str(exc)
+
+        for n in range(3, 31):
+            for a in range(1, 2 * n):
+                for b in range(1, 2 * n):
+                    assert outcome(find_accordion_param, n, a, b) == outcome(full_scan, n, a, b), (n, a, b)
 
     def test_regime_consistency_with_bipartiteness(self):
         for n in range(3, 9):

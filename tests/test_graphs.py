@@ -53,6 +53,16 @@ class TestGraphType:
         with pytest.raises(InvalidParameterError):
             Graph(0, ())
 
+    # a bool or float would pass the range checks and serialize as a different graph
+    @pytest.mark.parametrize(
+        "order,edges",
+        [(3, ((True, 0),)), (3, ((0, 1.5),)), (True, ())],
+        ids=["bool-endpoint", "float-endpoint", "bool-order"],
+    )
+    def test_non_integer_order_or_endpoint_rejected(self, order, edges):
+        with pytest.raises(InvalidParameterError):
+            Graph(order, edges)
+
     def test_relabel_roundtrip(self):
         g = cycle_graph(5)
         perm = [2, 0, 4, 1, 3]

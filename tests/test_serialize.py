@@ -1,19 +1,27 @@
 """Graph and witness document round-trips and golden strings."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from test_oracle import _census_graphs
 
 from accordions import (
     Graph,
     InvalidParameterError,
     VertexMap,
     accordion,
+    accordion_witness,
+    circulant,
+    circulant_accordion_witness,
     cycle_graph,
     graph_from_json,
     graph_to_dot,
     graph_to_edgelist,
     graph_to_json,
+    path_graph,
     verify_witness,
     witness_from_json,
     witness_to_json,
@@ -145,3 +153,54 @@ _GRAPH = '{"order":2,"edges":[[0,1]]}'
 def test_witness_parse_errors_in_nested_graphs(source, target):
     with pytest.raises(InvalidParameterError):
         witness_from_json(f'{{"source":{source},"target":{target},"mapping":[0,1]}}')
+
+
+# The json encoder that wrote documents before the one-pass formatter: the
+# formatter must match it byte for byte.
+def _reference_graph_doc(g):
+    return {"order": g.order, "edges": [list(e) for e in g.edges]}
+
+
+def _reference_graph_to_json(g):
+    return json.dumps(_reference_graph_doc(g), separators=(",", ":")) + "\n"
+
+
+def _reference_witness_to_json(source, target, vm):
+    doc = {"source": _reference_graph_doc(source), "target": _reference_graph_doc(target),
+           "mapping": list(vm.mapping)}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _assert_graph_and_identity_witness_match(g):
+    assert graph_to_json(g) == _reference_graph_to_json(g)
+    vm = VertexMap(tuple(range(g.order)))
+    assert witness_to_json(g, g, vm) == _reference_witness_to_json(g, g, vm)
+
+
+@pytest.mark.parametrize("g", [path_graph(1), cycle_graph(3)], ids=["P1", "C3"])
+def test_json_matches_the_json_encoder_on_small_graphs(g):
+    _assert_graph_and_identity_witness_match(g)
+
+
+def test_json_matches_the_json_encoder_on_the_census_grid():
+    seen = 0
+    for g in _census_graphs():
+        _assert_graph_and_identity_witness_match(g)
+        seen += 1
+    assert seen == 1220
+
+
+@pytest.mark.parametrize(
+    "certificate",
+    [
+        lambda: (accordion(1000, 334), accordion(1000, 6), accordion_witness(1000, 6, 334)),
+        lambda: (circulant(1000, 3, 997), accordion(1000, 2), circulant_accordion_witness(1000, 3, 997, 2)),
+    ],
+    ids=["A[1000,334]->A[1000,6]", "Ci[2000,{3,997}]->A[1000,2]"],
+)
+def test_json_matches_the_json_encoder_at_order_2000(certificate):
+    source, target, vm = certificate()
+    assert verify_witness(source, target, vm)
+    assert graph_to_json(source) == _reference_graph_to_json(source)
+    assert graph_to_json(target) == _reference_graph_to_json(target)
+    assert witness_to_json(source, target, vm) == _reference_witness_to_json(source, target, vm)
