@@ -233,14 +233,25 @@ def find_accordion_param(n: int, a: int, b: int) -> Optional[int]:
     With both normalized lengths odd, the bipartite clause of
     `circulant_iso_accordion` admits k = 2 alone, so that one k is tried
     instead of the scan (n >= 4 there: at n = 3 the lengths are 1 and 2).
-    Only mixed parity scans every k.
+
+    With mixed parity (a odd, b even) the clause fixes k up to sign.  It
+    needs gcd(n,k) = q with q = gcd(2n,a), so k = q*k' with k' a unit mod
+    m = n/q; writing a = q*a', the congruence b*q == +-2*s*a (mod 2n) with
+    s = k'^-1 (mod m) is b/2 == +-s*a' (mod m).  So k' == +-c^-1 (mod m) with
+    c = (b/2)*a'^-1, and k' <= m/2 leaves one candidate, which the decider
+    then confirms or refutes.
     """
     p = CirculantParams(n, a, b)
     if p.a % 2 == 0 and p.b % 2 == 0:
         return None  # disconnected; no accordion partner exists
     if p.a % 2 == 1 and p.b % 2 == 1:
         return 2 if circulant_iso_accordion(n, a, b, 2).isomorphic else None
-    for k in range(1, n // 2 + 1):
-        if circulant_iso_accordion(n, a, b, k).isomorphic:
-            return k
-    return None
+    odd, even = (p.a, p.b) if p.a % 2 == 1 else (p.b, p.a)
+    q = math.gcd(2 * n, odd)
+    m = n // q  # >= 2: q divides n and q <= odd < n
+    c = (even // 2) * pow(odd // q, -1, m) % m
+    if math.gcd(c, m) != 1:
+        return None
+    unit = pow(c, -1, m)
+    k = q * min(unit, m - unit)
+    return k if circulant_iso_accordion(n, a, b, k).isomorphic else None

@@ -9,6 +9,11 @@ written with 1-based subscripts (u_i, v_i, x_i over residue systems
 Edges are stored as a sorted tuple of ascending pairs, so two equal graphs
 compare equal and serialize byte-identically.  All graphs are immutable and
 every operation in this module is a pure function.
+
+The constructors emit ascending pairs in a few sorted runs built from
+ranges, so orienting them changes nothing and the sort only merges the
+runs.  Graph still validates every edge set, theirs included: types,
+self-loops, ranges and duplicates.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidParameterError
 
@@ -52,22 +57,45 @@ DIAGONAL_SPOKE = "diagonal-spoke"
 
 
 def _canonical_edges(order: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
-    seen = set()
+    """The edges as a sorted tuple of ascending pairs; the first bad edge in input order raises.
+
+    One loop checks each edge's type, self-loop and range; one set of the
+    result finds a duplicate, and only then does `_first_duplicate` rescan to
+    name it.  A duplicate before a bad edge is the first fault, so the error
+    path looks for one too.
+    """
     out = []
-    for edge in edges:
-        i, j = edge
-        if type(i) is not int or type(j) is not int:  # not bool or float: serialize writes %d
-            raise InvalidParameterError(f"edge endpoints must be integers, got ({i!r},{j!r})")
-        if i == j:
-            raise InvalidParameterError(f"self-loop at vertex {i}")
-        if not (0 <= i < order and 0 <= j < order):
-            raise InvalidParameterError(f"edge ({i},{j}) out of range for order {order}")
-        pair = (i, j) if i < j else (j, i)
+    try:
+        for i, j in edges:
+            if type(i) is not int or type(j) is not int or i == j or not (0 <= i < order and 0 <= j < order):
+                raise _edge_fault(order, i, j)
+            out.append((i, j) if i < j else (j, i))
+    except (TypeError, ValueError):  # a bad edge, or one that is not a pair
+        pair = _first_duplicate(out)
+        if pair is None:
+            raise
+        raise InvalidParameterError(f"duplicate edge {pair}") from None
+    if len(set(out)) != len(out):
+        raise InvalidParameterError(f"duplicate edge {_first_duplicate(out)}")
+    out.sort()  # constructors emit a few ascending runs, which this merges
+    return tuple(out)
+
+
+def _edge_fault(order: int, i: object, j: object) -> InvalidParameterError:
+    if type(i) is not int or type(j) is not int:  # not bool or float: serialize writes %d
+        return InvalidParameterError(f"edge endpoints must be integers, got ({i!r},{j!r})")
+    if i == j:
+        return InvalidParameterError(f"self-loop at vertex {i}")
+    return InvalidParameterError(f"edge ({i},{j}) out of range for order {order}")
+
+
+def _first_duplicate(pairs: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
+    seen = set()
+    for pair in pairs:
         if pair in seen:
-            raise InvalidParameterError(f"duplicate edge {pair}")
+            return pair
         seen.add(pair)
-        out.append(pair)
-    return tuple(sorted(out))
+    return None
 
 
 @dataclass(frozen=True)
@@ -250,14 +278,14 @@ def cycle_graph(t: int) -> Graph:
     """The cycle C_t on vertices 0..t-1."""
     if t < 3:
         raise InvalidParameterError(f"cycle length must be >= 3, got {t}")
-    return Graph(t, tuple((i, (i + 1) % t) for i in range(t)))
+    return Graph(t, (*zip(range(t - 1), range(1, t)), (0, t - 1)))
 
 
 def path_graph(t: int) -> Graph:
     """The path P_t on t vertices (t-1 edges; a single vertex when t=1)."""
     if t < 1:
         raise InvalidParameterError(f"path order must be >= 1, got {t}")
-    return Graph(t, tuple((i, i + 1) for i in range(t - 1)))
+    return Graph(t, tuple(zip(range(t - 1), range(1, t))))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -266,15 +294,11 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     (x1, y1) ~ (x2, y2) iff x1 = x2 and y1~y2 in h, or x1~x2 in g and y1 = y2.
     """
     nh = h.order
-    edges: list[tuple[int, int]] = []
-    for x in range(g.order):
-        off = x * nh
-        for y1, y2 in h.edges:
-            edges.append((off + y1, off + y2))
+    order = g.order * nh
+    edges = [(x + y1, x + y2) for x in range(0, order, nh) for y1, y2 in h.edges]
     for x1, x2 in g.edges:
-        for y in range(nh):
-            edges.append((x1 * nh + y, x2 * nh + y))
-    return Graph(g.order * nh, tuple(edges))
+        edges += zip(range(x1 * nh, x1 * nh + nh), range(x2 * nh, x2 * nh + nh))
+    return Graph(order, tuple(edges))
 
 
 def accordion(n: int, k: int) -> Graph:
@@ -284,14 +308,13 @@ def accordion(n: int, k: int) -> Graph:
     u_i v_i and the diagonal spokes u_i v_{i+k} (subscripts mod n).
     """
     p = AccordionParams(n, k)
-    edges: list[tuple[int, int]] = []
-    for i in range(p.n):
-        j = (i + 1) % p.n
-        edges.append((i, j))                      # outer cycle
-        edges.append((p.n + i, p.n + j))          # inner cycle
-        edges.append((i, p.n + i))                # vertical spoke
-        edges.append((i, p.n + (i + p.k) % p.n))  # diagonal spoke
-    return Graph(2 * p.n, tuple(edges))
+    us, vs = range(p.n), range(p.n, 2 * p.n)
+    return Graph(2 * p.n, (
+        *zip(us, us[1:]), (0, p.n - 1),          # outer cycle
+        *zip(vs, vs[1:]), (p.n, 2 * p.n - 1),    # inner cycle
+        *zip(us, vs),                            # vertical spokes
+        *zip(us, (*vs[p.k:], *vs[:p.k])),        # diagonal spokes u_i v_{i+k}
+    ))
 
 
 def accordion_edge_classes(n: int, k: int) -> dict[tuple[int, int], str]:
@@ -324,7 +347,10 @@ def circulant_graph(order: int, lengths: Sequence[int]) -> Graph:
     is quartic.
     """
     norm = _circulant_lengths(order, lengths)
-    edges = [(i, (i + r) % order) for r in norm for i in range(order)]
+    edges: list[tuple[int, int]] = []
+    for r in norm:
+        edges += zip(range(order - r), range(r, order))  # x_i x_{i+r}
+        edges += zip(range(r), range(order - r, order))  # the r pairs that wrap
     return Graph(order, tuple(edges))
 
 

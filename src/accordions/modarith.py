@@ -31,13 +31,11 @@ def cong_pm(x: int, y: int, m: int) -> bool:
 def steps_to_gcd(n: int, k: int) -> int:
     """Least positive s with s*k == gcd(n,k) (mod n).
 
-    Always exists with s <= n/gcd(n,k), since the multiples of k mod n are
-    exactly the multiples of gcd(n,k).
+    Dividing by g = gcd(n,k) leaves s*(k/g) == 1 (mod n/g), so s is the
+    inverse of k/g modulo n/g; n/g >= 2 because k <= n/2, so that inverse
+    lies in [1, n/g - 1].
     """
     if n < 3 or not 1 <= k <= n // 2:
         raise InvalidParameterError(f"need n >= 3 and 1 <= k <= n//2, got n={n}, k={k}")
     g = math.gcd(n, k)
-    for s in range(1, n // g + 1):
-        if (s * k) % n == g:
-            return s
-    raise AssertionError(f"no multiplier found for n={n}, k={k}")  # unreachable
+    return pow(k // g, -1, n // g)

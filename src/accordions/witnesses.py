@@ -64,8 +64,13 @@ def verify_witness(g: Graph, h: Graph, vm: VertexMap) -> bool:
         )
     if sorted(m) != list(range(len(m))):
         return False
-    mapped = {(m[i], m[j]) if m[i] < m[j] else (m[j], m[i]) for i, j in g.edges}
-    return mapped == set(h.edges)
+    # an edge {x, y}, x < y, is the integer x*order + y: cheaper to hash than a pair
+    n = g.order
+    mapped = set()
+    for i, j in g.edges:
+        x, y = m[i], m[j]
+        mapped.add(x * n + y if x < y else y * n + x)
+    return mapped == {i * n + j for i, j in h.edges}
 
 
 def cycle_swap_automorphism(n: int, k: int) -> VertexMap:
@@ -105,15 +110,14 @@ def torus_rotations(n1: int, n2: int) -> tuple[VertexMap, VertexMap]:
     return VertexMap(tuple(along_x)), VertexMap(tuple(along_y))
 
 
-def _spoke_cycle_vertex(n: int, k1: int, start: int, pos: int) -> int:
-    """Vertex at 1-based position pos of the alternating spoke cycle through v_start.
+def _spoke_cycle(n: int, k: int, start: int) -> list[int]:
+    """The alternating spoke cycle through v_start in A[n,k], as 0-based vertices.
 
-    The cycle is (v_start, u_start, v_{start+k1}, u_{start+k1}, ...) in A[n,k1]
-    and has length 2n/gcd(n,k1).  Returns the 0-based vertex index.
+    The cycle is (v_start, u_start, v_{start+k}, u_{start+k}, ...) and has
+    length 2n/gcd(n,k).
     """
-    t, r = divmod(pos - 1, 2)
-    idx = (start - 1 + t * k1) % n
-    return n + idx if r == 0 else idx
+    us = [(start - 1 + t * k) % n for t in range(n // math.gcd(n, k))]
+    return [v for u in us for v in (n + u, u)]
 
 
 def accordion_witness(n: int, k1: int, k2: int) -> VertexMap:
@@ -130,13 +134,12 @@ def accordion_witness(n: int, k1: int, k2: int) -> VertexMap:
         raise InvalidParameterError(f"A[{n},{k1}] and A[{n},{k2}] are not isomorphic")
     if k1 == k2:
         return VertexMap.identity(2 * n)
-    forward = verdict.branch == "case-minus"  # case-plus traverses the spoke cycles in reverse
-    m = [0] * (2 * n)
-    for i in range(1, n + 1):
-        pos = i if forward or i == 1 else n + 2 - i
-        m[i - 1] = _spoke_cycle_vertex(n, k1, 1, pos)       # u_i of A[n,k2]
-        m[n + i - 1] = _spoke_cycle_vertex(n, k1, 2, pos)   # v_i of A[n,k2]
-    return VertexMap(tuple(m))
+    # u_i and v_i of A[n,k2] go to position i of the n-vertex spoke cycles
+    # through v_1 and v_2; case-plus takes positions 1, n, n-1, ..., 2 instead
+    outer, inner = _spoke_cycle(n, k1, 1), _spoke_cycle(n, k1, 2)
+    if verdict.branch == "case-plus":
+        outer, inner = outer[:1] + outer[:0:-1], inner[:1] + inner[:0:-1]
+    return VertexMap(tuple(outer + inner))
 
 
 def scaling_witness(n: int, a: int, b: int) -> VertexMap:
@@ -203,14 +206,15 @@ def circulant_accordion_witness(n: int, a: int, b: int, k: int) -> VertexMap:
     q, steps, sign = verdict.q, verdict.steps, verdict.sign
     two_n = 2 * n
     p = two_n // q
+    step = ao if sign > 0 else -ao
     m = [-1] * two_n
     for i in range(1, q + 1):
-        for j in range(1, p + 1):
-            sub = (j * ao + i * bo) if sign > 0 else ((2 - j) * ao + i * bo)
-            src = (sub - 1) % two_n
-            if m[src] != -1:
-                raise InvariantViolationError("circulant cycle decomposition collided")
-            m[src] = _spoke_cycle_vertex(n, k, i, j)
+        # x_{a+ib+(j-1)*step} -> position j of the p-vertex spoke cycle through v_i
+        first = ao + i * bo - 1
+        for src, v in zip([(first + t * step) % two_n for t in range(p)], _spoke_cycle(n, k, i)):
+            m[src] = v
+    if -1 in m:  # q*p = 2n writes leave a slot empty exactly when two collide
+        raise InvariantViolationError("circulant cycle decomposition collided")
     return VertexMap(tuple(m))
 
 
@@ -286,7 +290,7 @@ def accordion_from_cylinder(n1: int, n2: int, k: int) -> CylinderExtension:
         added = [(i * n2 + n2 - 1, ((i + shift) % n1) * n2) for i in range(n1)]
     pairs = [(i + 1, ((i + shift) % n1) + 1) for i in range(n1)]
     graph = Graph(2 * n, base.edges + tuple(added))
-    m = [_spoke_cycle_vertex(n, k, p + 1, c + 1) for c in range(n1) for p in range(n2)]
-    vm = VertexMap(tuple(m))
+    rows = [_spoke_cycle(n, k, p + 1) for p in range(n2)]  # n1 vertices each
+    vm = VertexMap(tuple(v for column in zip(*rows) for v in column))
     canonical_added = tuple(sorted((min(e), max(e)) for e in added))
     return CylinderExtension(graph, n, k, steps, canonical_added, tuple(pairs), vm)

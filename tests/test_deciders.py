@@ -1,5 +1,7 @@
 """Arithmetic isomorphism predicates, cross-checked against the oracle at small sizes."""
 
+import random
+
 import pytest
 
 from accordions import (
@@ -154,7 +156,10 @@ class TestCirculantAccordion:
         for n in range(4, 13, 2):
             assert circulant_iso_accordion(n, 1, n - 1, 2).isomorphic
 
-    @pytest.mark.parametrize("n,a,b,expected", [(4, 1, 3, 2), (3, 1, 2, 1), (6, 2, 4, None)])
+    @pytest.mark.parametrize(
+        "n,a,b,expected",
+        [(4, 1, 3, 2), (3, 1, 2, 1), (6, 2, 4, None), (1000, 1, 4, None), (1001, 1, 4, 500)],
+    )
     def test_find_accordion_param(self, n, a, b, expected):
         assert find_accordion_param(n, a, b) == expected
 
@@ -180,6 +185,21 @@ class TestCirculantAccordion:
             for a in range(1, 2 * n):
                 for b in range(1, 2 * n):
                     assert outcome(find_accordion_param, n, a, b) == outcome(full_scan, n, a, b), (n, a, b)
+
+    @pytest.mark.parametrize("n", [64, 105, 210, 1001])
+    def test_find_accordion_param_is_the_first_match_at_larger_orders(self, n):
+        # mixed-parity lengths, where the candidate k comes in closed form,
+        # against the decider asked at every k
+        rng = random.Random(n)
+        matched = 0
+        for _ in range(25):
+            a, b = rng.randrange(1, 2 * n, 2), rng.randrange(2, 2 * n, 2)
+            if n in (a, b):  # length n is a perfect matching
+                continue
+            ks = [k for k in range(1, n // 2 + 1) if circulant_iso_accordion(n, a, b, k).isomorphic]
+            assert find_accordion_param(n, a, b) == (ks[0] if ks else None), (n, a, b)
+            matched += bool(ks)
+        assert matched
 
     def test_regime_consistency_with_bipartiteness(self):
         for n in range(3, 9):

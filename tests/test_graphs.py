@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accordions import (
@@ -299,3 +299,138 @@ def test_cycle_rotation_preserves_graph(t, shift):
     g = cycle_graph(t)
     perm = [(v + shift) % t for v in range(t)]
     assert g.relabel(perm) == g
+
+
+# --- the Graph checks and the constructors against their per-edge originals --
+
+
+def _reference_edges(order, edges):
+    """Graph's edge check with a per-edge seen set: each edge is checked in
+    input order, so the first fault raises.  The reference for the errors and
+    the edge tuples of Graph and every constructor."""
+    seen = set()
+    out = []
+    for edge in edges:
+        i, j = edge
+        if type(i) is not int or type(j) is not int:
+            raise InvalidParameterError(f"edge endpoints must be integers, got ({i!r},{j!r})")
+        if i == j:
+            raise InvalidParameterError(f"self-loop at vertex {i}")
+        if not (0 <= i < order and 0 <= j < order):
+            raise InvalidParameterError(f"edge ({i},{j}) out of range for order {order}")
+        pair = (i, j) if i < j else (j, i)
+        if pair in seen:
+            raise InvalidParameterError(f"duplicate edge {pair}")
+        seen.add(pair)
+        out.append(pair)
+    return tuple(sorted(out))
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_ENDPOINT = st.one_of(st.integers(-2, 9), st.booleans(), st.sampled_from([0.0, 1.5, 2.0]))
+_EDGE = st.one_of(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    st.tuples(_ENDPOINT, _ENDPOINT),
+    st.sampled_from([(0,), (0, 1, 2), [2, 3]]),
+)
+
+
+@st.composite
+def _faulty_edge_lists(draw):
+    """Any mixture of good, bad and malformed edges, or a valid edge list with
+    a plain or reversed duplicate spliced in and maybe one more edge, bad or
+    not, before or after it."""
+    order = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        return order, draw(st.lists(_EDGE, max_size=12))
+    edges = [(i, j) for i in range(order) for j in range(i + 1, order)]
+    edges = draw(st.permutations(edges))[: draw(st.integers(0, len(edges)))]
+    if edges:
+        i, j = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(edges.index((i, j)) + 1, len(edges))),
+                     draw(st.sampled_from([(i, j), (j, i)])))
+        if draw(st.booleans()):
+            edges.insert(draw(st.integers(0, len(edges))), draw(_EDGE))
+    return order, edges
+
+
+@settings(max_examples=400)
+@given(_faulty_edge_lists())
+def test_graph_errors_match_the_per_edge_check(case):
+    order, edges = case
+    assert _outcome(lambda: Graph(order, tuple(edges)).edges) == _outcome(_reference_edges, order, edges)
+
+
+def test_graph_names_a_duplicate_before_a_later_fault():
+    for bad in [(0, 0), (0, 9), (True, 1), (0, 1.5), (0, 1, 2), (4,)]:
+        with pytest.raises(InvalidParameterError, match=r"^duplicate edge \(1, 2\)$"):
+            Graph(5, ((1, 2), (0, 3), (2, 1), bad))
+        with pytest.raises((TypeError, ValueError)) as caught:
+            Graph(5, ((1, 2), (0, 3), bad, (2, 1)))
+        assert "duplicate" not in str(caught.value)
+
+
+def _reference_cycle(t):
+    return _reference_edges(t, [(i, (i + 1) % t) for i in range(t)])
+
+
+def _reference_path(t):
+    return _reference_edges(t, [(i, i + 1) for i in range(t - 1)])
+
+
+def _reference_product(g_order, g_edges, h_order, h_edges):
+    edges = [(x * h_order + y1, x * h_order + y2) for x in range(g_order) for y1, y2 in h_edges]
+    edges += [(x1 * h_order + y, x2 * h_order + y) for x1, x2 in g_edges for y in range(h_order)]
+    return _reference_edges(g_order * h_order, edges)
+
+
+def _reference_accordion(n, k):
+    edges = []
+    for i in range(n):
+        j = (i + 1) % n
+        edges += [(i, j), (n + i, n + j), (i, n + i), (i, n + (i + k) % n)]
+    return _reference_edges(2 * n, edges)
+
+
+def _reference_circulant(order, lengths):
+    norm = [min(r % order, order - r % order) for r in lengths]
+    return _reference_edges(order, [(i, (i + r) % order) for r in norm for i in range(order)])
+
+
+class TestConstructorsMatchThePerEdgeBuilds:
+    def test_accordions(self):
+        for n in range(3, 41):
+            for k in range(1, n // 2 + 1):
+                assert accordion(n, k).edges == _reference_accordion(n, k), (n, k)
+
+    def test_circulants(self):
+        for order in range(3, 61):
+            bound = (order - 1) // 2
+            for a in range(1, bound + 1):
+                assert circulant_graph(order, (a,)).edges == _reference_circulant(order, (a,))
+                for b in range(a + 1, bound + 1):
+                    # the second length unfolded: order - b normalizes to b
+                    expected = _reference_circulant(order, (a, b))
+                    assert circulant_graph(order, (a, order - b)).edges == expected, (order, a, b)
+            assert circulant_graph(order, range(1, bound + 1)).edges == _reference_circulant(order, range(1, bound + 1))
+
+    def test_cycles_paths_and_their_products(self):
+        factors = [(cycle_graph(t), _reference_cycle(t)) for t in range(3, 13)]
+        factors += [(path_graph(t), _reference_path(t)) for t in range(1, 13)]
+        for g, g_edges in factors:
+            assert g.edges == g_edges
+        for g, g_edges in factors:
+            for h, h_edges in factors:
+                assert cartesian_product(g, h).edges == _reference_product(g.order, g_edges, h.order, h_edges)
+
+    def test_order_2000(self):
+        assert accordion(1000, 334).edges == _reference_accordion(1000, 334)
+        assert circulant_graph(2000, (1, 998)).edges == _reference_circulant(2000, (1, 998))
+        torus = cartesian_product(cycle_graph(40), cycle_graph(25))
+        assert torus.edges == _reference_product(40, _reference_cycle(40), 25, _reference_cycle(25))

@@ -39,14 +39,17 @@ class TestStepsToGcd:
             steps_to_gcd(10, 6)
 
     def test_exhaustive_congruence_and_minimality(self):
-        # independent oracle: linear scan for the first multiplier
-        for n in range(3, 201):
+        # the reference is the linear scan for the first multiplier that
+        # steps_to_gcd ran before it took a modular inverse
+        def scan(n, k):
+            g = math.gcd(n, k)
+            return next(s for s in range(1, n // g + 1) if (s * k) % n == g)
+
+        for n in range(3, 401):
             for k in range(1, n // 2 + 1):
-                g = math.gcd(n, k)
                 s = steps_to_gcd(n, k)
-                assert 1 <= s <= n // g
-                assert (s * k) % n == g
-                assert all((t * k) % n != g for t in range(1, s))
+                assert s == scan(n, k), (n, k)
+                assert (s * k) % n == math.gcd(n, k)
 
 
 class TestCongPm:

@@ -1,6 +1,7 @@
 """Witness constructors: every returned map must survive verify_witness."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -27,6 +28,7 @@ from accordions import (
     cycle_swap_automorphism,
     cylinder_cut_edges,
     edge_length,
+    find_accordion_param,
     path_graph,
     scaling_witness,
     torus_rotations,
@@ -376,3 +378,131 @@ def test_cut_edges_leave_cylinder():
         d = math.gcd(n, k)
         cyl = cartesian_product(cycle_graph(2 * n // d), path_graph(d))
         assert are_isomorphic(trimmed, cyl) is not None, (n, k)
+
+
+# --- verify_witness and the map constructors against their originals --------
+
+
+def _reference_verify(g, h, vm):
+    """verify_witness comparing sets of edge tuples: the reference for its integer keys."""
+    m = vm.mapping
+    if sorted(m) != list(range(len(m))):
+        return False
+    return {(m[i], m[j]) if m[i] < m[j] else (m[j], m[i]) for i, j in g.edges} == set(h.edges)
+
+
+def _closed_form_witnesses():
+    """(source, target, map) triples, each map a true isomorphism source -> target."""
+    out = []
+    for n in range(3, 25):
+        for k1 in range(1, n // 2 + 1):
+            g = accordion(n, k1)
+            out += [(g, g, cycle_swap_automorphism(n, k1)), (g, g, accordion_rotation(n, k1))]
+            for k2 in range(k1 + 1, n // 2 + 1):
+                if accordions_isomorphic(n, k1, k2).isomorphic:
+                    out.append((accordion(n, k2), g, accordion_witness(n, k1, k2)))
+    for n in range(3, 11):
+        for a in range(1, n):
+            for b in range(a + 1, n):
+                k = None if a % 2 == 0 and b % 2 == 0 else find_accordion_param(n, a, b)
+                if k is not None:
+                    out.append((circulant(n, a, b), accordion(n, k), circulant_accordion_witness(n, a, b, k)))
+    torus = cartesian_product(cycle_graph(7), cycle_graph(143))
+    out.append((circulant_graph(1001, (286, 21)), torus, torus_witness(1001, 286, 21, 7, 143)))
+    out += [(torus, torus, vm) for vm in torus_rotations(7, 143)]
+    out.append((accordion(1000, 334), accordion(1000, 6), accordion_witness(1000, 6, 334)))
+    return out
+
+
+def test_verify_witness_matches_the_tuple_sets():
+    rng = random.Random(7)
+    checked = {True: 0, False: 0}
+    for g, h, vm in _closed_form_witnesses():
+        m = list(vm.mapping)
+        n = len(m)
+        variants = [m]
+        for _ in range(3):  # two entries swapped: true only for another isomorphism
+            x, y = rng.sample(range(n), 2)
+            swapped = m[:]
+            swapped[x], swapped[y] = m[y], m[x]
+            variants.append(swapped)
+        x, y = rng.sample(range(n), 2)
+        variants.append(m[:x] + [m[y]] + m[x + 1:])             # a repeated image
+        variants.append(m[:x] + [n] + m[x + 1:])                 # an image out of range
+        variants.append(m[:x] + [-1] + m[x + 1:])
+        variants.append([True if v == 1 else v for v in m])      # sorted() takes True for 1
+        for images in variants:
+            expected = _reference_verify(g, h, VertexMap(tuple(images)))
+            assert verify_witness(g, h, VertexMap(tuple(images))) == expected, (g.order, images)
+            checked[expected] += 1
+    assert checked[True] > 200 and checked[False] > 1000
+
+
+def _reference_spoke_cycle_vertex(n, k1, start, pos):
+    t, r = divmod(pos - 1, 2)
+    idx = (start - 1 + t * k1) % n
+    return n + idx if r == 0 else idx
+
+
+def _reference_accordion_witness(n, k1, k2):
+    """accordion_witness with one _spoke_cycle_vertex call per vertex, for k1 != k2."""
+    forward = accordions_isomorphic(n, k1, k2).branch == "case-minus"
+    m = [0] * (2 * n)
+    for i in range(1, n + 1):
+        pos = i if forward or i == 1 else n + 2 - i
+        m[i - 1] = _reference_spoke_cycle_vertex(n, k1, 1, pos)
+        m[n + i - 1] = _reference_spoke_cycle_vertex(n, k1, 2, pos)
+    return tuple(m)
+
+
+def _reference_mixed_parity_witness(n, a, b, k):
+    """circulant_accordion_witness in the mixed-parity regime, one vertex at a time."""
+    v = circulant_iso_accordion(n, a, b, k)
+    ao, bo = (v.b, v.a) if v.swapped else (v.a, v.b)
+    two_n = 2 * n
+    m = [-1] * two_n
+    for i in range(1, v.q + 1):
+        for j in range(1, two_n // v.q + 1):
+            sub = (j * ao + i * bo) if v.sign > 0 else ((2 - j) * ao + i * bo)
+            assert m[(sub - 1) % two_n] == -1
+            m[(sub - 1) % two_n] = _reference_spoke_cycle_vertex(n, k, i, j)
+    return tuple(m)
+
+
+class TestMapsMatchTheirPerVertexBuilds:
+    def test_accordion_witness(self):
+        built = 0
+        for n in range(4, 61, 2):
+            for k1 in range(2, n // 2 + 1, 2):
+                for k2 in range(2, n // 2 + 1, 2):
+                    if k1 != k2 and accordions_isomorphic(n, k1, k2).isomorphic:
+                        assert accordion_witness(n, k1, k2).mapping == _reference_accordion_witness(n, k1, k2)
+                        built += 1
+        assert built > 50
+        assert accordion_witness(1000, 6, 334).mapping == _reference_accordion_witness(1000, 6, 334)
+
+    def test_circulant_accordion_witness(self):
+        built = 0
+        for n in range(3, 25):
+            for a in range(1, 2 * n, 2):
+                for b in range(2, 2 * n, 2):
+                    if n in (a, b):  # length n is a perfect matching
+                        continue
+                    k = find_accordion_param(n, a, b)
+                    if k is not None:
+                        assert circulant_accordion_witness(n, a, b, k).mapping == \
+                            _reference_mixed_parity_witness(n, a, b, k), (n, a, b, k)
+                        built += 1
+        assert built > 500
+        assert circulant_accordion_witness(1000, 25, 2, 25).mapping == \
+            _reference_mixed_parity_witness(1000, 25, 2, 25)
+
+    def test_accordion_from_cylinder(self):
+        for n1 in range(4, 21, 2):
+            for n2 in range(1, 7):
+                n = n1 * n2 // 2
+                for k in range(1, n // 2 + 1):
+                    if n >= 3 and math.gcd(n, k) == n2:
+                        expected = tuple(_reference_spoke_cycle_vertex(n, k, p + 1, c + 1)
+                                         for c in range(n1) for p in range(n2))
+                        assert accordion_from_cylinder(n1, n2, k).to_accordion.mapping == expected
