@@ -8,8 +8,8 @@ isomorphism oracle, and a CLI that cross-validates everything.
 from .deciders import (
     AccAccVerdict,
     CiAccVerdict,
+    accordion_circulant_clause,
     accordion_is_bipartite,
-    accordion_is_circulant,
     accordions_isomorphic,
     circulant_is_bipartite,
     circulant_is_connected,
@@ -40,15 +40,11 @@ from .graphs import (
     circulant_graph,
     cycle_graph,
     cylinder_cut_edges,
-    edge_length,
-    is_bipartite,
-    is_connected,
-    is_regular,
     normalize_length,
     path_graph,
 )
-from .modarith import cong_pm, gcd, steps_to_gcd
-from .oracle import are_isomorphic, canonical_key, refinement_colors
+from .modarith import steps_to_gcd
+from .oracle import are_isomorphic, canonical_key
 from .serialize import (
     graph_from_json,
     graph_to_dot,
@@ -66,7 +62,6 @@ from .witnesses import (
     bipartite_accordion_witness,
     circulant_accordion_witness,
     cycle_swap_automorphism,
-    scaling_witness,
     torus_rotations,
     torus_witness,
     verify_witness,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -43,7 +44,6 @@ from .graphs import (
     cycle_graph,
     path_graph,
 )
-from .modarith import gcd
 from .serialize import graph_from_json, graph_to_dot, graph_to_edgelist, graph_to_json, witness_to_json
 from .witnesses import (
     accordion_witness,
@@ -120,7 +120,8 @@ def _ci_acc(args: argparse.Namespace):
         return {"n": n, "matched-k": "none"}, False, None
     two_n = 2 * n
     fields = {"n": n, "a": v.a, "b": v.b, "matched-k": v.k, "regime": v.regime,
-              "connected": _yesno(v.connected), "gcd(2n,a)": gcd(two_n, v.a), "gcd(2n,b)": gcd(two_n, v.b)}
+              "connected": _yesno(v.connected),
+              "gcd(2n,a)": math.gcd(two_n, v.a), "gcd(2n,b)": math.gcd(two_n, v.b)}
     if v.regime == "bipartite":
         fields["a+b"] = v.a + v.b
     else:
@@ -143,8 +144,8 @@ def _ci_torus(args: argparse.Namespace):
     ok = circulant_iso_torus(m, a1, a2, n1, n2)
     if args.n1 is None:
         fields["factors"] = f"{n1} x {n2}"
-    fields |= {"gcd(nprime,a1)": gcd(m, a1 % m), "gcd(nprime,a2)": gcd(m, a2 % m),
-               "gcd(n1,n2)": gcd(n1, n2)}
+    fields |= {"gcd(nprime,a1)": math.gcd(m, a1 % m), "gcd(nprime,a2)": math.gcd(m, a2 % m),
+               "gcd(n1,n2)": math.gcd(n1, n2)}
     return fields, ok, lambda: (
         circulant_graph(m, (a1, a2)), cartesian_product(cycle_graph(n1), cycle_graph(n2)),
         torus_witness(m, a1, a2, n1, n2), f"Ci[{m},{{{a1},{a2}}}] -> C{n1} x C{n2}")
@@ -221,6 +222,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_census(args: argparse.Namespace) -> int:
     # fail before the sweep, but open (and truncate) an existing report only after it
     out = Path(args.out)
+    if out.is_dir():
+        raise InvalidParameterError(f"--out: {out} is a directory")
     if not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
         raise InvalidParameterError(f"--out: {out.parent} is not a writable directory")
     report = run_census(

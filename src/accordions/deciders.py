@@ -19,7 +19,6 @@ __all__ = [
     "CiAccVerdict",
     "accordion_circulant_clause",
     "accordion_is_bipartite",
-    "accordion_is_circulant",
     "circulant_is_bipartite",
     "circulant_is_connected",
     "accordions_isomorphic",
@@ -45,11 +44,6 @@ def accordion_circulant_clause(n: int, k: int) -> str:
     if p.n % 2 == 1:
         return "k-even-n-odd"
     return "k-2-n-even" if p.k == 2 else "none"
-
-
-def accordion_is_circulant(n: int, k: int) -> bool:
-    """A[n,k] is circulant iff k is odd, or k is even and n is odd, or k=2 and n is even."""
-    return accordion_circulant_clause(n, k) != "none"
 
 
 def circulant_is_bipartite(n: int, a: int, b: int) -> bool:

@@ -39,11 +39,7 @@ __all__ = [
     "circulant",
     "circulant_graph",
     "cylinder_cut_edges",
-    "edge_length",
     "normalize_length",
-    "is_bipartite",
-    "is_connected",
-    "is_regular",
     "OUTER_CYCLE",
     "INNER_CYCLE",
     "VERTICAL_SPOKE",
@@ -174,12 +170,6 @@ class Graph:
         pairs = [((True, c), m) for c, m in Counter(adjacent).items()]
         pairs += [((False, c), m) for c, m in Counter(counts.values()).items()]
         return LocalInvariants(tuple(seeds), (triangles, tuple(sorted(pairs))))
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.neighbors[i]
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image of the graph under the bijection v -> perm[v]."""
@@ -354,11 +344,6 @@ def circulant_graph(order: int, lengths: Sequence[int]) -> Graph:
     return Graph(order, tuple(edges))
 
 
-def edge_length(order: int, i: int, j: int) -> int:
-    """Circulant length of the pair {i, j}: min(d, order-d) with d = i-j mod order."""
-    return normalize_length(i - j, order)
-
-
 def cylinder_cut_edges(n: int, k: int) -> tuple[tuple[int, int], ...]:
     """Cycle edges whose removal turns A[n,k] into a cycle-times-path graph.
 
@@ -375,15 +360,3 @@ def cylinder_cut_edges(n: int, k: int) -> tuple[tuple[int, int], ...]:
         out.append((min(i, j) + p.n, max(i, j) + p.n))
     return tuple(sorted(out))
 
-
-def is_bipartite(g: Graph) -> bool:
-    """True iff the graph has no odd cycle."""
-    return g.components[1]
-
-
-def is_connected(g: Graph) -> bool:
-    return len(g.components[0]) == 1
-
-
-def is_regular(g: Graph, d: int) -> bool:
-    return all(deg == d for deg in g.degrees)

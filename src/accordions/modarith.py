@@ -6,26 +6,7 @@ import math
 
 from .errors import InvalidParameterError
 
-__all__ = ["gcd", "cong_pm", "steps_to_gcd"]
-
-
-def gcd(*values: int) -> int:
-    """Greatest common divisor of one or more nonnegative integers (not all zero)."""
-    if not values:
-        raise InvalidParameterError("gcd needs at least one argument")
-    if any(v < 0 for v in values):
-        raise InvalidParameterError(f"gcd arguments must be nonnegative, got {values}")
-    g = math.gcd(*values)
-    if g == 0:
-        raise InvalidParameterError("gcd(0, ..., 0) is undefined here")
-    return g
-
-
-def cong_pm(x: int, y: int, m: int) -> bool:
-    """True iff x == y (mod m) or x == -y (mod m)."""
-    if m < 1:
-        raise InvalidParameterError(f"modulus must be >= 1, got {m}")
-    return (x - y) % m == 0 or (x + y) % m == 0
+__all__ = ["steps_to_gcd"]
 
 
 def steps_to_gcd(n: int, k: int) -> int:

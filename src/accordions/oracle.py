@@ -53,7 +53,6 @@ __all__ = [
     "DEFAULT_CANONICAL_MAX_ORDER",
     "are_isomorphic",
     "canonical_key",
-    "refinement_colors",
 ]
 
 DEFAULT_NODE_BUDGET = 10 ** 8
@@ -165,12 +164,6 @@ def _replay(nbrs, start, trace):
         if event != next(events, None):
             return None
     return colors
-
-
-def refinement_colors(g: Graph) -> tuple[int, ...]:
-    """Stable per-vertex colours after refinement, each the start of its cell in
-    the ordered partition; an isomorphism invariant multiset."""
-    return tuple(_refine(g.neighbors, _partition(g.local_invariants.seeds))[0])
 
 
 def _target_cell(colors):

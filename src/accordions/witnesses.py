@@ -17,7 +17,6 @@ from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_
 from .errors import InvalidParameterError, InvariantViolationError
 from .graphs import (
     AccordionParams,
-    CirculantParams,
     Graph,
     cartesian_product,
     cycle_graph,
@@ -32,7 +31,6 @@ __all__ = [
     "accordion_rotation",
     "torus_rotations",
     "accordion_witness",
-    "scaling_witness",
     "bipartite_accordion_witness",
     "circulant_accordion_witness",
     "torus_witness",
@@ -62,7 +60,7 @@ def verify_witness(g: Graph, h: Graph, vm: VertexMap) -> bool:
         raise InvalidParameterError(
             f"map has {len(m)} entries but graphs have orders {g.order} and {h.order}"
         )
-    if sorted(m) != list(range(len(m))):
+    if set(map(type, m)) != {int} or sorted(m) != list(range(len(m))):  # no bool or float, as in Graph
         return False
     # an edge {x, y}, x < y, is the integer x*order + y: cheaper to hash than a pair
     n = g.order
@@ -142,29 +140,12 @@ def accordion_witness(n: int, k1: int, k2: int) -> VertexMap:
     return VertexMap(tuple(outer + inner))
 
 
-def scaling_witness(n: int, a: int, b: int) -> VertexMap:
-    """The index-scaling isomorphism Ci[2n,{1,n-1}] -> Ci[2n,{a,b}], x_i -> x_{i*a}.
-
-    Requires a, b odd with gcd(2n,a) = gcd(2n,b) = 1 and a + b = n; length-1
-    edges land on length-a edges and length-(n-1) edges on length-b edges.
-    """
-    p = CirculantParams(n, a, b)
-    a, b = p.a, p.b
-    two_n = 2 * n
-    if a % 2 == 0 or b % 2 == 0:
-        raise InvalidParameterError(f"both lengths must be odd, got ({a},{b})")
-    if math.gcd(two_n, a) != 1 or math.gcd(two_n, b) != 1:
-        raise InvalidParameterError(f"lengths must be coprime to {two_n}, got ({a},{b})")
-    if a + b != n:
-        raise InvalidParameterError(f"lengths must sum to n={n}, got {a}+{b}={a + b}")
-    return VertexMap(tuple(((j + 1) * a - 1) % two_n for j in range(two_n)))
-
-
 def bipartite_accordion_witness(n: int, a: int, b: int) -> VertexMap:
     """A closed-form isomorphism Ci[2n,{a,b}] -> A[n,2] for the both-odd regime.
 
-    The inverse of the scaling witness, x_{t+1} -> x_{(t+1)*a^-1} (a the
-    normalized length, a unit mod 2n), followed by the base map
+    The inverse of the index scaling x_i -> x_{i*a}, that is
+    x_{t+1} -> x_{(t+1)*a^-1} (a the normalized length, a unit mod 2n),
+    followed by the base map
     Ci[2n,{1,n-1}] -> A[n,2] that fixes x_t -> u_t and sends
     x_{n+t} -> v_{t+1} (0-based, t in [0,n)).  In the circulant x_t and
     x_{n+t} are twins (both adjacent to x_{t+-1}, x_{n+t+-1}); in A[n,2]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from itertools import chain
 
 import pytest
@@ -173,6 +174,32 @@ class TestDecide:
                                "--a2", "4")
         assert code == 0
         assert "factors: 3 x 4" in out
+
+    @pytest.mark.parametrize("kind,given_factors", [("acc-acc", False), ("ci-acc", False),
+                                                    ("ci-torus", False), ("ci-torus", True)])
+    def test_gcd_fields_are_the_gcds_they_name(self, capsys, kind, given_factors):
+        # every printed gcd(x,y) against math.gcd of the printed (else requested) x and y
+        checked = 0
+        for request in _decide_requests():
+            if request[0] != kind or ("--n1" in request) != given_factors:
+                continue
+            argv = [str(v) for v in request if v != "--witness"]
+            _, out, _ = run_cli(capsys, "decide", *argv)
+            env = {flag.removeprefix("--"): int(v) for flag, v in zip(argv[1::2], argv[2::2])}
+            fields = dict(line.split(": ", 1) for line in out.splitlines())
+            env |= {key: int(fields[key]) for key in ("n", "a", "b") if key in fields}
+            if fields.get("matched-k", "none") != "none":
+                env["k"] = int(fields["matched-k"])
+            if fields.get("factors", "none") != "none":
+                env["n1"], env["n2"] = map(int, fields["factors"].split(" x "))
+            if "n" in env:
+                env["2n"] = 2 * env["n"]
+            for key, value in fields.items():
+                if key.startswith("gcd("):
+                    x, y = key[4:-1].split(",")
+                    assert int(value) == math.gcd(env[x], env[y]), (argv, key)
+                    checked += 1
+        assert checked
 
     def test_acc_circulant(self, capsys):
         code, out, _ = run_cli(capsys, "decide", "acc-circulant", "--n", "8", "--k", "4")
@@ -396,12 +423,13 @@ class TestCensusCmd:
         assert len(rows) == 1450 and all(row.agree for row in rows)
         assert len(built) == 1032 and len(set(built)) == 1032
 
-    @pytest.mark.parametrize("parent", ["absent", "file"])
+    @pytest.mark.parametrize("parent", ["absent", "file", "dir"])
     def test_bad_out_exits_2_before_the_sweep(self, capsys, tmp_path, monkeypatch, parent):
         # the sweep must not start: main would turn a failure raised inside it into exit 2 too
         sweeps = []
         monkeypatch.setattr(cli, "run_census", lambda **kwargs: sweeps.append(kwargs))
         (tmp_path / "file").write_text("")
+        (tmp_path / "dir" / "r.jsonl").mkdir(parents=True)  # --out is a directory in a writable one
         code, out, err = run_cli(capsys, "census", "--out", str(tmp_path / parent / "r.jsonl"))
         assert code == 2
         assert out == ""

@@ -1,16 +1,19 @@
 """Arithmetic isomorphism predicates, cross-checked against the oracle at small sizes."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from accordions import (
     CirculantParams,
     InvalidParameterError,
     NotApplicableError,
     accordion,
+    accordion_circulant_clause,
     accordion_is_bipartite,
-    accordion_is_circulant,
     accordions_isomorphic,
     are_isomorphic,
     circulant,
@@ -19,7 +22,6 @@ from accordions import (
     circulant_iso_accordion,
     circulant_iso_torus,
     find_accordion_param,
-    is_bipartite,
     torus_parameters,
     unique_partner,
 )
@@ -32,7 +34,7 @@ class TestStructurePredicates:
 
     @pytest.mark.parametrize("n,k,expected", [(6, 3, True), (4, 2, True), (8, 4, False), (7, 2, True)])
     def test_accordion_circulant(self, n, k, expected):
-        assert accordion_is_circulant(n, k) is expected
+        assert (accordion_circulant_clause(n, k) != "none") is expected
 
     @pytest.mark.parametrize(
         "n,a,b,expected",
@@ -91,6 +93,62 @@ class TestAccordionPairs:
     @pytest.mark.parametrize("n,k1,expected", [(14, 4, 6), (14, 6, 4), (10, 2, None), (3, 1, None)])
     def test_unique_partner(self, n, k1, expected):
         assert unique_partner(n, k1) == expected
+
+
+def _outcome(decide, *args):
+    """What a decider answers, or the type of error it raises."""
+    try:
+        return decide(*args)
+    except (InvalidParameterError, NotApplicableError) as err:
+        return type(err)
+
+
+class TestPlusMinusCongruences:
+    """The clauses hold up to sign and shift; checked at orders no exhaustive grid reaches."""
+
+    @given(st.integers(3, 5 * 10**5), st.integers(1, 5 * 10**5), st.sampled_from([1, -1]))
+    def test_partners_solve_the_half_product_congruence(self, m, u, sign):
+        # n = 2m, k1 = 2u, k2 = 2w with u*w == +-1 (mod m): k1*k2/2 = 2uw == +-2 (mod n)
+        u = u % (m // 2) + 1
+        if math.gcd(u, m) != 1:
+            return
+        w = sign * pow(u, -1, m) % m
+        n, k1, k2 = 2 * m, 2 * u, 2 * min(w, m - w)
+        v = accordions_isomorphic(n, k1, k2)
+        assert v.isomorphic
+        if k1 != k2:
+            assert v.branch == ("case-plus" if (k1 * k2 // 2 - 2) % n == 0 else "case-minus")
+
+    @given(st.integers(3, 10**6).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n // 2), st.integers(1, n // 2))))
+    def test_random_pairs_match_the_statement(self, nkk):
+        n, k1, k2 = nkk
+        both_two = math.gcd(n, k1) == math.gcd(n, k2) == 2
+        expected = k1 == k2 or (both_two and (k1 * k2 // 2) % n in {2 % n, -2 % n})
+        assert accordions_isomorphic(n, k1, k2).isomorphic == expected
+
+    @given(st.integers(3, 10**6).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n // 2), st.integers(1, n // 2))))
+    def test_acc_acc_is_symmetric(self, nkk):
+        n, k1, k2 = nkk
+        forward, backward = accordions_isomorphic(n, k1, k2), accordions_isomorphic(n, k2, k1)
+        assert (forward.isomorphic, forward.branch) == (backward.isomorphic, backward.branch)
+
+    @given(st.integers(3, 10**5), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+           st.integers(1, 10**5), st.integers(-50, 50))
+    def test_ci_acc_sees_lengths_up_to_sign_and_shift(self, n, a, b, k, t):
+        k = k % (n // 2) + 1
+        answer = _outcome(circulant_iso_accordion, n, a, b, k)
+        shifted = _outcome(circulant_iso_accordion, n, t * 2 * n - a, b + t * 2 * n, k)
+        assert shifted == answer
+
+    @given(st.integers(9, 10**5), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+           st.integers(-50, 50))
+    def test_torus_sees_lengths_up_to_sign_and_shift(self, m, a1, a2, t):
+        answer = _outcome(torus_parameters, m, a1, a2)
+        assert _outcome(torus_parameters, m, t * m - a1, a2 - t * m) == answer
+        if isinstance(answer, tuple):
+            assert circulant_iso_torus(m, -a1, a2 + t * m, *answer)
 
 
 class TestTorus:
@@ -211,7 +269,7 @@ class TestCirculantAccordion:
                         except NotApplicableError:
                             continue
                         if v.isomorphic:
-                            assert is_bipartite(circulant(n, a, b)) == is_bipartite(accordion(n, k))
+                            assert circulant(n, a, b).components[1] == accordion(n, k).components[1]
 
 
 def test_partner_uniqueness_small():

@@ -23,10 +23,6 @@ from accordions import (
     circulant_iso_torus,
     cycle_graph,
     cylinder_cut_edges,
-    edge_length,
-    is_bipartite,
-    is_connected,
-    is_regular,
     normalize_length,
     path_graph,
     torus_parameters,
@@ -81,8 +77,6 @@ class TestGraphType:
         cases = [(c3_c4, ((3, 4), False)), (two_c4, ((4, 4), True)), (Graph(1, ()), ((1,), True))]
         for g, expected in cases:
             assert g.components == expected
-            assert is_connected(g) == (len(expected[0]) == 1)
-            assert is_bipartite(g) == expected[1]
         copy = c3_c4.relabel([6, 5, 4, 3, 2, 1, 0])
         assert "components" in vars(c3_c4) and "components" not in vars(copy)
         assert copy.components == ((3, 4), False)
@@ -121,11 +115,11 @@ class TestCyclesAndPaths:
     def test_c5(self):
         g = cycle_graph(5)
         assert g.order == 5 and g.size == 5
-        assert is_regular(g, 2) and is_connected(g)
+        assert set(g.degrees) == {2} and g.components == ((5,), False)
 
     def test_c4_bipartite_c3_not(self):
-        assert is_bipartite(cycle_graph(4))
-        assert not is_bipartite(cycle_graph(3))
+        assert cycle_graph(4).components[1]
+        assert not cycle_graph(3).components[1]
 
     def test_cycle_too_short(self):
         with pytest.raises(InvalidParameterError):
@@ -149,7 +143,7 @@ class TestCartesianProduct:
     def test_c4_c5_counts(self):
         g = cartesian_product(cycle_graph(4), cycle_graph(5))
         assert g.order == 20 and g.size == 40
-        assert is_regular(g, 4)
+        assert set(g.degrees) == {4}
 
     def test_p1_is_identity_factor(self):
         h = accordion(5, 2)
@@ -170,17 +164,17 @@ class TestCartesianProduct:
 class TestAccordion:
     def test_a31_counts(self):
         g = accordion(3, 1)
-        assert g.order == 6 and g.size == 12 and is_regular(g, 4)
+        assert g.order == 6 and g.size == 12 and set(g.degrees) == {4}
 
     def test_a42_bipartite(self):
-        assert is_bipartite(accordion(4, 2))
+        assert accordion(4, 2).components[1]
 
     def test_a62_bipartite(self):
-        assert is_bipartite(accordion(6, 2))
+        assert accordion(6, 2).components[1]
 
     def test_a52_regular(self):
-        assert is_regular(accordion(5, 2), 4)
-        assert not is_regular(path_graph(5), 4)
+        assert set(accordion(5, 2).degrees) == {4}
+        assert set(path_graph(5).degrees) != {4}
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (5, 0), (5, 3), (10, 6)])
     def test_invalid_parameters(self, n, k):
@@ -207,9 +201,8 @@ class TestAccordion:
             for k in range(1, n // 2 + 1):
                 g = accordion(n, k)
                 assert g.order == 2 * n and g.size == 4 * n
-                assert is_regular(g, 4)
-                assert is_connected(g)
-                assert is_bipartite(g) == (n % 2 == 0 and k % 2 == 0)
+                assert set(g.degrees) == {4}
+                assert g.components == ((2 * n,), n % 2 == 0 and k % 2 == 0)
 
     def test_cut_edges_a10_5(self):
         # deleting u5u6, v5v6, u10u1, v10v1 (0-based: 4-5, 14-15, 0-9, 10-19)
@@ -225,16 +218,15 @@ class TestAccordion:
 class TestCirculant:
     def test_ci8_counts(self):
         g = circulant(4, 1, 3)
-        assert g.order == 8 and g.size == 16 and is_regular(g, 4)
+        assert g.order == 8 and g.size == 16 and set(g.degrees) == {4}
 
     def test_ci6_triangle(self):
         g = circulant(3, 1, 2)
-        assert is_connected(g)
-        assert not is_bipartite(g)
-        assert g.has_edge(0, 1) and g.has_edge(1, 2) and g.has_edge(0, 2)
+        assert g.components == ((6,), False)
+        assert {(0, 1), (1, 2), (0, 2)} <= set(g.edges)
 
     def test_ci12_disconnected(self):
-        assert not is_connected(circulant(6, 2, 4))
+        assert len(circulant(6, 2, 4).components[0]) > 1
 
     def test_normalization_folds_lengths(self):
         # 7 mod 10 = 7 -> min(7, 3) = 3
@@ -255,29 +247,30 @@ class TestCirculant:
                 for b in range(a + 1, n):
                     g = circulant(n, a, b)
                     assert g.order == 2 * n and g.size == 4 * n
-                    assert is_regular(g, 4)
-                    assert is_connected(g) == (math.gcd(2 * n, a, b) == 1)
+                    assert set(g.degrees) == {4}
+                    sizes, bipartite = g.components
+                    assert (len(sizes) == 1) == (math.gcd(2 * n, a, b) == 1)
                     if math.gcd(2 * n, a, b) == 1:
-                        assert is_bipartite(g) == (a % 2 == 1 and b % 2 == 1)
+                        assert bipartite == (a % 2 == 1 and b % 2 == 1)
                     else:
                         # the both-odd criterion presumes connectivity; a
                         # disconnected circulant is bipartite iff its scaled
                         # component is
                         d = math.gcd(2 * n, a, b)
                         expect = (2 * n // d) % 2 == 0 and (a // d) % 2 == 1 and (b // d) % 2 == 1
-                        assert is_bipartite(g) == expect
+                        assert bipartite == expect
 
     def test_general_order(self):
         g = circulant_graph(9, (1, 2))
-        assert g.order == 9 and g.size == 18 and is_regular(g, 4)
+        assert g.order == 9 and g.size == 18 and set(g.degrees) == {4}
 
     def test_general_order_rejects_half_length(self):
         with pytest.raises(InvalidParameterError):
             circulant_graph(12, (6, 1))
 
-    def test_edge_length(self):
-        assert edge_length(10, 0, 7) == 3
-        assert edge_length(10, 2, 7) == 5
+    def test_normalize_length(self):
+        assert normalize_length(0 - 7, 10) == 3
+        assert normalize_length(2 - 7, 10) == 5
         assert normalize_length(13, 10) == 3
 
 

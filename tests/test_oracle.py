@@ -26,7 +26,6 @@ from accordions import (
     circulant_graph,
     cycle_graph,
     path_graph,
-    refinement_colors,
     torus_rotations,
     verify_witness,
 )
@@ -318,30 +317,35 @@ class TestScreenCache:
         assert state == []
 
 
+def _stable_colors(g):
+    """g's colours after refinement from its seeds, each the start of its cell."""
+    return tuple(_refine(g.neighbors, _partition(g.local_invariants.seeds))[0])
+
+
 class TestRefinementColors:
     def test_multiset_is_relabeling_invariant(self):
         g = cartesian_product(cycle_graph(3), path_graph(4))
         rng = random.Random(11)
         perm = list(range(g.order))
         rng.shuffle(perm)
-        assert sorted(refinement_colors(g)) == sorted(refinement_colors(g.relabel(perm)))
+        assert sorted(_stable_colors(g)) == sorted(_stable_colors(g.relabel(perm)))
 
     def test_distinguishes_degrees(self):
-        colors = refinement_colors(path_graph(4))
+        colors = _stable_colors(path_graph(4))
         assert colors[0] == colors[3] and colors[1] == colors[2]
         assert colors[0] != colors[1]
 
     def test_deterministic(self):
         g = accordion(6, 2)
-        assert refinement_colors(g) == refinement_colors(g)
+        assert _stable_colors(g) == _stable_colors(g)
 
     def test_exact_colours_are_pinned(self):
         # canonical_key orders vertices by these colours, the starts of their
         # cells in the ordered partition: the numbering must not drift
-        assert refinement_colors(path_graph(4)) == (0, 2, 2, 0)
-        assert refinement_colors(accordion(6, 2)) == (0,) * 12
-        assert refinement_colors(cartesian_product(cycle_graph(3), path_graph(4))) == (0, 6, 6, 0) * 3
-        assert refinement_colors(cartesian_product(path_graph(3), path_graph(4))) == (
+        assert _stable_colors(path_graph(4)) == (0, 2, 2, 0)
+        assert _stable_colors(accordion(6, 2)) == (0,) * 12
+        assert _stable_colors(cartesian_product(cycle_graph(3), path_graph(4))) == (0, 6, 6, 0) * 3
+        assert _stable_colors(cartesian_product(path_graph(3), path_graph(4))) == (
             0, 4, 4, 0, 8, 10, 10, 8, 0, 4, 4, 0,
         )
 
@@ -476,6 +480,16 @@ class TestAutomorphismPruning:
         swap_u0_u1 = VertexMap((1, 0) + tuple(range(2, 12)))
         with pytest.raises(InvalidParameterError):
             are_isomorphic(g, g, automorphisms=[accordion_rotation(6, 2), swap_u0_u1])
+
+    def test_bool_and_float_maps_are_refused(self):
+        # verify_witness refuses them, so neither reaches the orbit pruning
+        p2 = path_graph(2)
+        with pytest.raises(InvalidParameterError):
+            are_isomorphic(p2, p2, automorphisms=[VertexMap((True, False))])
+        g = accordion(5, 1)
+        rotation = VertexMap(tuple(map(float, accordion_rotation(5, 1).mapping)))
+        with pytest.raises(InvalidParameterError):
+            are_isomorphic(g, g, automorphisms=[rotation])
 
     def test_maps_are_checked_against_h(self):
         # the rotation of A[6,2] is an automorphism of g, not of a relabeling of it

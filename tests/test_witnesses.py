@@ -27,10 +27,9 @@ from accordions import (
     cycle_graph,
     cycle_swap_automorphism,
     cylinder_cut_edges,
-    edge_length,
     find_accordion_param,
+    normalize_length,
     path_graph,
-    scaling_witness,
     torus_rotations,
     torus_witness,
     verify_witness,
@@ -72,6 +71,12 @@ class TestVerifyWitness:
         g = Graph(3, ((0, 1),))
         assert not verify_witness(g, g, VertexMap((0, 1, 5)))
         assert not verify_witness(g, g, VertexMap((0, 1, -1)))
+
+    def test_bool_and_float_entries_are_false(self):
+        # each sorts equal to range(2), and the swap carries P2's edge onto itself
+        g = path_graph(2)
+        assert not verify_witness(g, g, VertexMap((True, False)))
+        assert not verify_witness(g, g, VertexMap((1.0, 0.0)))
 
     def test_bad_transposition_on_path(self):
         g = path_graph(5)
@@ -165,38 +170,52 @@ class TestAccordionWitness:
         assert built >= 5  # both congruence branches occur in this range
 
 
-class TestScalingWitness:
+class TestIndexScaling:
+    """The scaling Ci[2n,{1,n-1}] -> Ci[2n,{a,b}], x_i -> x_{i*a}, under the both-odd closed form."""
+
+    @staticmethod
+    def scaling(n, a):
+        # 1-based x_i -> x_{i*a}, written 0-based
+        return VertexMap(tuple(((j + 1) * a - 1) % (2 * n) for j in range(2 * n)))
+
     def test_identity_multiplier(self):
-        vm = scaling_witness(6, 1, 5)
-        assert vm.mapping == tuple(range(12))
+        # a = 1: the closed form is the base map alone, x_t -> u_t and x_{n+t} -> v_{t+1}
+        assert bipartite_accordion_witness(6, 1, 5).mapping == (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 6)
 
     def test_examples(self):
-        scaling_witness(6, 5, 1)
-        scaling_witness(8, 3, 5)
+        for n, a, b in [(6, 5, 1), (8, 3, 5)]:
+            assert verify_witness(circulant(n, 1, n - 1), circulant(n, a, b), self.scaling(n, a))
 
     @pytest.mark.parametrize("n,a,b", [(8, 3, 5), (6, 5, 1), (12, 5, 7), (10, 3, 7)])
     def test_edge_length_images(self, n, a, b):
-        vm = scaling_witness(n, a, b)
         two_n = 2 * n
+        s = self.scaling(n, a).mapping
         for j in range(two_n):
-            assert edge_length(two_n, vm.mapping[j], vm.mapping[(j + 1) % two_n]) == a
-            assert edge_length(two_n, vm.mapping[j], vm.mapping[(j + n - 1) % two_n]) == b
+            assert normalize_length(s[(j + 1) % two_n] - s[j], two_n) == a
+            assert normalize_length(s[(j + n - 1) % two_n] - s[j], two_n) == b
+        # the closed form for {a,b} is the one for {1,n-1} after the inverse scaling
+        s = self.scaling(n, circulant_iso_accordion(n, a, b, 2).a).mapping
+        closed = bipartite_accordion_witness(n, a, b).mapping
+        assert tuple(closed[s[j]] for j in range(two_n)) == bipartite_accordion_witness(n, 1, n - 1).mapping
 
+    # one length even, equal lengths, n odd, a + b != n
     @pytest.mark.parametrize("n,a,b", [(8, 3, 4), (6, 3, 3), (9, 4, 5), (8, 1, 5)])
     def test_precondition_failures(self, n, a, b):
         with pytest.raises(InvalidParameterError):
-            scaling_witness(n, a, b)
+            bipartite_accordion_witness(n, a, b)
 
 
 class TestBipartiteClosedForm:
     @staticmethod
     def composed(n, a, b):
-        # the composition the closed form replaces: inverse scaling, then the base map
+        # the composition the closed form replaces: the inverse of the scaling
+        # Ci[2n,{1,n-1}] -> Ci[2n,{a,b}], x_i -> x_{i*a}, then the base map
         base = list(range(n)) + [n + (t + 1) % n for t in range(n)]
         v = circulant_iso_accordion(n, a, b, 2)
-        inverse = [0] * (2 * n)
-        for j, img in enumerate(scaling_witness(n, v.a, v.b).mapping):
-            inverse[img] = j
+        two_n = 2 * n
+        inverse = [0] * two_n
+        for j in range(two_n):
+            inverse[((j + 1) * v.a - 1) % two_n] = j
         return tuple(base[j] for j in inverse)
 
     def test_equals_the_composition(self):
@@ -330,7 +349,6 @@ def test_witnesses_never_call_the_oracle(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "are_isomorphic", refuse)
     cycle_swap_automorphism(7, 3)
     accordion_witness(14, 4, 6)
-    scaling_witness(8, 3, 5)
     bipartite_accordion_witness(8, 3, 5)
     circulant_accordion_witness(5, 3, 4, 1)
     circulant_accordion_witness(4, 1, 3, 2)
@@ -357,7 +375,6 @@ def test_map_constructors_build_no_graph(monkeypatch):
         cycle_swap_automorphism(1000, 7),
         accordion_rotation(1000, 7),
         accordion_witness(1000, 6, 334),
-        scaling_witness(1000, 3, 997),
         bipartite_accordion_witness(1000, 3, 997),
         circulant_accordion_witness(1000, 3, 997, 2),
         circulant_accordion_witness(1000, 25, 2, 25),
@@ -365,7 +382,7 @@ def test_map_constructors_build_no_graph(monkeypatch):
         *torus_rotations(7, 143),
     ]
     assert built == []
-    assert [len(vm.mapping) for vm in maps] == [2000] * 7 + [1001] * 3
+    assert [len(vm.mapping) for vm in maps] == [2000] * 6 + [1001] * 3
     circulant(1000, 1, 2)
     assert built == [2000]  # the counter sees a graph that is built
 
@@ -386,7 +403,7 @@ def test_cut_edges_leave_cylinder():
 def _reference_verify(g, h, vm):
     """verify_witness comparing sets of edge tuples: the reference for its integer keys."""
     m = vm.mapping
-    if sorted(m) != list(range(len(m))):
+    if any(type(x) is not int for x in m) or sorted(m) != list(range(len(m))):
         return False
     return {(m[i], m[j]) if m[i] < m[j] else (m[j], m[i]) for i, j in g.edges} == set(h.edges)
 
@@ -430,7 +447,7 @@ def test_verify_witness_matches_the_tuple_sets():
         variants.append(m[:x] + [m[y]] + m[x + 1:])             # a repeated image
         variants.append(m[:x] + [n] + m[x + 1:])                 # an image out of range
         variants.append(m[:x] + [-1] + m[x + 1:])
-        variants.append([True if v == 1 else v for v in m])      # sorted() takes True for 1
+        variants.append([True if v == 1 else v for v in m])      # sorts like 1, but is a bool
         for images in variants:
             expected = _reference_verify(g, h, VertexMap(tuple(images)))
             assert verify_witness(g, h, VertexMap(tuple(images))) == expected, (g.order, images)
