@@ -80,19 +80,19 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+# family -> (required flags, constructor taking them in that order)
+_FAMILIES = {
+    "accordion": (["n", "k"], accordion),
+    "circulant": (["n", "a", "b"], circulant),
+    "torus": (["n1", "n2"], lambda n1, n2: cartesian_product(cycle_graph(n1), cycle_graph(n2))),
+    "cyl": (["n1", "n2"], lambda n1, n2: cartesian_product(cycle_graph(n1), path_graph(n2))),
+}
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "accordion":
-        _require(args, ["n", "k"], "gen accordion")
-        g = accordion(args.n, args.k)
-    elif args.family == "circulant":
-        _require(args, ["n", "a", "b"], "gen circulant")
-        g = circulant(args.n, args.a, args.b)
-    elif args.family == "torus":
-        _require(args, ["n1", "n2"], "gen torus")
-        g = cartesian_product(cycle_graph(args.n1), cycle_graph(args.n2))
-    else:  # cyl
-        _require(args, ["n1", "n2"], "gen cyl")
-        g = cartesian_product(cycle_graph(args.n1), path_graph(args.n2))
+    required, build = _FAMILIES[args.family]
+    _require(args, required, f"gen {args.family}")
+    g = build(*(getattr(args, name) for name in required))
     renderer = {"json": graph_to_json, "dot": graph_to_dot, "edgelist": graph_to_edgelist}
     sys.stdout.write(renderer[args.format](g))
     return 0
@@ -157,19 +157,17 @@ def _acc_circulant(args: argparse.Namespace):
 
 
 def _predicate(args: argparse.Namespace):
+    _require(args, _FAMILIES[args.family][0], f"decide {args.kind} --family {args.family}")
     if args.family == "accordion":
-        _require(args, ["n", "k"], f"decide {args.kind} --family accordion")
         if args.kind == "bipartite":
             ok = accordion_is_bipartite(args.n, args.k)
         else:  # accordion graphs are always connected
             AccordionParams(args.n, args.k)
             ok = True
+    elif args.kind == "bipartite":
+        ok = circulant_is_bipartite(args.n, args.a, args.b)
     else:
-        _require(args, ["n", "a", "b"], f"decide {args.kind} --family circulant")
-        if args.kind == "bipartite":
-            ok = circulant_is_bipartite(args.n, args.a, args.b)
-        else:
-            ok = circulant_is_connected(args.n, args.a, args.b)
+        ok = circulant_is_connected(args.n, args.a, args.b)
     return {"family": args.family}, ok, None
 
 
@@ -261,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="construct a family graph and print it")
-    gen.add_argument("family", choices=["accordion", "circulant", "torus", "cyl"])
+    gen.add_argument("family", choices=list(_FAMILIES))
     gen.add_argument("--n", type=int)
     gen.add_argument("--k", type=int)
     gen.add_argument("--a", type=int)

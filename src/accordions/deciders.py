@@ -134,15 +134,15 @@ def circulant_iso_torus(nprime: int, a1: int, a2: int, n1: int, n2: int) -> bool
 
 
 def torus_parameters(nprime: int, a1: int, a2: int) -> Optional[tuple[int, int]]:
-    """Scan divisor pairs of nprime for one making the torus test true."""
-    _circulant_lengths(nprime, (a1, a2))
-    for d in range(3, math.isqrt(nprime) + 1):
-        if nprime % d != 0:
-            continue
-        e = nprime // d
-        if e >= 3 and circulant_iso_torus(nprime, a1, a2, d, e):
-            return (d, e)
-    return None
+    """The factors n1 < n2 with Ci[nprime,{a1,a2}] ~ C_{n1} [] C_{n2}, or None.
+
+    The torus test names the factors: they are the two gcds gcd(nprime,a_j),
+    so their ascending pair is the one candidate, which the test then
+    confirms or refutes.
+    """
+    na1, na2 = _circulant_lengths(nprime, (a1, a2))
+    n1, n2 = sorted((math.gcd(nprime, na1), math.gcd(nprime, na2)))
+    return (n1, n2) if n1 >= 3 and circulant_iso_torus(nprime, a1, a2, n1, n2) else None
 
 
 @dataclass

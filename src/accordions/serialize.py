@@ -39,18 +39,16 @@ def _require_int(value: object, what: str) -> int:
 
 
 def _graph_from_doc(doc: object) -> Graph:
+    # the shape is checked here; Graph refuses an order or endpoint that is not an int
     if not isinstance(doc, dict) or set(doc) != {"order", "edges"}:
         raise InvalidParameterError('graph document must have exactly the keys "order" and "edges"')
-    order = _require_int(doc["order"], "order")
-    edges_raw = doc["edges"]
-    if not isinstance(edges_raw, list):
+    edges = doc["edges"]
+    if not isinstance(edges, list):
         raise InvalidParameterError("edges must be a list of [i,j] pairs")
-    edges = []
-    for item in edges_raw:
+    for item in edges:
         if not isinstance(item, list) or len(item) != 2:
             raise InvalidParameterError(f"edge entry {item!r} is not an [i,j] pair")
-        edges.append((_require_int(item[0], "edge endpoint"), _require_int(item[1], "edge endpoint")))
-    return Graph(order, tuple(edges))
+    return Graph(doc["order"], edges)
 
 
 def _graph_text(g: Graph) -> str:

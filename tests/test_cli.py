@@ -14,7 +14,11 @@ from accordions.serialize import graph_to_json
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one call, argparse's own exits (help, usage errors) included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -64,6 +68,25 @@ def _decide_requests():
     )
 
 
+def _gen_requests():
+    """96 gen requests: every family and format, with valid, invalid and missing flags."""
+    flags = {
+        "accordion": (["--n", 5, "--k", 2], ["--n", 6, "--k", 3], ["--n", 2, "--k", 1], ["--n", 5, "--k", 0],
+                      ["--n", 5], []),
+        "circulant": (["--n", 4, "--a", 1, "--b", 3], ["--n", 5, "--a", 2, "--b", 3],
+                      ["--n", 4, "--a", 2, "--b", 4], ["--n", 4, "--a", 1, "--b", 1], ["--a", 1, "--b", 3],
+                      ["--n", 4, "--a", 1]),
+        "torus": (["--n1", 3, "--n2", 4], ["--n1", 5, "--n2", 3], ["--n1", 2, "--n2", 4],
+                  ["--n1", 3, "--n2", -1], ["--n1", 3], ["--n2", 4]),
+        "cyl": (["--n1", 4, "--n2", 2], ["--n1", 3, "--n2", 1], ["--n1", 4, "--n2", 0],
+                ["--n1", 1, "--n2", 3], ["--n2", 2], []),
+    }
+    for family, cases in flags.items():
+        for fmt in ([], ["--format", "json"], ["--format", "dot"], ["--format", "edgelist"]):
+            for case in cases:
+                yield ["gen", family, *case, *fmt]
+
+
 class TestGen:
     def test_json_roundtrip(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "accordion", "--n", "10", "--k", "5")
@@ -96,6 +119,17 @@ class TestGen:
     def test_missing_flags_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "gen", "accordion", "--n", "5")
         assert code == 2 and "--k" in err
+
+    def test_every_gen_and_help_output_is_pinned(self, capsys, monkeypatch):
+        # exit code, stdout and stderr of each request, hashed in order; help is wrapped to COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        requests = [list(map(str, request)) for request in _gen_requests()]
+        assert len(requests) == 96
+        requests += [["--help"], ["gen", "--help"], ["decide", "--help"], ["gen", "wheel", "--n", "5"]]
+        digest = hashlib.sha256()
+        for argv in requests:
+            digest.update((json.dumps([argv, *run_cli(capsys, *argv)]) + "\n").encode())
+        assert digest.hexdigest() == "dd78b618d2acde64da197f915afe0394989017ce716e5fe7e779406fa599dbbc"
 
 
 class TestDecide:

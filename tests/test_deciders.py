@@ -173,6 +173,31 @@ class TestTorus:
         assert torus_parameters(12, 3, 4) == (3, 4)
         assert torus_parameters(12, 1, 2) is None
 
+    @staticmethod
+    def _divisor_scan(nprime, a1, a2):
+        """The reference: the first divisor pair d <= sqrt(nprime) that passes the torus test."""
+        for d in range(3, math.isqrt(nprime) + 1):
+            if nprime % d == 0 and nprime // d >= 3 and circulant_iso_torus(nprime, a1, a2, d, nprime // d):
+                return (d, nprime // d)
+        return None
+
+    def test_factors_match_the_divisor_scan(self):
+        # every normalized pair up to order 150, both orders, with a sign flip and a shift by t*nprime
+        yes = 0
+        for m in range(5, 151):
+            bound = (m - 1) // 2
+            for a1 in range(1, bound + 1):
+                for a2 in range(a1 + 1, bound + 1):
+                    expected = self._divisor_scan(m, a1, a2)
+                    yes += expected is not None
+                    t = (a1 + a2) % 5 - 2
+                    for args in ((a1, a2), (a2, a1), (t * m - a1, a2 - t * m), (a2 + t * m, -a1)):
+                        assert torus_parameters(m, *args) == expected, (m, args)
+        assert yes > 100
+
+    def test_factors_at_a_semiprime_order(self):
+        assert torus_parameters(1000003 * 1000033, 1000033, 1000003) == (1000003, 1000033)
+
     def test_length_validation(self):
         with pytest.raises(InvalidParameterError):
             circulant_iso_torus(12, 6, 1, 3, 4)  # 6 folds to the half-order

@@ -71,6 +71,13 @@ class TestGraphType:
         with pytest.raises(InvalidParameterError):
             cycle_graph(3).relabel([0, 0, 1])
 
+    @pytest.mark.parametrize("perm", [[True, False, 2], [0.0, 1, 2]], ids=["bool", "float"])
+    def test_relabel_rejects_non_integer_entries(self, perm):
+        # sorted(perm) == [0, 1, 2] for both, so the permutation check alone would pass them
+        assert sorted(perm) == [0, 1, 2]
+        with pytest.raises(InvalidParameterError):
+            cycle_graph(3).relabel(perm)
+
     def test_components_are_sorted_sizes_and_bipartiteness(self):
         c3_c4 = Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)))
         two_c4 = Graph(8, tuple((4 * c + i, 4 * c + (i + 1) % 4) for c in range(2) for i in range(4)))

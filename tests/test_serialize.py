@@ -87,6 +87,11 @@ def test_edgelist_golden():
         '{"order":3,"edges":[[0,0]]}',
         '{"order":3,"edges":[[0,5]]}',
         '{"order":3,"edges":[[0,1],[1,0]]}',
+        '{"order":true,"edges":[]}',
+        '{"order":3.0,"edges":[]}',
+        '{"order":0,"edges":[]}',
+        '{"order":3,"edges":[[0,1.0]]}',
+        '{"order":3,"edges":[[true,2]]}',
     ],
 )
 def test_graph_parse_errors(text):
