@@ -75,7 +75,7 @@ def _shuffled(g, autos, rng):
     return g.relabel(perm), conjugated
 
 
-def _row(kind, params, g, target, decide, witness, node_budget) -> CensusRow:
+def _row(kind, params, g, target, decide, witness) -> CensusRow:
     """`decide()` against the oracle on g and `target`, a relabeled graph with
     automorphisms of it; when the decider says yes, `witness()` gives the
     (source, target, map) to verify.  A decider that does not apply counts as
@@ -86,13 +86,13 @@ def _row(kind, params, g, target, decide, witness, node_budget) -> CensusRow:
     except NotApplicableError:
         decided = False
     h, autos = target
-    found = oracle.are_isomorphic(g, h, node_budget, autos) is not None
+    found = oracle.are_isomorphic(g, h, automorphisms=autos) is not None
     verified = verify_witness(*witness()) if decided else None
     return CensusRow(kind, params, decided, found, decided == found, verified,
                      time.perf_counter() - start)
 
 
-def accordion_pair_rows(max_n: int, seed: int = 0, node_budget: Optional[int] = None) -> Iterator[CensusRow]:
+def accordion_pair_rows(max_n: int, seed: int = 0) -> Iterator[CensusRow]:
     """All accordion pairs A[n,k1] vs A[n,k2], k1 <= k2, for 3 <= n <= max_n."""
     rng = random.Random(seed)
     for n in range(3, max_n + 1):
@@ -102,10 +102,10 @@ def accordion_pair_rows(max_n: int, seed: int = 0, node_budget: Optional[int] = 
                 (g1, _), (g2, autos) = accs[k1 - 1], accs[k2 - 1]
                 yield _row("acc-acc", {"n": n, "k1": k1, "k2": k2}, g1, _shuffled(g2, autos, rng),
                            lambda: accordions_isomorphic(n, k1, k2).isomorphic,
-                           lambda: (g2, g1, accordion_witness(n, k1, k2)), node_budget)
+                           lambda: (g2, g1, accordion_witness(n, k1, k2)))
 
 
-def circulant_accordion_rows(max_n: int, seed: int = 0, node_budget: Optional[int] = None) -> Iterator[CensusRow]:
+def circulant_accordion_rows(max_n: int, seed: int = 0) -> Iterator[CensusRow]:
     """All Ci[2n,{a,b}] vs A[n,k] comparisons for 3 <= n <= max_n.
 
     Both-even (a,b) rows are kept: the decider wrapper reports them as plain
@@ -121,10 +121,10 @@ def circulant_accordion_rows(max_n: int, seed: int = 0, node_budget: Optional[in
                     acc, autos = accs[k - 1]
                     yield _row("ci-acc", {"n": n, "a": a, "b": b, "k": k}, ci, _shuffled(acc, autos, rng),
                                lambda: circulant_iso_accordion(n, a, b, k).isomorphic,
-                               lambda: (ci, acc, circulant_accordion_witness(n, a, b, k)), node_budget)
+                               lambda: (ci, acc, circulant_accordion_witness(n, a, b, k)))
 
 
-def torus_rows(max_order: int, seed: int = 0, node_budget: Optional[int] = None) -> Iterator[CensusRow]:
+def torus_rows(max_order: int, seed: int = 0) -> Iterator[CensusRow]:
     """Ci[m,{a1,a2}] vs C_{n1} [] C_{n2} for every m <= max_order with a divisor
     pair n1, n2 >= 3 and every normalized length pair a1 < a2.  All rows of one
     (n1, n2) share one relabeled torus, and all rows of one order its circulants."""
@@ -145,7 +145,7 @@ def torus_rows(max_order: int, seed: int = 0, node_budget: Optional[int] = None)
                 ci = cis[a1, a2]
                 yield _row("ci-torus", {"nprime": m, "a1": a1, "a2": a2, "n1": n1, "n2": n2}, ci, shuffled,
                            lambda: circulant_iso_torus(m, a1, a2, n1, n2),
-                           lambda: (ci, torus, torus_witness(m, a1, a2, n1, n2)), node_budget)
+                           lambda: (ci, torus, torus_witness(m, a1, a2, n1, n2)))
 
 
 @dataclass
@@ -158,12 +158,7 @@ class CensusReport:
         return bool(self.summary["all_agree"] and not self.summary["witness_failures"])
 
 
-def run_census(
-    max_n: int = 14,
-    max_torus: int = 36,
-    seed: int = 0,
-    node_budget: Optional[int] = None,
-) -> CensusReport:
+def run_census(max_n: int = 14, max_torus: int = 36, seed: int = 0) -> CensusReport:
     """Run the full cross-validation sweep and aggregate a summary.
 
     Accordion pairs A[n,k1] vs A[n,k2] go up to n = max_n, circulant-accordion
@@ -178,9 +173,9 @@ def run_census(
 
     start = time.perf_counter()
     rows: list[CensusRow] = []
-    rows.extend(accordion_pair_rows(max_n, seed, node_budget))
-    rows.extend(circulant_accordion_rows(min(max_n, 10), seed, node_budget))
-    rows.extend(torus_rows(max_torus, seed, node_budget))
+    rows.extend(accordion_pair_rows(max_n, seed))
+    rows.extend(circulant_accordion_rows(min(max_n, 10), seed))
+    rows.extend(torus_rows(max_torus, seed))
 
     disagreements = [r.params | {"kind": r.kind} for r in rows if not r.agree]
     witness_failures = [

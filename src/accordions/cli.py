@@ -3,7 +3,6 @@
 Exit codes are a total contract: 0 = yes/success, 1 = no, 2 = invalid input
 or error.  `cmd_decide` is the one place that checks a requested witness
 (verify_witness, before anything is printed) and maps a verdict to 0 or 1.
-The oracle node budget can be overridden with ACCGRAPH_NODE_BUDGET.
 """
 
 from __future__ import annotations
@@ -52,22 +51,7 @@ from .witnesses import (
     verify_witness,
 )
 
-ENV_NODE_BUDGET = "ACCGRAPH_NODE_BUDGET"
-
-__all__ = ["main", "run", "build_parser", "ENV_NODE_BUDGET"]
-
-
-def _node_budget() -> int | None:
-    raw = os.environ.get(ENV_NODE_BUDGET)
-    if raw is None:
-        return None
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise InvalidParameterError(f"{ENV_NODE_BUDGET} must be an integer, got {raw!r}")
-    if budget < 1:
-        raise InvalidParameterError(f"{ENV_NODE_BUDGET} must be >= 1, got {budget}")
-    return budget
+__all__ = ["main", "run", "build_parser"]
 
 
 def _require(args: argparse.Namespace, names: list[str], context: str) -> None:
@@ -208,7 +192,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     g = graph_from_json(Path(args.file_g).read_text())
     h = graph_from_json(Path(args.file_h).read_text())
-    vm = oracle.are_isomorphic(g, h, _node_budget())
+    vm = oracle.are_isomorphic(g, h)
     if vm is None:
         print("isomorphic: no")
         return 1
@@ -224,12 +208,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         raise InvalidParameterError(f"--out: {out} is a directory")
     if not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
         raise InvalidParameterError(f"--out: {out.parent} is not a writable directory")
-    report = run_census(
-        max_n=args.max_n,
-        max_torus=args.max_torus,
-        seed=args.seed,
-        node_budget=_node_budget(),
-    )
+    report = run_census(max_n=args.max_n, max_torus=args.max_torus, seed=args.seed)
     with out.open("w") as handle:
         for row in report.rows:
             doc = dataclasses.asdict(row) | {"elapsed": round(row.elapsed, 6)}

@@ -263,12 +263,8 @@ def accordion_from_cylinder(n1: int, n2: int, k: int) -> CylinderExtension:
         )
     steps = steps_to_gcd(n, k)
     shift = (2 * steps) % n1
-    if n2 == 1:
-        base = cycle_graph(n1)
-        added = [(i, (i + shift) % n1) for i in range(n1)]
-    else:
-        base = cartesian_product(cycle_graph(n1), path_graph(n2))
-        added = [(i * n2 + n2 - 1, ((i + shift) % n1) * n2) for i in range(n1)]
+    base = cartesian_product(cycle_graph(n1), path_graph(n2))
+    added = [(i * n2 + n2 - 1, ((i + shift) % n1) * n2) for i in range(n1)]
     pairs = [(i + 1, ((i + shift) % n1) + 1) for i in range(n1)]
     graph = Graph(2 * n, base.edges + tuple(added))
     rows = [_spoke_cycle(n, k, p + 1) for p in range(n2)]  # n1 vertices each

@@ -8,7 +8,7 @@ from itertools import chain
 import pytest
 
 from accordions import VertexMap, accordion, graph_from_json, verify_witness, witness_from_json
-from accordions import census, cli
+from accordions import census, cli, oracle
 from accordions.cli import main
 from accordions.serialize import graph_to_json
 
@@ -351,20 +351,6 @@ class TestOracleCmd:
         code, _, err = run_cli(capsys, "oracle", str(good), str(tmp_path / "absent.json"))
         assert code == 2
 
-    @pytest.mark.parametrize("budget", ["0", "-3"])
-    def test_budget_below_1_exits_2(self, capsys, tmp_path, monkeypatch, budget):
-        # A[6,1] vs A[6,2] is screened out without a search: a budget below 1
-        # must still be refused, not answered "no"
-        g = tmp_path / "g.json"
-        h = tmp_path / "h.json"
-        g.write_text(graph_to_json(accordion(6, 1)))
-        h.write_text(graph_to_json(accordion(6, 2)))
-        monkeypatch.setenv("ACCGRAPH_NODE_BUDGET", budget)
-        code, out, err = run_cli(capsys, "oracle", str(g), str(h))
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-
     def test_order_1040_never_exits_1(self, capsys, tmp_path):
         # A[520,1] against itself is isomorphic: the answer must be "yes"
         # with a witness that checks, not a refusal and never "no"
@@ -378,10 +364,11 @@ class TestOracleCmd:
         assert src == tgt == g
         assert verify_witness(src, tgt, vm)
 
-    def test_budget_env_override(self, capsys, tmp_path, monkeypatch):
+    def test_exhausted_budget_exits_2(self, capsys, tmp_path, monkeypatch):
+        # an exhausted search is an error, never a "no"
         f = tmp_path / "g.json"
         f.write_text(graph_to_json(accordion(8, 3)))
-        monkeypatch.setenv("ACCGRAPH_NODE_BUDGET", "1")
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 1)
         code, _, err = run_cli(capsys, "oracle", str(f), str(f))
         assert code == 2
         assert "exceeded" in err.lower()
@@ -469,6 +456,17 @@ class TestCensusCmd:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: --out")
         assert sweeps == []
+
+    def test_exhausted_budget_exits_2_without_a_report(self, capsys, tmp_path, monkeypatch):
+        # a row whose search runs out aborts the sweep: no verdict, no report
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 1)
+        out_path = tmp_path / "r.jsonl"
+        code, out, err = run_cli(capsys, "census", "--max-n", "4", "--max-torus", "0",
+                                 "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "exceeded" in err
+        assert not out_path.exists()
 
     def test_invalid_max_n(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "census", "--max-n", "2",

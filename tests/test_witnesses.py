@@ -325,6 +325,20 @@ class TestAccordionFromCylinder:
         assert r.graph.order == 6 and r.graph.size == 12
         assert verify_witness(r.graph, accordion(3, 1), r.to_accordion)
 
+    def test_trivial_path_chords_the_bare_cycle(self):
+        # n2 = 1: the base is the n1-cycle w_1..w_{n1} and the chords are
+        # w_i -- w_{i+2*steps}, 0-based (i, i + 2*steps mod n1)
+        for n1 in range(6, 41, 2):
+            n = n1 // 2
+            for k in (k for k in range(1, n // 2 + 1) if math.gcd(n, k) == 1):
+                r = accordion_from_cylinder(n1, 1, k)
+                shift = 2 * r.steps % n1
+                chords = {frozenset((i, (i + shift) % n1)) for i in range(n1)}
+                assert {frozenset(e) for e in r.added_edges} == chords
+                rim = {frozenset(e) for e in cycle_graph(n1).edges}
+                assert {frozenset(e) for e in r.graph.edges} == rim | chords
+                assert verify_witness(r.graph, accordion(n, k), r.to_accordion)
+
     def test_gcd_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
             accordion_from_cylinder(4, 5, 2)  # gcd(10,2) = 2 != 5
