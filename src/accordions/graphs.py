@@ -173,7 +173,7 @@ class Graph:
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image of the graph under the bijection v -> perm[v]."""
-        if sorted(perm) != list(range(self.order)):
+        if set(map(type, perm)) != {int} or sorted(perm) != list(range(self.order)):  # no bool or float
             raise InvalidParameterError("relabeling must be a permutation of the vertices")
         return Graph(self.order, tuple((perm[i], perm[j]) for i, j in self.edges))
 

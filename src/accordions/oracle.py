@@ -6,10 +6,10 @@ from one BFS, `Graph.components`, then the profile: per-vertex triangle
 counts and the multiset of (adjacent?, #common neighbours) over the pairs
 at distance <= 2, `Graph.local_invariants`, read off one Counter of the
 length-2 paths and one pass over the edges; both are computed once per
-graph), then the multiset of per-vertex seeds (degree, triangles, common
-counts over the neighbours), then colour refinement from those seeds, then one
-search over the individualization-refinement tree (McKay & Piperno,
-Practical graph isomorphism II, 2014).
+graph), then colour refinement from the per-vertex seeds (degree,
+triangles, common counts over the neighbours), then one search over the
+individualization-refinement tree (McKay & Piperno, Practical graph
+isomorphism II, 2014).
 
 Refinement keeps an ordered partition; a vertex's colour is the start of
 its cell, so a discrete colouring is a permutation.  It works through a
@@ -28,7 +28,8 @@ equal leaves reveal prune equivalent branches.  are_isomorphic prunes
 the same way by automorphisms of h that its caller supplies (closed-form
 generators, such as a torus's rotations); it checks each one with
 `verify_witness` before the search uses it.  The search keeps its own
-stack, so depth is not limited by the interpreter's recursion limit.
+stack, so depth is not limited by the recursion limit, and counts its own
+nodes: are_isomorphic's budget bounds the search nodes of h's tree.
 
 Every map returned by are_isomorphic has passed `verify_witness` at the
 leaf that produced it.  Searches keep no state between calls apart from
@@ -173,12 +174,6 @@ def _target_cell(colors):
     return None if cell is None else [v for v, c in enumerate(colors) if c == cell[1]]
 
 
-def _tick(counter, budget):
-    counter[0] += 1
-    if counter[0] > budget:
-        raise BudgetExceededError(f"search exceeded {budget} nodes")
-
-
 def _orbit(points, perms):
     """Everything the permutations `perms` carry `points` to, `points` included."""
     orbit, grow = set(points), list(points)
@@ -191,9 +186,11 @@ def _orbit(points, perms):
     return orbit
 
 
-def _search(colors, child, at_leaf, counter, budget, autos=()):
+def _search(colors, child, at_leaf, budget, autos=()):
     """Depth-first walk of the individualization-refinement tree below `colors`,
-    on an explicit stack; True as soon as `at_leaf` asks to stop.
+    on an explicit stack: the first truthy value `at_leaf` gives, or None.
+    Every child made is a node; BudgetExceededError once there are more than
+    `budget`.
 
     A node's children individualize each vertex of its target cell in index
     order; `child(depth, colors, v)` gives the child's colouring, or None to
@@ -202,8 +199,8 @@ def _search(colors, child, at_leaf, counter, budget, autos=()):
     """
     cell = _target_cell(colors)
     if cell is None:
-        return at_leaf(colors)
-    path = []
+        return at_leaf(colors) or None
+    nodes, path = 0, []
     # a node: its colours, untried and tried cell vertices, and [the orbit of
     # the tried ones under `fixing` (the automorphisms that fix the path), how
     # many of `autos` `fixing` has seen]; `fixing` is refreshed when `autos` grows
@@ -225,30 +222,27 @@ def _search(colors, child, at_leaf, counter, budget, autos=()):
         if v in orbit:
             continue
         orbit |= _orbit([v], fixing)
-        _tick(counter, budget)
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"search exceeded {budget} nodes")
         nxt = child(len(path), colors, v)
         if nxt is None:
             continue
         cell = _target_cell(nxt)
         if cell is None:
-            if at_leaf(nxt):
-                return True
+            if answer := at_leaf(nxt):
+                return answer
             continue
         path.append(v)
         stack.append((nxt, iter(cell), [], [set(), [], 0]))
-    return False
+    return None
 
 
-def are_isomorphic(
-    g: Graph,
-    h: Graph,
-    node_budget: Optional[int] = None,
-    automorphisms: Sequence[VertexMap] = (),
-) -> Optional[VertexMap]:
+def are_isomorphic(g: Graph, h: Graph, automorphisms: Sequence[VertexMap] = ()) -> Optional[VertexMap]:
     """A verified isomorphism g -> h, or None when the graphs are not isomorphic.
 
-    Complete at desk scale; a configurable node budget aborts with
-    BudgetExceededError rather than returning a wrong answer.
+    Complete at desk scale; more than DEFAULT_NODE_BUDGET search nodes abort
+    with BudgetExceededError rather than returning a wrong answer.
 
     `automorphisms` are maps of h onto itself, typically generators of a
     group acting on it.  When the pair reaches the search, each is checked
@@ -257,16 +251,14 @@ def are_isomorphic(
     carry onto a sibling already tried: its subtree is the image of one that
     found no isomorphism.  The returned map is the same with or without them.
     """
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    # no size or degree screen: equal profiles have equal sizes (their adjacent
-    # pairs count the edges), and equal seed multisets have equal degrees
+    # no size screen: equal profiles have equal sizes (their adjacent pairs
+    # count the edges); the root replay tells the seeds apart
     if g.order != h.order or g.components != h.components:
         return None
-    gs, hs = g.local_invariants.seeds, h.local_invariants.seeds
-    if g.local_invariants.profile != h.local_invariants.profile or Counter(gs) != Counter(hs):
+    if g.local_invariants.profile != h.local_invariants.profile:
         return None
-    levels = [_refine(g.neighbors, _partition(gs))]
-    ch = _replay(h.neighbors, _partition(hs), levels[0][1])
+    levels = [_refine(g.neighbors, _partition(g.local_invariants.seeds))]
+    ch = _replay(h.neighbors, _partition(h.local_invariants.seeds), levels[0][1])
     if ch is None:
         return None
     autos = []
@@ -274,14 +266,11 @@ def are_isomorphic(
         if not verify_witness(h, h, a):
             raise InvalidParameterError("a map given as an automorphism of h is not one")
         autos.append(a.mapping)
-    counter = [0]
-    found = []
 
     def child(depth, colors, w):
         # g's path individualizes the first vertex of each target cell; a level
         # is refined only when h's search first reaches its depth
         if depth + 1 == len(levels):
-            _tick(counter, budget)
             cg = levels[depth][0]
             levels.append(_refine(g.neighbors, _individualize(cg, _target_cell(cg)[0])))
         return _replay(h.neighbors, _individualize(colors, w), levels[depth + 1][1])
@@ -290,12 +279,9 @@ def are_isomorphic(
         # h's colouring is discrete only where g's is, at g's last level
         image = {c: w for w, c in enumerate(colors)}
         vm = VertexMap(tuple(image[c] for c in levels[-1][0]))
-        if verify_witness(g, h, vm):
-            found.append(vm)
-            return True
-        return False
+        return vm if verify_witness(g, h, vm) else None
 
-    return found[0] if _search(ch, child, at_leaf, counter, budget, autos) else None
+    return _search(ch, child, at_leaf, DEFAULT_NODE_BUDGET, autos)
 
 
 def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:
@@ -325,7 +311,7 @@ def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:
             autos.append([vertex[c] for c in labels])
         return False
 
-    _search(colors, lambda depth, cs, v: _refine(nbrs, _individualize(cs, v))[0], at_leaf, [0], budget, autos)
+    _search(colors, lambda depth, cs, v: _refine(nbrs, _individualize(cs, v))[0], at_leaf, budget, autos)
     if not best:
         raise InvariantViolationError("canonical search ended without a labeling")
     return graph_to_json(g.relabel(best[1])).encode("utf-8")

@@ -71,12 +71,18 @@ class TestGraphType:
         with pytest.raises(InvalidParameterError):
             cycle_graph(3).relabel([0, 0, 1])
 
-    @pytest.mark.parametrize("perm", [[True, False, 2], [0.0, 1, 2]], ids=["bool", "float"])
-    def test_relabel_rejects_non_integer_entries(self, perm):
-        # sorted(perm) == [0, 1, 2] for both, so the permutation check alone would pass them
-        assert sorted(perm) == [0, 1, 2]
+    @pytest.mark.parametrize("g, perm", [
+        (cycle_graph(3), [True, False, 2]),
+        (cycle_graph(3), [0.0, 1, 2]),
+        (Graph(3, ((1, 2),)), [False, 1, 2]),
+        (Graph(3, ((1, 2),)), [0.0, 1, 2]),
+        (Graph(3, ((1, 2),)), [0, "1", 2]),
+    ], ids=["bool", "float", "isolated-bool", "isolated-float", "str"])
+    def test_relabel_rejects_non_integer_entries(self, g, perm):
+        # the permutation check alone passes the bool and float entries, and
+        # an isolated vertex's label is no edge endpoint for Graph to check
         with pytest.raises(InvalidParameterError):
-            cycle_graph(3).relabel(perm)
+            g.relabel(perm)
 
     def test_components_are_sorted_sizes_and_bipartiteness(self):
         c3_c4 = Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)))

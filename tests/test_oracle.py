@@ -95,10 +95,16 @@ class TestAreIsomorphic:
         vm = are_isomorphic(g, g.relabel(list(perm)))
         assert vm is not None and verify_witness(g, g.relabel(list(perm)), vm)
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        # A[10,3] onto its reversal needs 2 search nodes
         g = accordion(10, 3)
+        h = g.relabel(list(reversed(range(20))))
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 2)
+        vm = are_isomorphic(g, h)
+        assert vm is not None and verify_witness(g, h, vm)
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 1)
         with pytest.raises(BudgetExceededError):
-            are_isomorphic(g, g.relabel(list(reversed(range(20)))), node_budget=2)
+            are_isomorphic(g, h)
 
     def test_search_needs_no_recursion(self):
         # a perfect matching on 400 vertices splits one edge per level: the
@@ -273,16 +279,17 @@ class TestScreenCoverage:
         assert net.local_invariants.profile == h.local_invariants.profile
         assert are_isomorphic(net, h) is None
 
-    def test_seed_multisets_are_screened_before_refinement(self, monkeypatch):
+    def test_seed_only_pairs_are_rejected_by_the_root_replay(self, monkeypatch):
         # equal degrees, profiles and seed class sizes; only the seed values
-        # differ: g has two vertices seeded (3, 2, 1, 1, 2), h has one
+        # differ: g has two vertices seeded (3, 2, 1, 1, 2), h has one, and
+        # refining h against g's trace tells them apart before any search
         g = Graph(6, ((0, 3), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)))
         h = Graph(6, ((0, 1), (0, 2), (0, 3), (0, 5), (2, 3), (2, 5), (3, 4), (4, 5)))
         assert sorted(g.degrees) == sorted(h.degrees) and g.components == h.components
         assert g.local_invariants.profile == h.local_invariants.profile
         gc, hc = Counter(g.local_invariants.seeds), Counter(h.local_invariants.seeds)
         assert sorted(gc.values()) == sorted(hc.values()) and gc != hc
-        monkeypatch.setattr(oracle, "_refine", lambda *args: pytest.fail("refinement was reached"))
+        monkeypatch.setattr(oracle, "_search", lambda *args: pytest.fail("the search was reached"))
         assert are_isomorphic(g, h) is None
 
     @pytest.mark.parametrize("lengths", [(6, 6), (5, 7)], ids=["2C6", "C5+C7"])
@@ -449,27 +456,51 @@ class TestRefinementWork:
 
 
 class TestSearch:
-    """Orbit pruning in `_search`, on one cell {0,1,2,3} whose children are leaves."""
+    """`_search` on one cell {0,1,2,3} whose children are leaves: its answer,
+    its node count and its orbit pruning."""
 
     @staticmethod
-    def _tried(autos, at_leaf=lambda colors: False):
+    def _run(autos=(), at_leaf=lambda colors: False, budget=100):
+        """`_search`'s answer and the vertices it individualized, in order."""
         tried = []
 
         def child(depth, colors, v):
             tried.append(v)
             return [(u - v) % 4 for u in range(4)]
 
-        _search([0] * 4, child, at_leaf, [0], 100, autos)
-        return tried
+        return _search([0] * 4, child, at_leaf, budget, autos), tried
+
+    def test_the_first_truthy_leaf_value_is_the_answer(self):
+        leaves = []
+
+        def at_leaf(colors):
+            leaves.append(colors)
+            return len(leaves) > 1 and tuple(colors)
+
+        assert self._run(at_leaf=at_leaf) == ((3, 0, 1, 2), [0, 1])
+        assert leaves == [[0, 1, 2, 3], [3, 0, 1, 2]]
+        assert self._run(at_leaf=lambda colors: 0) == (None, [0, 1, 2, 3])
+
+    def test_each_child_is_a_node_of_the_budget(self):
+        assert self._run(budget=4) == (None, [0, 1, 2, 3])
+        with pytest.raises(BudgetExceededError, match="search exceeded 3 nodes"):
+            self._run(budget=3)
+
+    def test_a_discrete_root_costs_no_node(self):
+        def child(depth, colors, v):
+            pytest.fail("a discrete root has no children")
+
+        assert _search([1, 0], child, tuple, 0) == (1, 0)
+        assert _search([1, 0], child, lambda colors: False, 0) is None
 
     def test_siblings_in_the_orbit_of_tried_ones_are_skipped(self):
-        assert self._tried([]) == [0, 1, 2, 3]
-        assert self._tried([[1, 0, 3, 2]]) == [0, 2]
+        assert self._run([]) == (None, [0, 1, 2, 3])
+        assert self._run([[1, 0, 3, 2]]) == (None, [0, 2])
 
     def test_automorphisms_found_on_the_way_prune_later_siblings(self):
         # (0 2)(1 3), found at the first leaf, joins the orbit of 0 to 2 and then 1 to 3
         autos = []
-        assert self._tried(autos, lambda colors: autos.append([2, 3, 0, 1]) if not autos else False) == [0, 1]
+        assert self._run(autos, lambda colors: autos.append([2, 3, 0, 1]) if not autos else False) == (None, [0, 1])
 
 
 class TestAutomorphismPruning:
@@ -506,10 +537,10 @@ class TestAutomorphismPruning:
         # on every isomorphic row of the default census grid
         real, compared = oracle.are_isomorphic, []
 
-        def both(g, h, node_budget=None, automorphisms=()):
-            vm = real(g, h, node_budget, automorphisms)
+        def both(g, h, automorphisms=()):
+            vm = real(g, h, automorphisms)
             if vm is not None:
-                assert automorphisms and real(g, h, node_budget) == vm
+                assert automorphisms and real(g, h) == vm
                 compared.append(vm)
             return vm
 
@@ -517,16 +548,25 @@ class TestAutomorphismPruning:
         assert census.run_census().ok
         assert len(compared) == 135
 
-    def test_search_node_count_is_pinned(self):
+    def test_search_node_count_is_pinned(self, monkeypatch):
         # Ci[15,{1,5}] is not C3 [] C5; h is vertex-transitive, so refinement
         # leaves it one cell: the first root image fails after one replay, and
         # the rotations carry it onto all the others
         g = circulant_graph(15, (1, 5))
         h, autos = census._shuffled(cartesian_product(cycle_graph(3), cycle_graph(5)),
                                     torus_rotations(3, 5), random.Random(15))
-        assert are_isomorphic(g, h, node_budget=2, automorphisms=autos) is None
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 1)
+        assert are_isomorphic(g, h, automorphisms=autos) is None
         with pytest.raises(BudgetExceededError):
-            are_isomorphic(g, h, node_budget=2)
+            are_isomorphic(g, h)
+
+    def test_every_default_census_row_fits_in_14_search_nodes(self, monkeypatch):
+        # the orbit pruning at census scale: one row needs 14 nodes, none more
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 14)
+        assert census.run_census().ok
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 13)
+        with pytest.raises(BudgetExceededError):
+            census.run_census()
 
 
 class TestCanonicalKey:
