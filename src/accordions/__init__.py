@@ -59,7 +59,6 @@ from .witnesses import (
     accordion_from_cylinder,
     accordion_rotation,
     accordion_witness,
-    bipartite_accordion_witness,
     circulant_accordion_witness,
     cycle_swap_automorphism,
     torus_rotations,

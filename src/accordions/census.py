@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 from . import oracle
 from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_iso_torus
-from .errors import InvalidParameterError, NotApplicableError
+from .errors import InvalidParameterError
 from .graphs import accordion, cartesian_product, circulant, circulant_graph, cycle_graph
 from .witnesses import (
     VertexMap,
@@ -78,13 +78,9 @@ def _shuffled(g, autos, rng):
 def _row(kind, params, g, target, decide, witness) -> CensusRow:
     """`decide()` against the oracle on g and `target`, a relabeled graph with
     automorphisms of it; when the decider says yes, `witness()` gives the
-    (source, target, map) to verify.  A decider that does not apply counts as
-    a no."""
+    (source, target, map) to verify."""
     start = time.perf_counter()
-    try:
-        decided = decide()
-    except NotApplicableError:
-        decided = False
+    decided = decide()
     h, autos = target
     found = oracle.are_isomorphic(g, h, automorphisms=autos) is not None
     verified = verify_witness(*witness()) if decided else None
@@ -108,8 +104,8 @@ def accordion_pair_rows(max_n: int, seed: int = 0) -> Iterator[CensusRow]:
 def circulant_accordion_rows(max_n: int, seed: int = 0) -> Iterator[CensusRow]:
     """All Ci[2n,{a,b}] vs A[n,k] comparisons for 3 <= n <= max_n.
 
-    Both-even (a,b) rows are kept: the decider wrapper reports them as plain
-    false (the circulant is disconnected) and the oracle must concur.
+    Both-even (a,b) rows are kept: the decider answers them no (the circulant
+    is disconnected) and the oracle must concur.
     """
     rng = random.Random(seed + 1)
     for n in range(3, max_n + 1):

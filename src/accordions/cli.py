@@ -32,7 +32,6 @@ from .errors import (
     BudgetExceededError,
     InvalidParameterError,
     InvariantViolationError,
-    NotApplicableError,
 )
 from .graphs import (
     AccordionParams,
@@ -96,11 +95,8 @@ def _acc_acc(args: argparse.Namespace):
 def _ci_acc(args: argparse.Namespace):
     n, a, b = args.n, args.a, args.b
     k = find_accordion_param(n, a, b) if args.k is None else args.k
-    try:
-        v = None if k is None else circulant_iso_accordion(n, a, b, k)
-    except NotApplicableError:  # both lengths even: disconnected, so no accordion matches
-        v = None
-    if v is None:
+    v = None if k is None else circulant_iso_accordion(n, a, b, k)
+    if v is None or v.regime == "both-even":  # disconnected, so no accordion matches
         return {"n": n, "matched-k": "none"}, False, None
     two_n = 2 * n
     fields = {"n": n, "a": v.a, "b": v.b, "matched-k": v.k, "regime": v.regime,
@@ -208,6 +204,8 @@ def cmd_census(args: argparse.Namespace) -> int:
         raise InvalidParameterError(f"--out: {out} is a directory")
     if not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
         raise InvalidParameterError(f"--out: {out.parent} is not a writable directory")
+    if out.exists() and not os.access(out, os.W_OK):
+        raise InvalidParameterError(f"--out: {out} is not writable")
     report = run_census(max_n=args.max_n, max_torus=args.max_torus, seed=args.seed)
     with out.open("w") as handle:
         for row in report.rows:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidParameterError, InvariantViolationError, NotApplicableError
+from .errors import InvalidParameterError, InvariantViolationError
 from .graphs import AccordionParams, CirculantParams, _circulant_lengths
 from .modarith import steps_to_gcd
 
@@ -160,7 +160,7 @@ class CiAccVerdict:
     a: int
     b: int
     k: int
-    regime: str  # bipartite | non-bipartite
+    regime: str  # bipartite | non-bipartite | both-even
     isomorphic: bool
     swapped: bool = False
     connected: bool = True
@@ -180,8 +180,8 @@ def circulant_iso_accordion(n: int, a: int, b: int, k: int) -> CiAccVerdict:
     and b*gcd(n,k) == +-2*s*a (mod 2n) where s is the least multiplier with
     s*k == gcd(n,k) (mod n).
 
-    Both lengths even: the circulant is disconnected and can never match a
-    (connected) accordion; raises NotApplicableError.
+    Both lengths even: the circulant is disconnected, so it never matches a
+    (connected) accordion; the verdict is a no in the regime "both-even".
     """
     p = CirculantParams(n, a, b)
     AccordionParams(n, k)
@@ -190,10 +190,7 @@ def circulant_iso_accordion(n: int, a: int, b: int, k: int) -> CiAccVerdict:
     connected = math.gcd(two_n, a, b) == 1
 
     if a % 2 == 0 and b % 2 == 0:
-        raise NotApplicableError(
-            f"Ci[{two_n},{{{a},{b}}}] has both lengths even, hence is disconnected; "
-            "it is never isomorphic to an accordion graph"
-        )
+        return CiAccVerdict(n, a, b, k, "both-even", False, connected=False)
 
     if a % 2 == 1 and b % 2 == 1:
         iso = (

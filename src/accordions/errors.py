@@ -8,9 +8,10 @@ class InvalidParameterError(ValueError):
 class NotApplicableError(ValueError):
     """The query lies outside the regime a decider covers.
 
-    Example: a circulant with both edge lengths even is disconnected, so
-    asking whether it is isomorphic to a (connected) accordion graph is
-    vacuously false rather than decided by the arithmetic criteria.
+    The library no longer raises it: every decider answers every valid
+    query (a circulant with both lengths even is a "both-even" no from
+    circulant_iso_accordion).  The name stays exported for code that still
+    catches it.
     """
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "accordion_rotation",
     "torus_rotations",
     "accordion_witness",
-    "bipartite_accordion_witness",
     "circulant_accordion_witness",
     "torus_witness",
     "CylinderExtension",
@@ -140,52 +139,39 @@ def accordion_witness(n: int, k1: int, k2: int) -> VertexMap:
     return VertexMap(tuple(outer + inner))
 
 
-def bipartite_accordion_witness(n: int, a: int, b: int) -> VertexMap:
-    """A closed-form isomorphism Ci[2n,{a,b}] -> A[n,2] for the both-odd regime.
+def circulant_accordion_witness(n: int, a: int, b: int, k: int) -> VertexMap:
+    """A closed-form isomorphism Ci[2n,{a,b}] -> A[n,k]; refuses decider-false inputs.
 
-    The inverse of the index scaling x_i -> x_{i*a}, that is
-    x_{t+1} -> x_{(t+1)*a^-1} (a the normalized length, a unit mod 2n),
-    followed by the base map
+    Bipartite regime (both lengths odd, k = 2): the inverse of the index
+    scaling x_i -> x_{i*a}, that is x_{t+1} -> x_{(t+1)*a^-1} (a the
+    normalized length, a unit mod 2n), followed by the base map
     Ci[2n,{1,n-1}] -> A[n,2] that fixes x_t -> u_t and sends
     x_{n+t} -> v_{t+1} (0-based, t in [0,n)).  In the circulant x_t and
     x_{n+t} are twins (both adjacent to x_{t+-1}, x_{n+t+-1}); in A[n,2]
     u_t and v_{t+1} are twins (both adjacent to u_{t+-1}, v_{t+1+-1}); and
     consecutive twin pairs span a K_{2,2} in both graphs.
-    """
-    verdict = circulant_iso_accordion(n, a, b, 2)
-    if verdict.regime != "bipartite" or not verdict.isomorphic:
-        raise InvalidParameterError(
-            f"Ci[{2 * n},{{{a},{b}}}] is not isomorphic to A[{n},2] in the bipartite regime"
-        )
-    two_n = 2 * n
-    base = list(range(n)) + [n + (t + 1) % n for t in range(n)]
-    inv = pow(verdict.a, -1, two_n)
-    return VertexMap(tuple(base[((t + 1) * inv - 1) % two_n] for t in range(two_n)))
 
-
-def circulant_accordion_witness(n: int, a: int, b: int, k: int) -> VertexMap:
-    """A closed-form isomorphism Ci[2n,{a,b}] -> A[n,k]; refuses decider-false inputs.
-
-    Bipartite regime (both lengths odd, k = 2) delegates to
-    bipartite_accordion_witness.  In the mixed-parity regime, with a odd and
-    b even, q = gcd(n,k), p = 2n/q and s the least multiplier with
-    s*k == q (mod n), the length-a edges split the circulant into q cycles of
-    length p and the spokes split the accordion likewise; the map carries the
-    i-th circulant p-cycle onto the i-th accordion p-cycle, anchored at
-    x_{a+ib} -> v_i.  The traversal starts x_{a+ib}, x_{2a+ib}, ... when
-    b*q == +2*s*a (mod 2n) and x_{a+ib}, x_{ib}, ... when b*q == -2*s*a.
+    Mixed-parity regime, with a odd and b even, q = gcd(n,k), p = 2n/q and s
+    the least multiplier with s*k == q (mod n): the length-a edges split the
+    circulant into q cycles of length p and the spokes split the accordion
+    likewise; the map carries the i-th circulant p-cycle onto the i-th
+    accordion p-cycle, anchored at x_{a+ib} -> v_i.  The traversal starts
+    x_{a+ib}, x_{2a+ib}, ... when b*q == +2*s*a (mod 2n) and
+    x_{a+ib}, x_{ib}, ... when b*q == -2*s*a.
     """
     verdict = circulant_iso_accordion(n, a, b, k)
     if not verdict.isomorphic:
         raise InvalidParameterError(
             f"Ci[{2 * n},{{{a},{b}}}] is not isomorphic to A[{n},{k}]"
         )
+    two_n = 2 * n
     if verdict.regime == "bipartite":
-        return bipartite_accordion_witness(n, a, b)
+        base = list(range(n)) + [n + (t + 1) % n for t in range(n)]
+        inv = pow(verdict.a, -1, two_n)
+        return VertexMap(tuple(base[((t + 1) * inv - 1) % two_n] for t in range(two_n)))
 
     ao, bo = (verdict.b, verdict.a) if verdict.swapped else (verdict.a, verdict.b)
-    q, steps, sign = verdict.q, verdict.steps, verdict.sign
-    two_n = 2 * n
+    q, sign = verdict.q, verdict.sign
     p = two_n // q
     step = ao if sign > 0 else -ao
     m = [-1] * two_n

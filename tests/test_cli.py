@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import os
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -444,18 +446,27 @@ class TestCensusCmd:
         assert len(rows) == 1450 and all(row.agree for row in rows)
         assert len(built) == 1032 and len(set(built)) == 1032
 
-    @pytest.mark.parametrize("parent", ["absent", "file", "dir"])
+    @pytest.mark.parametrize("parent", ["absent", "file", "dir", "read-only"])
     def test_bad_out_exits_2_before_the_sweep(self, capsys, tmp_path, monkeypatch, parent):
         # the sweep must not start: main would turn a failure raised inside it into exit 2 too
         sweeps = []
         monkeypatch.setattr(cli, "run_census", lambda **kwargs: sweeps.append(kwargs))
         (tmp_path / "file").write_text("")
         (tmp_path / "dir" / "r.jsonl").mkdir(parents=True)  # --out is a directory in a writable one
+        locked = tmp_path / "read-only" / "r.jsonl"  # an existing report that may not be overwritten
+        locked.parent.mkdir()
+        locked.write_text("kept\n")
+        locked.chmod(0o444)
+        # os.access grants W_OK on every file to root, so report this one as read-only
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: access(path, mode) and not (
+            Path(path) == locked and mode & os.W_OK))
         code, out, err = run_cli(capsys, "census", "--out", str(tmp_path / parent / "r.jsonl"))
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: --out")
         assert sweeps == []
+        assert locked.read_text() == "kept\n"
 
     def test_exhausted_budget_exits_2_without_a_report(self, capsys, tmp_path, monkeypatch):
         # a row whose search runs out aborts the sweep: no verdict, no report

@@ -8,9 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from accordions import (
-    CirculantParams,
     InvalidParameterError,
-    NotApplicableError,
     accordion,
     accordion_circulant_clause,
     accordion_is_bipartite,
@@ -99,7 +97,7 @@ def _outcome(decide, *args):
     """What a decider answers, or the type of error it raises."""
     try:
         return decide(*args)
-    except (InvalidParameterError, NotApplicableError) as err:
+    except InvalidParameterError as err:
         return type(err)
 
 
@@ -222,9 +220,21 @@ class TestCirculantAccordion:
         v = circulant_iso_accordion(3, 2, 1, 1)
         assert v.isomorphic and v.swapped
 
-    def test_both_even_not_applicable(self):
-        with pytest.raises(NotApplicableError):
-            circulant_iso_accordion(6, 2, 4, 2)
+    def test_both_even_is_a_disconnected_no(self):
+        # every both-even request gets a verdict: the circulant is disconnected
+        checked = 0
+        for n in range(3, 15):
+            for a in range(2, n, 2):
+                for b in range(2, n, 2):
+                    if a == b:
+                        continue
+                    assert find_accordion_param(n, a, b) is None, (n, a, b)
+                    for k in range(1, n // 2 + 1):
+                        v = circulant_iso_accordion(n, a, b, k)
+                        assert v.regime == "both-even", (n, a, b, k)
+                        assert v.isomorphic is False and v.connected is False, (n, a, b, k)
+                        checked += 1
+        assert checked == 770
 
     def test_disconnected_mixed_parity_is_false(self):
         # arithmetic conditions hold for k=3 (gcd(30,3)=3=gcd(15,3), s=1,
@@ -250,9 +260,6 @@ class TestCirculantAccordion:
         # the reference tries every k, as find_accordion_param did before its
         # both-lengths-odd shortcut; the two must agree, exceptions included
         def full_scan(n, a, b):
-            p = CirculantParams(n, a, b)
-            if p.a % 2 == 0 and p.b % 2 == 0:
-                return None
             for k in range(1, n // 2 + 1):
                 if circulant_iso_accordion(n, a, b, k).isomorphic:
                     return k
@@ -261,7 +268,7 @@ class TestCirculantAccordion:
         def outcome(f, n, a, b):
             try:
                 return f(n, a, b)
-            except (InvalidParameterError, NotApplicableError) as exc:
+            except InvalidParameterError as exc:
                 return type(exc), str(exc)
 
         for n in range(3, 31):
@@ -289,11 +296,7 @@ class TestCirculantAccordion:
             for a in range(1, n):
                 for b in range(a + 1, n):
                     for k in range(1, n // 2 + 1):
-                        try:
-                            v = circulant_iso_accordion(n, a, b, k)
-                        except NotApplicableError:
-                            continue
-                        if v.isomorphic:
+                        if circulant_iso_accordion(n, a, b, k).isomorphic:
                             assert circulant(n, a, b).components[1] == accordion(n, k).components[1]
 
 

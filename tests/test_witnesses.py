@@ -17,7 +17,6 @@ from accordions import (
     accordion_rotation,
     accordion_witness,
     accordions_isomorphic,
-    bipartite_accordion_witness,
     cartesian_product,
     circulant,
     circulant_accordion_witness,
@@ -180,7 +179,7 @@ class TestIndexScaling:
 
     def test_identity_multiplier(self):
         # a = 1: the closed form is the base map alone, x_t -> u_t and x_{n+t} -> v_{t+1}
-        assert bipartite_accordion_witness(6, 1, 5).mapping == (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 6)
+        assert circulant_accordion_witness(6, 1, 5, 2).mapping == (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 6)
 
     def test_examples(self):
         for n, a, b in [(6, 5, 1), (8, 3, 5)]:
@@ -195,14 +194,19 @@ class TestIndexScaling:
             assert normalize_length(s[(j + n - 1) % two_n] - s[j], two_n) == b
         # the closed form for {a,b} is the one for {1,n-1} after the inverse scaling
         s = self.scaling(n, circulant_iso_accordion(n, a, b, 2).a).mapping
-        closed = bipartite_accordion_witness(n, a, b).mapping
-        assert tuple(closed[s[j]] for j in range(two_n)) == bipartite_accordion_witness(n, 1, n - 1).mapping
+        closed = circulant_accordion_witness(n, a, b, 2).mapping
+        assert tuple(closed[s[j]] for j in range(two_n)) == circulant_accordion_witness(n, 1, n - 1, 2).mapping
 
-    # one length even, equal lengths, n odd, a + b != n
-    @pytest.mark.parametrize("n,a,b", [(8, 3, 4), (6, 3, 3), (9, 4, 5), (8, 1, 5)])
+    # one length even with k = 2 and n even, equal lengths, a + b != n
+    @pytest.mark.parametrize("n,a,b", [(8, 3, 4), (6, 3, 3), (8, 1, 5)])
     def test_precondition_failures(self, n, a, b):
         with pytest.raises(InvalidParameterError):
-            bipartite_accordion_witness(n, a, b)
+            circulant_accordion_witness(n, a, b, 2)
+
+    def test_mixed_parity_at_k2_takes_the_other_closed_form(self):
+        # n odd, one length even: not the scaling regime, yet Ci[18,{4,5}] ~ A[9,2]
+        assert circulant_iso_accordion(9, 4, 5, 2).regime == "non-bipartite"
+        assert verify_witness(circulant(9, 4, 5), accordion(9, 2), circulant_accordion_witness(9, 4, 5, 2))
 
 
 class TestBipartiteClosedForm:
@@ -225,14 +229,14 @@ class TestBipartiteClosedForm:
                 for b in range(a + 2, n, 2):  # both odd: the bipartite regime
                     if not circulant_iso_accordion(n, a, b, 2).isomorphic:
                         continue
-                    vm = bipartite_accordion_witness(n, a, b)
+                    vm = circulant_accordion_witness(n, a, b, 2)
                     assert vm.mapping == self.composed(n, a, b), (n, a, b)
                     assert verify_witness(circulant(n, a, b), accordion(n, 2), vm), (n, a, b)
                     checked += 1
         assert checked == 86
 
     def test_equals_the_composition_at_order_1200(self):
-        vm = bipartite_accordion_witness(600, 1, 599)
+        vm = circulant_accordion_witness(600, 1, 599, 2)
         assert vm.mapping == self.composed(600, 1, 599)
         assert verify_witness(circulant(600, 1, 599), accordion(600, 2), vm)
 
@@ -240,12 +244,8 @@ class TestBipartiteClosedForm:
 class TestCirculantAccordionWitness:
     def test_bipartite_examples(self):
         for n, a, b in [(4, 1, 3), (6, 1, 5), (8, 3, 5), (500, 1, 499), (510, 1, 509)]:
-            vm = bipartite_accordion_witness(n, a, b)
+            vm = circulant_accordion_witness(n, a, b, 2)
             assert verify_witness(circulant(n, a, b), accordion(n, 2), vm)
-
-    def test_bipartite_regime_delegation(self):
-        vm = circulant_accordion_witness(4, 1, 3, 2)
-        assert verify_witness(circulant(4, 1, 3), accordion(4, 2), vm)
 
     def test_forward_traversal(self):
         for n, a, b, k in [(3, 1, 2, 1), (5, 1, 2, 1)]:
@@ -363,7 +363,7 @@ def test_witnesses_never_call_the_oracle(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "are_isomorphic", refuse)
     cycle_swap_automorphism(7, 3)
     accordion_witness(14, 4, 6)
-    bipartite_accordion_witness(8, 3, 5)
+    circulant_accordion_witness(8, 3, 5, 2)
     circulant_accordion_witness(5, 3, 4, 1)
     circulant_accordion_witness(4, 1, 3, 2)
     torus_witness(12, 3, 4, 3, 4)
@@ -389,14 +389,13 @@ def test_map_constructors_build_no_graph(monkeypatch):
         cycle_swap_automorphism(1000, 7),
         accordion_rotation(1000, 7),
         accordion_witness(1000, 6, 334),
-        bipartite_accordion_witness(1000, 3, 997),
         circulant_accordion_witness(1000, 3, 997, 2),
         circulant_accordion_witness(1000, 25, 2, 25),
         torus_witness(1001, 286, 21, 7, 143),
         *torus_rotations(7, 143),
     ]
     assert built == []
-    assert [len(vm.mapping) for vm in maps] == [2000] * 6 + [1001] * 3
+    assert [len(vm.mapping) for vm in maps] == [2000] * 5 + [1001] * 3
     circulant(1000, 1, 2)
     assert built == [2000]  # the counter sees a graph that is built
 
