@@ -1,12 +1,13 @@
 """Decider-versus-oracle cross-validation over the family parameter grids.
 
 Each row pits an arithmetic decider against the brute-force oracle on one
-parameter tuple; the oracle side is fed a seeded random relabeling of the
-second graph so agreement also exercises relabeling invariance.  The second
-graph is always an accordion or a torus, and the oracle also gets closed-form
-generators of a group transitive on its vertices, relabeled the same way, to
-prune its search; it checks them itself.  Rows are independent and
-deterministic given the seed.
+parameter tuple, as `PAIRINGS` pairs them (`accgraph decide --witness` reads
+it too).  The oracle compares the source graph with a relabeling of the
+target, an accordion or a torus, and gets generators of a group transitive
+on the target, relabeled the same way, to prune its search; it checks them
+itself.  The target that `kind` builds from `args` is relabeled by
+random.Random(f"{seed}:{kind}:{args}") alone, once per order, so rows are
+independent and deterministic given the seed, and any row reruns alone.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import oracle
 from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_iso_torus
 from .errors import InvalidParameterError
-from .graphs import accordion, cartesian_product, circulant, circulant_graph, cycle_graph
+from .graphs import Graph, accordion, cartesian_product, circulant, circulant_graph, cycle_graph
 from .witnesses import (
     VertexMap,
     accordion_rotation,
@@ -35,11 +37,47 @@ from .witnesses import (
 __all__ = [
     "CensusRow",
     "CensusReport",
+    "PAIRINGS",
     "accordion_pair_rows",
     "circulant_accordion_rows",
     "torus_rows",
     "run_census",
 ]
+
+
+def _torus(n1: int, n2: int) -> Graph:
+    return cartesian_product(cycle_graph(n1), cycle_graph(n2))
+
+
+def _accordion_generators(n: int, k: int) -> tuple[VertexMap, VertexMap]:
+    return accordion_rotation(n, k), cycle_swap_automorphism(n, k)
+
+
+# kind -> functions of its parameters: the decider, the source and target graphs
+# as (constructor, arguments) and the witness map from source onto target; then
+# generators of a group transitive on the target, from the target's arguments.
+# Names are looked up at call time, so patched or traced attributes are used.
+Pairing = namedtuple("Pairing", "decide source target witness automorphisms")
+PAIRINGS = {
+    "acc-acc": Pairing(
+        lambda n, k1, k2: accordions_isomorphic(n, k1, k2).isomorphic,
+        lambda n, k1, k2: (accordion, (n, k2)),
+        lambda n, k1, k2: (accordion, (n, k1)),
+        lambda n, k1, k2: accordion_witness(n, k1, k2),
+        _accordion_generators),
+    "ci-acc": Pairing(
+        lambda n, a, b, k: circulant_iso_accordion(n, a, b, k).isomorphic,
+        lambda n, a, b, k: (circulant, (n, a, b)),
+        lambda n, a, b, k: (accordion, (n, k)),
+        lambda n, a, b, k: circulant_accordion_witness(n, a, b, k),
+        _accordion_generators),
+    "ci-torus": Pairing(
+        lambda nprime, a1, a2, n1, n2: circulant_iso_torus(nprime, a1, a2, n1, n2),
+        lambda nprime, a1, a2, n1, n2: (circulant_graph, (nprime, (a1, a2))),
+        lambda nprime, a1, a2, n1, n2: (_torus, (n1, n2)),
+        lambda nprime, a1, a2, n1, n2: torus_witness(nprime, a1, a2, n1, n2),
+        lambda n1, n2: torus_rotations(n1, n2)),
+}
 
 
 @dataclass
@@ -55,50 +93,42 @@ class CensusRow:
     elapsed: float
 
 
-def _accordions(n):
-    """A[n,k] for 1 <= k <= n/2, each with its rotation and cycle swap."""
-    return [(accordion(n, k), (accordion_rotation(n, k), cycle_swap_automorphism(n, k)))
-            for k in range(1, n // 2 + 1)]
-
-
-def _shuffled(g, autos, rng):
-    """g relabeled by a random permutation perm, and the automorphisms `autos`
-    of g carried along: a' with a'[perm[i]] = perm[a[i]] is one of the result."""
+def _relabeled(kind: str, g: Graph, args: tuple, seed: int) -> tuple[Graph, list[VertexMap]]:
+    """g, the target of `kind` built from `args`, under the permutation perm
+    drawn for it, and its generators carried along: a'[perm[i]] = perm[a[i]]."""
     perm = list(range(g.order))
-    rng.shuffle(perm)
-    conjugated = []
-    for a in autos:
-        m = [0] * g.order
-        for i, ai in enumerate(a.mapping):
-            m[perm[i]] = perm[ai]
-        conjugated.append(VertexMap(tuple(m)))
-    return g.relabel(perm), conjugated
+    random.Random(f"{seed}:{kind}:{args}").shuffle(perm)
+    inverse = sorted(range(g.order), key=perm.__getitem__)
+    return g.relabel(perm), [VertexMap(tuple(perm[a.mapping[i]] for i in inverse))
+                             for a in PAIRINGS[kind].automorphisms(*args)]
 
 
-def _row(kind, params, g, target, decide, witness) -> CensusRow:
-    """`decide()` against the oracle on g and `target`, a relabeled graph with
-    automorphisms of it; when the decider says yes, `witness()` gives the
-    (source, target, map) to verify."""
-    start = time.perf_counter()
-    decided = decide()
-    h, autos = target
-    found = oracle.are_isomorphic(g, h, automorphisms=autos) is not None
-    verified = verify_witness(*witness()) if decided else None
-    return CensusRow(kind, params, decided, found, decided == found, verified,
-                     time.perf_counter() - start)
+def _rows(kind: str, group: list[dict], seed: int) -> Iterator[CensusRow]:
+    """`kind`'s rows at the parameter dicts of `group`, one order's, which share
+    their graphs and relabeled targets; a row reruns alone as the group [params]."""
+    pairing = PAIRINGS[kind]
+    built, targets = {}, {}
+    for params in group:
+        source, target = pairing.source(**params), pairing.target(**params)
+        for build, args in (source, target):
+            if (build, args) not in built:
+                built[build, args] = build(*args)
+        if target not in targets:
+            targets[target] = _relabeled(kind, built[target], target[1], seed)
+        g, (h, autos) = built[source], targets[target]
+        start = time.perf_counter()
+        decided = pairing.decide(**params)
+        found = oracle.are_isomorphic(g, h, automorphisms=autos) is not None
+        verified = verify_witness(g, built[target], pairing.witness(**params)) if decided else None
+        yield CensusRow(kind, params, decided, found, decided == found, verified,
+                        time.perf_counter() - start)
 
 
 def accordion_pair_rows(max_n: int, seed: int = 0) -> Iterator[CensusRow]:
     """All accordion pairs A[n,k1] vs A[n,k2], k1 <= k2, for 3 <= n <= max_n."""
-    rng = random.Random(seed)
     for n in range(3, max_n + 1):
-        accs = _accordions(n)
-        for k1 in range(1, n // 2 + 1):
-            for k2 in range(k1, n // 2 + 1):
-                (g1, _), (g2, autos) = accs[k1 - 1], accs[k2 - 1]
-                yield _row("acc-acc", {"n": n, "k1": k1, "k2": k2}, g1, _shuffled(g2, autos, rng),
-                           lambda: accordions_isomorphic(n, k1, k2).isomorphic,
-                           lambda: (g2, g1, accordion_witness(n, k1, k2)))
+        yield from _rows("acc-acc", [{"n": n, "k1": k1, "k2": k2}
+                                     for k1 in range(1, n // 2 + 1) for k2 in range(k1, n // 2 + 1)], seed)
 
 
 def circulant_accordion_rows(max_n: int, seed: int = 0) -> Iterator[CensusRow]:
@@ -107,41 +137,19 @@ def circulant_accordion_rows(max_n: int, seed: int = 0) -> Iterator[CensusRow]:
     Both-even (a,b) rows are kept: the decider answers them no (the circulant
     is disconnected) and the oracle must concur.
     """
-    rng = random.Random(seed + 1)
     for n in range(3, max_n + 1):
-        accs = _accordions(n)
-        for a in range(1, n):
-            for b in range(a + 1, n):
-                ci = circulant(n, a, b)
-                for k in range(1, n // 2 + 1):
-                    acc, autos = accs[k - 1]
-                    yield _row("ci-acc", {"n": n, "a": a, "b": b, "k": k}, ci, _shuffled(acc, autos, rng),
-                               lambda: circulant_iso_accordion(n, a, b, k).isomorphic,
-                               lambda: (ci, acc, circulant_accordion_witness(n, a, b, k)))
+        yield from _rows("ci-acc", [{"n": n, "a": a, "b": b, "k": k} for a in range(1, n)
+                                    for b in range(a + 1, n) for k in range(1, n // 2 + 1)], seed)
 
 
 def torus_rows(max_order: int, seed: int = 0) -> Iterator[CensusRow]:
     """Ci[m,{a1,a2}] vs C_{n1} [] C_{n2} for every m <= max_order with a divisor
-    pair n1, n2 >= 3 and every normalized length pair a1 < a2.  All rows of one
-    (n1, n2) share one relabeled torus, and all rows of one order its circulants."""
-    rng = random.Random(seed + 2)
+    pair n1, n2 >= 3 and every normalized length pair a1 < a2."""
     for m in range(9, max_order + 1):
-        factors = [(n1, m // n1) for n1 in range(3, math.isqrt(m) + 1) if m % n1 == 0 and m // n1 >= 3]
-        if not factors:
-            continue
         top = (m - 1) // 2
-        lengths = [(a1, a2) for a1 in range(1, top + 1) for a2 in range(a1 + 1, top + 1)]
-        cis = {}  # each built by the row that first needs it, so no row pays for many
-        for n1, n2 in factors:
-            torus = cartesian_product(cycle_graph(n1), cycle_graph(n2))
-            shuffled = _shuffled(torus, torus_rotations(n1, n2), rng)
-            for a1, a2 in lengths:
-                if (a1, a2) not in cis:
-                    cis[a1, a2] = circulant_graph(m, (a1, a2))
-                ci = cis[a1, a2]
-                yield _row("ci-torus", {"nprime": m, "a1": a1, "a2": a2, "n1": n1, "n2": n2}, ci, shuffled,
-                           lambda: circulant_iso_torus(m, a1, a2, n1, n2),
-                           lambda: (ci, torus, torus_witness(m, a1, a2, n1, n2)))
+        yield from _rows("ci-torus", [{"nprime": m, "a1": a1, "a2": a2, "n1": n1, "n2": m // n1}
+                                      for n1 in range(3, math.isqrt(m) + 1) if m % n1 == 0 and m // n1 >= 3
+                                      for a1 in range(1, top + 1) for a2 in range(a1 + 1, top + 1)], seed)
 
 
 @dataclass
@@ -179,10 +187,7 @@ def run_census(max_n: int = 14, max_torus: int = 36, seed: int = 0) -> CensusRep
     ]
     summary = {
         "rows": len(rows),
-        "by_kind": {
-            kind: sum(1 for r in rows if r.kind == kind)
-            for kind in ("acc-acc", "ci-acc", "ci-torus")
-        },
+        "by_kind": {kind: sum(1 for r in rows if r.kind == kind) for kind in PAIRINGS},
         "isomorphic_rows": sum(1 for r in rows if r.decider),
         "disagreements": disagreements,
         "witness_failures": witness_failures,

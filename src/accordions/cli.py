@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import oracle
-from .census import run_census
+from .census import PAIRINGS, run_census
 from .deciders import (
     accordion_circulant_clause,
     accordion_is_bipartite,
@@ -38,17 +38,11 @@ from .graphs import (
     accordion,
     cartesian_product,
     circulant,
-    circulant_graph,
     cycle_graph,
     path_graph,
 )
 from .serialize import graph_from_json, graph_to_dot, graph_to_edgelist, graph_to_json, witness_to_json
-from .witnesses import (
-    accordion_witness,
-    circulant_accordion_witness,
-    torus_witness,
-    verify_witness,
-)
+from .witnesses import verify_witness
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -88,8 +82,7 @@ def _acc_acc(args: argparse.Namespace):
     if v.half_product is not None:
         fields["half-product mod n"] = v.half_product % n
     fields["branch"] = v.branch
-    return fields, v.isomorphic, lambda: (
-        accordion(n, k2), accordion(n, k1), accordion_witness(n, k1, k2), f"A[{n},{k2}] -> A[{n},{k1}]")
+    return fields, v.isomorphic, ({"n": n, "k1": k1, "k2": k2}, f"A[{n},{k2}] -> A[{n},{k1}]")
 
 
 def _ci_acc(args: argparse.Namespace):
@@ -107,9 +100,8 @@ def _ci_acc(args: argparse.Namespace):
     else:
         fields |= {"oriented-swap": _yesno(v.swapped), "gcd(n,k)": v.q, "steps": v.steps,
                    "sign": "+2" if v.sign == 1 else "-2" if v.sign == -1 else "none"}
-    return fields, v.isomorphic, lambda: (
-        circulant(n, a, b), accordion(n, k), circulant_accordion_witness(n, a, b, k),
-        f"Ci[{two_n},{{{v.a},{v.b}}}] -> A[{n},{k}]")
+    return fields, v.isomorphic, ({"n": n, "a": a, "b": b, "k": k},
+                                  f"Ci[{two_n},{{{v.a},{v.b}}}] -> A[{n},{k}]")
 
 
 def _ci_torus(args: argparse.Namespace):
@@ -126,9 +118,8 @@ def _ci_torus(args: argparse.Namespace):
         fields["factors"] = f"{n1} x {n2}"
     fields |= {"gcd(nprime,a1)": math.gcd(m, a1 % m), "gcd(nprime,a2)": math.gcd(m, a2 % m),
                "gcd(n1,n2)": math.gcd(n1, n2)}
-    return fields, ok, lambda: (
-        circulant_graph(m, (a1, a2)), cartesian_product(cycle_graph(n1), cycle_graph(n2)),
-        torus_witness(m, a1, a2, n1, n2), f"Ci[{m},{{{a1},{a2}}}] -> C{n1} x C{n2}")
+    return fields, ok, ({"nprime": m, "a1": a1, "a2": a2, "n1": n1, "n2": n2},
+                        f"Ci[{m},{{{a1},{a2}}}] -> C{n1} x C{n2}")
 
 
 def _acc_circulant(args: argparse.Namespace):
@@ -152,8 +143,8 @@ def _predicate(args: argparse.Namespace):
 
 
 # kind -> (required flags, verdict label, answer).  An answer gives the printed
-# fields, the verdict and, for the "isomorphic" kinds alone, a thunk building
-# the certificate (source, target, map, direction) of a yes.
+# fields, the verdict and, for the "isomorphic" kinds alone, the parameters of
+# the kind's census.PAIRINGS entry with the direction its certificate goes.
 _KINDS = {
     "acc-acc": (["n", "k1", "k2"], "isomorphic", _acc_acc),
     "ci-acc": (["n", "a", "b"], "isomorphic", _ci_acc),
@@ -172,7 +163,10 @@ def cmd_decide(args: argparse.Namespace) -> int:
     fields, verdict, certificate = answer(args)
     witness = ""
     if args.witness and verdict:
-        source, target, vm, direction = certificate()
+        params, direction = certificate
+        pairing = PAIRINGS[args.kind]
+        source, target = (build(*a) for build, a in (pairing.source(**params), pairing.target(**params)))
+        vm = pairing.witness(**params)
         # checked against independently built graphs: a failing witness leaves stdout empty
         if not verify_witness(source, target, vm):
             raise InvariantViolationError("witness failed verification before printing")

@@ -1,0 +1,35 @@
+"""The census row driver: rows that rerun alone, and rows named for what they gate."""
+
+import dataclasses
+
+import pytest
+
+from accordions import census, oracle
+
+
+def test_every_default_row_reruns_alone(monkeypatch):
+    # the same row, timing apart, and the oracle called on equal graphs
+    pairs = []
+    real = oracle.are_isomorphic
+    monkeypatch.setattr(oracle, "are_isomorphic",
+                        lambda g, h, automorphisms=(): pairs.append((g, h)) or real(g, h, automorphisms))
+    rows = census.run_census().rows
+    assert len(rows) == len(pairs) == 2059
+    in_sweep = pairs[:]
+    pairs.clear()
+    for row, pair in zip(rows, in_sweep):
+        (alone,) = census._rows(row.kind, [row.params], 0)
+        assert dataclasses.replace(alone, elapsed=row.elapsed) == row
+        assert pairs.pop() == pair
+
+
+@pytest.mark.parametrize("kind, params", [
+    # a decider that drops gcd(n,k2) = 2 answers yes here
+    ("acc-acc", {"n": 34, "k1": 8, "k2": 9}),
+    # a decider that drops gcd(2n,a) = gcd(n,k) from the mixed regime answers yes here
+    ("ci-acc", {"n": 15, "a": 1, "b": 2, "k": 6}),
+], ids=["acc-acc", "ci-acc"])
+def test_rows_that_no_pinned_grid_reaches(kind, params):
+    # outside the default and extended grids, so each is checked here by name
+    (row,) = census._rows(kind, [params], 0)
+    assert row.decider is False and row.oracle is False and row.agree

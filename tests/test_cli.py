@@ -267,33 +267,32 @@ class TestDecide:
         src, tgt, vm = witness_from_json(doc.removeprefix("witness: "))
         assert verify_witness(src, tgt, vm)
 
-    # each certificate kind: the witness constructor cli calls, a request answered
-    # "yes", and the order of its graphs
+    # each certificate kind: a request answered "yes", and the order of its graphs
     WITNESS_KINDS = [
-        pytest.param("accordion_witness", ["acc-acc", "--n", "14", "--k1", "4", "--k2", "6"], 28,
-                     id="acc-acc"),
-        pytest.param("circulant_accordion_witness", ["ci-acc", "--n", "5", "--a", "3", "--b", "4",
-                                                     "--k", "1"], 10, id="ci-acc"),
-        pytest.param("torus_witness", ["ci-torus", "--nprime", "12", "--a1", "3", "--a2", "4"], 12,
-                     id="ci-torus"),
+        pytest.param(["acc-acc", "--n", "14", "--k1", "4", "--k2", "6"], 28, id="acc-acc"),
+        pytest.param(["ci-acc", "--n", "5", "--a", "3", "--b", "4", "--k", "1"], 10, id="ci-acc"),
+        pytest.param(["ci-torus", "--nprime", "12", "--a1", "3", "--a2", "4"], 12, id="ci-torus"),
     ]
 
-    @pytest.mark.parametrize("constructor, argv, order", WITNESS_KINDS)
-    def test_witness_crash_prints_no_verdict(self, capsys, monkeypatch, constructor, argv, order):
+    @pytest.mark.parametrize("argv, order", WITNESS_KINDS)
+    def test_witness_crash_prints_no_verdict(self, capsys, monkeypatch, argv, order):
         # a crash must exit 2, not 1 ("no"), and must not leave "isomorphic: yes" behind
-        def crash(*args):
+        def crash(**params):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(cli, constructor, crash)
+        pairing = census.PAIRINGS[argv[0]]
+        monkeypatch.setitem(census.PAIRINGS, argv[0], pairing._replace(witness=crash))
         code, out, err = run_cli(capsys, "decide", *argv, "--witness")
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: RecursionError")
 
-    @pytest.mark.parametrize("constructor, argv, order", WITNESS_KINDS)
-    def test_wrong_witness_prints_no_verdict(self, capsys, monkeypatch, constructor, argv, order):
+    @pytest.mark.parametrize("argv, order", WITNESS_KINDS)
+    def test_wrong_witness_prints_no_verdict(self, capsys, monkeypatch, argv, order):
         # constructors do not check themselves: the check before printing is the one guard
-        monkeypatch.setattr(cli, constructor, lambda *args: VertexMap.identity(order))
+        pairing = census.PAIRINGS[argv[0]]
+        monkeypatch.setitem(census.PAIRINGS, argv[0],
+                            pairing._replace(witness=lambda **params: VertexMap.identity(order)))
         code, out, err = run_cli(capsys, "decide", *argv, "--witness")
         assert code == 2
         assert out == ""
@@ -408,12 +407,12 @@ class TestCensusCmd:
 
     def test_wrong_witness_is_a_recorded_failure(self, capsys, tmp_path, monkeypatch):
         # a wrong map reaches witness_verified: false instead of aborting the census
-        real = census.accordion_witness
+        pairing = census.PAIRINGS["acc-acc"]
 
         def wrong_at_14_4_6(n, k1, k2):
-            return VertexMap.identity(28) if (n, k1, k2) == (14, 4, 6) else real(n, k1, k2)
+            return VertexMap.identity(28) if (n, k1, k2) == (14, 4, 6) else pairing.witness(n, k1, k2)
 
-        monkeypatch.setattr(census, "accordion_witness", wrong_at_14_4_6)
+        monkeypatch.setitem(census.PAIRINGS, "acc-acc", pairing._replace(witness=wrong_at_14_4_6))
         out_path = tmp_path / "rows.jsonl"
         code, out, _ = run_cli(capsys, "census", "--max-n", "14", "--max-torus", "0",
                                "--out", str(out_path))
@@ -425,6 +424,12 @@ class TestCensusCmd:
         assert [(row["kind"], row["params"]) for row in failed] == [
             ("acc-acc", {"n": 14, "k1": 4, "k2": 6})
         ]
+        # decide reads the same entry, and its check before printing refuses the map
+        code, out, err = run_cli(capsys, "decide", "acc-acc", "--n", "14", "--k1", "4", "--k2", "6",
+                                 "--witness")
+        assert code == 2
+        assert out == ""
+        assert err == "error: witness failed verification before printing\n"
 
     def test_each_accordion_is_built_once_per_grid(self, monkeypatch):
         # the default grids use A[3..14, k] (48 graphs) and A[3..10, k] (24)

@@ -26,7 +26,6 @@ from accordions import (
     circulant_graph,
     cycle_graph,
     path_graph,
-    torus_rotations,
     verify_witness,
 )
 from accordions import census, graphs, oracle
@@ -553,8 +552,8 @@ class TestAutomorphismPruning:
         # leaves it one cell: the first root image fails after one replay, and
         # the rotations carry it onto all the others
         g = circulant_graph(15, (1, 5))
-        h, autos = census._shuffled(cartesian_product(cycle_graph(3), cycle_graph(5)),
-                                    torus_rotations(3, 5), random.Random(15))
+        h, autos = census._relabeled("ci-torus", cartesian_product(cycle_graph(3), cycle_graph(5)),
+                                     (3, 5), 15)
         monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 1)
         assert are_isomorphic(g, h, automorphisms=autos) is None
         with pytest.raises(BudgetExceededError):
