@@ -57,11 +57,9 @@ from .witnesses import (
     CylinderExtension,
     VertexMap,
     accordion_from_cylinder,
-    accordion_rotation,
     accordion_witness,
     circulant_accordion_witness,
     cycle_swap_automorphism,
-    torus_rotations,
     torus_witness,
     verify_witness,
 )

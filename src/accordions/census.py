@@ -3,9 +3,9 @@
 Each row pits an arithmetic decider against the brute-force oracle on one
 parameter tuple, as `PAIRINGS` pairs them (`accgraph decide --witness` reads
 it too).  The oracle compares the source graph with a relabeling of the
-target, an accordion or a torus, and gets generators of a group transitive
-on the target, relabeled the same way, to prune its search; it checks them
-itself.  The target that `kind` builds from `args` is relabeled by
+target, an accordion or a torus; it finds the target's automorphisms
+itself when its search needs them, once per relabeled target.  The target
+that `kind` builds from `args` is relabeled by
 random.Random(f"{seed}:{kind}:{args}") alone, once per order, so rows are
 independent and deterministic given the seed, and any row reruns alone.
 """
@@ -21,18 +21,9 @@ from typing import Iterator, Optional
 
 from . import oracle
 from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_iso_torus
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, InvariantViolationError
 from .graphs import Graph, accordion, cartesian_product, circulant, circulant_graph, cycle_graph
-from .witnesses import (
-    VertexMap,
-    accordion_rotation,
-    accordion_witness,
-    circulant_accordion_witness,
-    cycle_swap_automorphism,
-    torus_rotations,
-    torus_witness,
-    verify_witness,
-)
+from .witnesses import accordion_witness, circulant_accordion_witness, torus_witness, verify_witness
 
 __all__ = [
     "CensusRow",
@@ -49,34 +40,26 @@ def _torus(n1: int, n2: int) -> Graph:
     return cartesian_product(cycle_graph(n1), cycle_graph(n2))
 
 
-def _accordion_generators(n: int, k: int) -> tuple[VertexMap, VertexMap]:
-    return accordion_rotation(n, k), cycle_swap_automorphism(n, k)
-
-
 # kind -> functions of its parameters: the decider, the source and target graphs
-# as (constructor, arguments) and the witness map from source onto target; then
-# generators of a group transitive on the target, from the target's arguments.
+# as (constructor, arguments) and the witness map from source onto target.
 # Names are looked up at call time, so patched or traced attributes are used.
-Pairing = namedtuple("Pairing", "decide source target witness automorphisms")
+Pairing = namedtuple("Pairing", "decide source target witness")
 PAIRINGS = {
     "acc-acc": Pairing(
         lambda n, k1, k2: accordions_isomorphic(n, k1, k2).isomorphic,
         lambda n, k1, k2: (accordion, (n, k2)),
         lambda n, k1, k2: (accordion, (n, k1)),
-        lambda n, k1, k2: accordion_witness(n, k1, k2),
-        _accordion_generators),
+        lambda n, k1, k2: accordion_witness(n, k1, k2)),
     "ci-acc": Pairing(
         lambda n, a, b, k: circulant_iso_accordion(n, a, b, k).isomorphic,
         lambda n, a, b, k: (circulant, (n, a, b)),
         lambda n, a, b, k: (accordion, (n, k)),
-        lambda n, a, b, k: circulant_accordion_witness(n, a, b, k),
-        _accordion_generators),
+        lambda n, a, b, k: circulant_accordion_witness(n, a, b, k)),
     "ci-torus": Pairing(
         lambda nprime, a1, a2, n1, n2: circulant_iso_torus(nprime, a1, a2, n1, n2),
         lambda nprime, a1, a2, n1, n2: (circulant_graph, (nprime, (a1, a2))),
         lambda nprime, a1, a2, n1, n2: (_torus, (n1, n2)),
-        lambda nprime, a1, a2, n1, n2: torus_witness(nprime, a1, a2, n1, n2),
-        lambda n1, n2: torus_rotations(n1, n2)),
+        lambda nprime, a1, a2, n1, n2: torus_witness(nprime, a1, a2, n1, n2)),
 }
 
 
@@ -93,14 +76,21 @@ class CensusRow:
     elapsed: float
 
 
-def _relabeled(kind: str, g: Graph, args: tuple, seed: int) -> tuple[Graph, list[VertexMap]]:
-    """g, the target of `kind` built from `args`, under the permutation perm
-    drawn for it, and its generators carried along: a'[perm[i]] = perm[a[i]]."""
+def _relabeled(kind: str, g: Graph, args: tuple, seed: int) -> Graph:
+    """g, the target of `kind` built from `args`, under the permutation drawn for it."""
     perm = list(range(g.order))
     random.Random(f"{seed}:{kind}:{args}").shuffle(perm)
-    inverse = sorted(range(g.order), key=perm.__getitem__)
-    return g.relabel(perm), [VertexMap(tuple(perm[a.mapping[i]] for i in inverse))
-                             for a in PAIRINGS[kind].automorphisms(*args)]
+    return g.relabel(perm)
+
+
+def _witness_verified(pairing: Pairing, params: dict, g: Graph, h: Graph) -> bool:
+    """Whether the pairing's witness map at `params` carries g onto h; False also
+    when the constructor refuses, as it may for a decider that says yes wrongly."""
+    try:
+        vm = pairing.witness(**params)
+    except (InvalidParameterError, InvariantViolationError):
+        return False
+    return verify_witness(g, h, vm)
 
 
 def _rows(kind: str, group: list[dict], seed: int) -> Iterator[CensusRow]:
@@ -115,11 +105,11 @@ def _rows(kind: str, group: list[dict], seed: int) -> Iterator[CensusRow]:
                 built[build, args] = build(*args)
         if target not in targets:
             targets[target] = _relabeled(kind, built[target], target[1], seed)
-        g, (h, autos) = built[source], targets[target]
+        g, h = built[source], targets[target]
         start = time.perf_counter()
         decided = pairing.decide(**params)
-        found = oracle.are_isomorphic(g, h, automorphisms=autos) is not None
-        verified = verify_witness(g, built[target], pairing.witness(**params)) if decided else None
+        found = oracle.are_isomorphic(g, h) is not None
+        verified = _witness_verified(pairing, params, g, built[target]) if decided else None
         yield CensusRow(kind, params, decided, found, decided == found, verified,
                         time.perf_counter() - start)
 

@@ -25,16 +25,16 @@ individualizes the first vertex of each target cell, and every node of h is
 replayed against g's trace at its depth.  canonical_key searches g's tree
 with a minimiser: the least relabeled leaf wins, and the automorphisms that
 equal leaves reveal prune equivalent branches.  are_isomorphic prunes
-the same way by automorphisms of h that its caller supplies (closed-form
-generators, such as a torus's rotations); it checks each one with
-`verify_witness` before the search uses it.  The search keeps its own
-stack, so depth is not limited by the recursion limit, and counts its own
-nodes: are_isomorphic's budget bounds the search nodes of h's tree.
+the same way by automorphisms of h, found once it has to try a second
+vertex of h's root cell: leaves of h's tree searched against h's own path.
+The search keeps its own stack, so depth is not limited by the recursion
+limit, and counts its own nodes: are_isomorphic's budget bounds the nodes
+of h's tree, those that find its automorphisms included.
 
 Every map returned by are_isomorphic has passed `verify_witness` at the
 leaf that produced it.  Searches keep no state between calls apart from
-each Graph's cached invariants, which are deterministic, so they may run
-in parallel; a single search is sequential.
+each Graph's cached invariants, h's automorphisms among them, which are
+deterministic, so they may run in parallel; a single search is sequential.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import groupby
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import BudgetExceededError, InvalidParameterError, InvariantViolationError
+from .errors import BudgetExceededError, InvariantViolationError
 from .graphs import Graph
 from .serialize import graph_to_json
 from .witnesses import VertexMap, verify_witness
@@ -186,21 +186,27 @@ def _orbit(points, perms):
     return orbit
 
 
-def _search(colors, child, at_leaf, budget, autos=()):
+def _tickets(budget):
+    """One ticket per node for the searches of one call, then BudgetExceededError."""
+    yield from range(budget)
+    raise BudgetExceededError(f"search exceeded {budget} nodes")
+
+
+def _search(colors, child, at_leaf, tickets, autos=(), grow=None):
     """Depth-first walk of the individualization-refinement tree below `colors`,
     on an explicit stack: the first truthy value `at_leaf` gives, or None.
-    Every child made is a node; BudgetExceededError once there are more than
-    `budget`.
+    Every child made is a node and takes one of `tickets` (`_tickets`).
 
     A node's children individualize each vertex of its target cell in index
     order; `child(depth, colors, v)` gives the child's colouring, or None to
-    prune it.  A vertex is skipped when the automorphisms in `autos` (which
-    `at_leaf` may grow) that fix the path carry an earlier sibling onto it.
+    prune it.  A vertex is skipped when the automorphisms in `autos` that fix
+    the path carry an earlier sibling onto it.  `at_leaf` may add to `autos`,
+    and so may `grow()`, which is called once, before the root's second child.
     """
     cell = _target_cell(colors)
     if cell is None:
         return at_leaf(colors) or None
-    nodes, path = 0, []
+    path = []
     # a node: its colours, untried and tried cell vertices, and [the orbit of
     # the tried ones under `fixing` (the automorphisms that fix the path), how
     # many of `autos` `fixing` has seen]; `fixing` is refreshed when `autos` grows
@@ -213,6 +219,9 @@ def _search(colors, child, at_leaf, budget, autos=()):
             if path:
                 path.pop()
             continue
+        if grow and siblings and not path:
+            grow()
+            grow = None
         orbit, fixing, known = prune
         if known < len(autos):
             fixing = fixing + [a for a in autos[known:] if all(a[p] == p for p in path)]
@@ -222,9 +231,7 @@ def _search(colors, child, at_leaf, budget, autos=()):
         if v in orbit:
             continue
         orbit |= _orbit([v], fixing)
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"search exceeded {budget} nodes")
+        next(tickets)
         nxt = child(len(path), colors, v)
         if nxt is None:
             continue
@@ -238,38 +245,13 @@ def _search(colors, child, at_leaf, budget, autos=()):
     return None
 
 
-def are_isomorphic(g: Graph, h: Graph, automorphisms: Sequence[VertexMap] = ()) -> Optional[VertexMap]:
-    """A verified isomorphism g -> h, or None when the graphs are not isomorphic.
-
-    Complete at desk scale; more than DEFAULT_NODE_BUDGET search nodes abort
-    with BudgetExceededError rather than returning a wrong answer.
-
-    `automorphisms` are maps of h onto itself, typically generators of a
-    group acting on it.  When the pair reaches the search, each is checked
-    with verify_witness(h, h, a), and one that fails raises
-    InvalidParameterError.  The search then skips a vertex of h that they
-    carry onto a sibling already tried: its subtree is the image of one that
-    found no isomorphism.  The returned map is the same with or without them.
-    """
-    # no size screen: equal profiles have equal sizes (their adjacent pairs
-    # count the edges); the root replay tells the seeds apart
-    if g.order != h.order or g.components != h.components:
-        return None
-    if g.local_invariants.profile != h.local_invariants.profile:
-        return None
-    levels = [_refine(g.neighbors, _partition(g.local_invariants.seeds))]
-    ch = _replay(h.neighbors, _partition(h.local_invariants.seeds), levels[0][1])
-    if ch is None:
-        return None
-    autos = []
-    for a in automorphisms:
-        if not verify_witness(h, h, a):
-            raise InvalidParameterError("a map given as an automorphism of h is not one")
-        autos.append(a.mapping)
+def _matcher(g, h, root):
+    """`child` and `at_leaf` for h's tree against g's path below g's refined `root`
+    (colours, trace): a leaf gives its map g -> h if that verifies."""
+    levels = [root]
 
     def child(depth, colors, w):
-        # g's path individualizes the first vertex of each target cell; a level
-        # is refined only when h's search first reaches its depth
+        # a level of g's path is refined only when h's search first reaches its depth
         if depth + 1 == len(levels):
             cg = levels[depth][0]
             levels.append(_refine(g.neighbors, _individualize(cg, _target_cell(cg)[0])))
@@ -281,7 +263,63 @@ def are_isomorphic(g: Graph, h: Graph, automorphisms: Sequence[VertexMap] = ()) 
         vm = VertexMap(tuple(image[c] for c in levels[-1][0]))
         return vm if verify_witness(g, h, vm) else None
 
-    return _search(ch, child, at_leaf, DEFAULT_NODE_BUDGET, autos)
+    return child, at_leaf
+
+
+def _automorphisms(h, root, tickets):
+    """Automorphisms of h, from its tree searched against its own path: for each
+    w of the target cell of `root`, h's refined colours, not yet in the orbit
+    of its first vertex v, the first leaf of w's subtree that matches the path
+    gives one carrying v onto w.  A w whose child fails its replay costs one node."""
+    child, at_leaf = _matcher(h, h, (root, ()))
+
+    def below(depth, colors, u):  # w's subtree, one level down h's path
+        return child(depth + 1, colors, u)
+
+    cell = _target_cell(root)
+    found, orbit = [], {cell[0]}
+    for w in cell[1:]:
+        if w in orbit:
+            continue
+        next(tickets)
+        colors = child(0, root, w)
+        if colors is not None and (vm := _search(colors, below, at_leaf, tickets)):
+            found.append(vm.mapping)
+            orbit = _orbit(orbit, found)
+    return found
+
+
+def are_isomorphic(g: Graph, h: Graph) -> Optional[VertexMap]:
+    """A verified isomorphism g -> h, or None when the graphs are not isomorphic.
+
+    Complete at desk scale; more than DEFAULT_NODE_BUDGET search nodes abort
+    with BudgetExceededError rather than returning a wrong answer.
+
+    Before it tries a second vertex of h's root cell, the search finds
+    automorphisms of h (`_automorphisms`, its nodes counted), once per Graph
+    object, kept on h like its cached invariants.  It then skips a vertex
+    they carry onto a sibling already tried: its subtree is the image of one
+    that found no isomorphism, so the returned map is the same without them.
+    """
+    # no size screen: equal profiles have equal sizes (their adjacent pairs
+    # count the edges); the root replay tells the seeds apart
+    if g.order != h.order or g.components != h.components:
+        return None
+    if g.local_invariants.profile != h.local_invariants.profile:
+        return None
+    root = _refine(g.neighbors, _partition(g.local_invariants.seeds))
+    ch = _replay(h.neighbors, _partition(h.local_invariants.seeds), root[1])
+    if ch is None:
+        return None
+    tickets = _tickets(DEFAULT_NODE_BUDGET)
+    autos = []
+
+    def grow():  # ch followed g's trace to its end, so it is h's own refinement
+        if "_automorphisms" not in vars(h):
+            vars(h)["_automorphisms"] = _automorphisms(h, ch, tickets)
+        autos.extend(vars(h)["_automorphisms"])
+
+    return _search(ch, *_matcher(g, h, root), tickets, autos, grow)
 
 
 def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:
@@ -311,7 +349,7 @@ def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:
             autos.append([vertex[c] for c in labels])
         return False
 
-    _search(colors, lambda depth, cs, v: _refine(nbrs, _individualize(cs, v))[0], at_leaf, budget, autos)
+    _search(colors, lambda depth, cs, v: _refine(nbrs, _individualize(cs, v))[0], at_leaf, _tickets(budget), autos)
     if not best:
         raise InvariantViolationError("canonical search ended without a labeling")
     return graph_to_json(g.relabel(best[1])).encode("utf-8")

@@ -28,8 +28,6 @@ __all__ = [
     "VertexMap",
     "verify_witness",
     "cycle_swap_automorphism",
-    "accordion_rotation",
-    "torus_rotations",
     "accordion_witness",
     "circulant_accordion_witness",
     "torus_witness",
@@ -79,32 +77,6 @@ def cycle_swap_automorphism(n: int, k: int) -> VertexMap:
     AccordionParams(n, k)
     m = [n + (-j) % n for j in range(n)] + [(-j) % n for j in range(n)]
     return VertexMap(tuple(m))
-
-
-def accordion_rotation(n: int, k: int) -> VertexMap:
-    """The automorphism of A[n,k] turning both cycles one step forward.
-
-    u_i -> u_{i+1} and v_i -> v_{i+1} (subscripts mod n); it carries each
-    spoke u_i v_{i+k} onto u_{i+1} v_{i+1+k}.  With cycle_swap_automorphism
-    it generates a group transitive on the 2n vertices.
-    """
-    AccordionParams(n, k)
-    m = [(j + 1) % n for j in range(n)] + [n + (j + 1) % n for j in range(n)]
-    return VertexMap(tuple(m))
-
-
-def torus_rotations(n1: int, n2: int) -> tuple[VertexMap, VertexMap]:
-    """The two rotations of C_{n1} [] C_{n2}: (x, y) -> (x+1, y) and (x, y) -> (x, y+1).
-
-    Vertex (x, y) is x*n2 + y, as in cartesian_product; together the two
-    automorphisms generate a group transitive on the n1*n2 vertices.
-    """
-    if n1 < 3 or n2 < 3:
-        raise InvalidParameterError(f"cycle lengths must be >= 3, got {n1} and {n2}")
-    order = n1 * n2
-    along_x = [(v + n2) % order for v in range(order)]
-    along_y = [v - v % n2 + (v + 1) % n2 for v in range(order)]
-    return VertexMap(tuple(along_x)), VertexMap(tuple(along_y))
 
 
 def _spoke_cycle(n: int, k: int, start: int) -> list[int]:

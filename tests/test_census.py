@@ -11,8 +11,7 @@ def test_every_default_row_reruns_alone(monkeypatch):
     # the same row, timing apart, and the oracle called on equal graphs
     pairs = []
     real = oracle.are_isomorphic
-    monkeypatch.setattr(oracle, "are_isomorphic",
-                        lambda g, h, automorphisms=(): pairs.append((g, h)) or real(g, h, automorphisms))
+    monkeypatch.setattr(oracle, "are_isomorphic", lambda g, h: pairs.append((g, h)) or real(g, h))
     rows = census.run_census().rows
     assert len(rows) == len(pairs) == 2059
     in_sweep = pairs[:]
@@ -33,3 +32,17 @@ def test_rows_that_no_pinned_grid_reaches(kind, params):
     # outside the default and extended grids, so each is checked here by name
     (row,) = census._rows(kind, [params], 0)
     assert row.decider is False and row.oracle is False and row.agree
+
+
+def test_a_witness_that_cannot_be_built_is_a_recorded_failure(monkeypatch):
+    # a decider wrongly "yes" on Ci[30,{1,2}] vs A[15,6]: the witness
+    # constructor refuses, and the row records it instead of ending the sweep
+    pairing = census.PAIRINGS["ci-acc"]
+    monkeypatch.setitem(census.PAIRINGS, "ci-acc", pairing._replace(decide=lambda **params: True))
+    (row,) = census._rows("ci-acc", [{"n": 15, "a": 1, "b": 2, "k": 6}], 0)
+    assert (row.decider, row.oracle, row.agree, row.witness_verified) == (True, False, False, False)
+    # and a sweep with such rows reports them and fails
+    report = census.run_census(max_n=4, max_torus=0)
+    assert not report.ok and report.summary["witness_failures"] == [
+        {"n": 4, "a": a, "b": b, "k": k, "kind": "ci-acc"} for a, b, k in ((1, 2, 2), (1, 3, 1), (2, 3, 2))
+    ]

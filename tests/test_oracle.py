@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 from accordions import (
     BudgetExceededError,
     Graph,
-    InvalidParameterError,
     VertexMap,
     accordion,
-    accordion_rotation,
     are_isomorphic,
     canonical_key,
     cartesian_product,
@@ -29,7 +27,17 @@ from accordions import (
     verify_witness,
 )
 from accordions import census, graphs, oracle
-from accordions.oracle import _individualize, _partition, _refine, _replay, _search, _target_cell
+from accordions.oracle import (
+    _automorphisms,
+    _individualize,
+    _orbit,
+    _partition,
+    _refine,
+    _replay,
+    _search,
+    _target_cell,
+    _tickets,
+)
 
 
 def _two_triangles():
@@ -467,7 +475,7 @@ class TestSearch:
             tried.append(v)
             return [(u - v) % 4 for u in range(4)]
 
-        return _search([0] * 4, child, at_leaf, budget, autos), tried
+        return _search([0] * 4, child, at_leaf, _tickets(budget), autos), tried
 
     def test_the_first_truthy_leaf_value_is_the_answer(self):
         leaves = []
@@ -489,8 +497,8 @@ class TestSearch:
         def child(depth, colors, v):
             pytest.fail("a discrete root has no children")
 
-        assert _search([1, 0], child, tuple, 0) == (1, 0)
-        assert _search([1, 0], child, lambda colors: False, 0) is None
+        assert _search([1, 0], child, tuple, _tickets(0)) == (1, 0)
+        assert _search([1, 0], child, lambda colors: False, _tickets(0)) is None
 
     def test_siblings_in_the_orbit_of_tried_ones_are_skipped(self):
         assert self._run([]) == (None, [0, 1, 2, 3])
@@ -503,61 +511,95 @@ class TestSearch:
 
 
 class TestAutomorphismPruning:
-    """are_isomorphic with caller-supplied automorphisms of h."""
+    """are_isomorphic with the automorphisms of h that it finds itself."""
 
-    def test_a_non_automorphism_is_refused(self):
-        g = accordion(6, 2)
-        swap_u0_u1 = VertexMap((1, 0) + tuple(range(2, 12)))
-        with pytest.raises(InvalidParameterError):
-            are_isomorphic(g, g, automorphisms=[accordion_rotation(6, 2), swap_u0_u1])
+    @staticmethod
+    def _root(h):
+        return _refine(h.neighbors, _partition(h.local_invariants.seeds))[0]
 
-    def test_bool_and_float_maps_are_refused(self):
-        # verify_witness refuses them, so neither reaches the orbit pruning
-        p2 = path_graph(2)
-        with pytest.raises(InvalidParameterError):
-            are_isomorphic(p2, p2, automorphisms=[VertexMap((True, False))])
-        g = accordion(5, 1)
-        rotation = VertexMap(tuple(map(float, accordion_rotation(5, 1).mapping)))
-        with pytest.raises(InvalidParameterError):
-            are_isomorphic(g, g, automorphisms=[rotation])
+    @staticmethod
+    def _count_discoveries(monkeypatch):
+        found = []
+        monkeypatch.setattr(oracle, "_automorphisms", lambda *args: found.append(args[0]) or _automorphisms(*args))
+        return found
 
-    def test_maps_are_checked_against_h(self):
-        # the rotation of A[6,2] is an automorphism of g, not of a relabeling of it
-        g = accordion(6, 2)
-        perm = list(range(12))
-        random.Random(6).shuffle(perm)
-        h = g.relabel(perm)
-        rotation = accordion_rotation(6, 2)
-        assert verify_witness(g, g, rotation) and not verify_witness(h, h, rotation)
-        with pytest.raises(InvalidParameterError):
-            are_isomorphic(g, h, automorphisms=[rotation])
+    @pytest.mark.parametrize("h", [accordion(14, 4), accordion(13, 6), circulant_graph(20, (1, 9)),
+                                   cartesian_product(cycle_graph(3), cycle_graph(5)),
+                                   cartesian_product(cycle_graph(4), cycle_graph(7))],
+                             ids=["A14-4", "A13-6", "Ci20-1-9", "C3xC5", "C4xC7"])
+    def test_discovery_finds_automorphisms_transitive_on_vertex_transitive_graphs(self, h):
+        perm = list(range(h.order))
+        random.Random(h.order).shuffle(perm)
+        h = h.relabel(perm)
+        root = self._root(h)
+        autos = _automorphisms(h, root, _tickets(100))
+        assert autos and all(verify_witness(h, h, VertexMap(tuple(a))) for a in autos)
+        assert _orbit(_target_cell(root)[:1], autos) == set(range(h.order))
 
-    def test_maps_are_the_same_with_and_without_the_generators(self, monkeypatch):
-        # on every isomorphic row of the default census grid
+    def test_maps_are_the_same_with_and_without_discovery(self, monkeypatch):
+        # on every isomorphic row of the default census grid, and on a pair
+        # whose first root child fails: a fresh copy of h keeps no automorphisms
         real, compared = oracle.are_isomorphic, []
 
-        def both(g, h, automorphisms=()):
-            vm = real(g, h, automorphisms)
+        def both(g, h):
+            vm = real(g, h)
             if vm is not None:
-                assert automorphisms and real(g, h) == vm
+                with monkeypatch.context() as m:
+                    m.setattr(oracle, "_automorphisms", lambda *args: [])
+                    assert real(g, Graph(h.order, h.edges)) == vm
                 compared.append(vm)
             return vm
 
         monkeypatch.setattr(oracle, "are_isomorphic", both)
         assert census.run_census().ok
         assert len(compared) == 135
+        # Ci[15,{1,5}] and C3 [] C5 side by side; h's first root vertex is in
+        # the torus, g's in the circulant
+        c, t = circulant_graph(15, (1, 5)), cartesian_product(cycle_graph(3), cycle_graph(5))
+        g = Graph(30, c.edges + tuple((i + 15, j + 15) for i, j in t.edges))
+        h = g.relabel(list(reversed(range(30))))
+        found = self._count_discoveries(monkeypatch)
+        assert both(g, h) is not None and found == [h]
 
     def test_search_node_count_is_pinned(self, monkeypatch):
         # Ci[15,{1,5}] is not C3 [] C5; h is vertex-transitive, so refinement
         # leaves it one cell: the first root image fails after one replay, and
-        # the rotations carry it onto all the others
+        # discovery's maps, found in 3 nodes, carry it onto all the others
         g = circulant_graph(15, (1, 5))
-        h, autos = census._relabeled("ci-torus", cartesian_product(cycle_graph(3), cycle_graph(5)),
-                                     (3, 5), 15)
-        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 1)
-        assert are_isomorphic(g, h, automorphisms=autos) is None
+
+        def h():
+            return census._relabeled("ci-torus", cartesian_product(cycle_graph(3), cycle_graph(5)), (3, 5), 15)
+
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 4)
+        assert are_isomorphic(g, h()) is None
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 3)
         with pytest.raises(BudgetExceededError):
-            are_isomorphic(g, h)
+            are_isomorphic(g, h())
+
+    def test_a_screen_passing_no_at_order_2000_takes_a_few_nodes(self, monkeypatch):
+        # without discovery the search refines every one of the 2000 root images
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 5)
+        assert are_isomorphic(accordion(1000, 6), accordion(1000, 14)) is None
+
+    def test_discovery_runs_once_per_graph_object(self, monkeypatch):
+        found = self._count_discoveries(monkeypatch)
+        g, h = accordion(50, 6), accordion(50, 14)
+        assert are_isomorphic(g, h) is None and are_isomorphic(g, h) is None
+        assert found == [h]
+        # equal, but a new object: the automorphisms are not carried across
+        copy = h.relabel(list(range(100)))
+        assert copy == h and are_isomorphic(g, copy) is None
+        assert found == [h, copy] and found[1] is copy
+
+    def test_a_first_root_child_that_succeeds_runs_no_discovery(self, monkeypatch):
+        found = self._count_discoveries(monkeypatch)
+        g = accordion(101, 3)
+        perm = list(range(202))
+        random.Random(101).shuffle(perm)
+        h = g.relabel(perm)
+        vm = are_isomorphic(g, h)
+        assert vm is not None and verify_witness(g, h, vm)
+        assert found == []
 
     def test_every_default_census_row_fits_in_14_search_nodes(self, monkeypatch):
         # the orbit pruning at census scale: one row needs 14 nodes, none more

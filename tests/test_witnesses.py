@@ -14,7 +14,6 @@ from accordions import (
     accordion,
     are_isomorphic,
     accordion_from_cylinder,
-    accordion_rotation,
     accordion_witness,
     accordions_isomorphic,
     cartesian_product,
@@ -29,11 +28,9 @@ from accordions import (
     find_accordion_param,
     normalize_length,
     path_graph,
-    torus_rotations,
     torus_witness,
     verify_witness,
 )
-from accordions.oracle import _orbit
 
 
 class TestVertexMap:
@@ -106,37 +103,6 @@ class TestCycleSwapAutomorphism:
         m = vm.mapping
         assert tuple(m[v] for v in m) == tuple(range(2 * n))
         assert verify_witness(accordion(n, k), accordion(n, k), vm)
-
-
-class TestAutomorphismGenerators:
-    """Closed-form generators of groups transitive on accordions and tori."""
-
-    def test_accordion_rotation_anchors(self):
-        m = accordion_rotation(5, 2).mapping
-        assert (m[0], m[4], m[5], m[9]) == (1, 0, 6, 5)  # u_1 -> u_2, u_5 -> u_1, v_1 -> v_2, v_5 -> v_1
-
-    def test_rotation_with_the_cycle_swap_is_transitive_on_each_accordion(self):
-        for n in range(3, 15):
-            for k in range(1, n // 2 + 1):
-                g = accordion(n, k)
-                rotation, swap = accordion_rotation(n, k), cycle_swap_automorphism(n, k)
-                assert verify_witness(g, g, rotation), (n, k)
-                assert _orbit([0], [rotation.mapping, swap.mapping]) == set(range(2 * n)), (n, k)
-
-    def test_torus_rotations_are_transitive_on_each_torus(self):
-        for n1 in range(3, 8):
-            for n2 in range(3, 8):
-                g = cartesian_product(cycle_graph(n1), cycle_graph(n2))
-                along_x, along_y = torus_rotations(n1, n2)
-                assert verify_witness(g, g, along_x) and verify_witness(g, g, along_y), (n1, n2)
-                assert along_x.mapping[0] == n2 and along_y.mapping[n2 - 1] == 0
-                assert _orbit([0], [along_x.mapping, along_y.mapping]) == set(range(n1 * n2)), (n1, n2)
-
-    @pytest.mark.parametrize("make", [lambda: accordion_rotation(6, 4), lambda: accordion_rotation(2, 1),
-                                      lambda: torus_rotations(2, 5), lambda: torus_rotations(5, 2)])
-    def test_invalid_parameters_rejected(self, make):
-        with pytest.raises(InvalidParameterError):
-            make()
 
 
 class TestAccordionWitness:
@@ -387,15 +353,13 @@ def test_map_constructors_build_no_graph(monkeypatch):
     monkeypatch.setattr(graphs.Graph, "__post_init__", counting)
     maps = [
         cycle_swap_automorphism(1000, 7),
-        accordion_rotation(1000, 7),
         accordion_witness(1000, 6, 334),
         circulant_accordion_witness(1000, 3, 997, 2),
         circulant_accordion_witness(1000, 25, 2, 25),
         torus_witness(1001, 286, 21, 7, 143),
-        *torus_rotations(7, 143),
     ]
     assert built == []
-    assert [len(vm.mapping) for vm in maps] == [2000] * 5 + [1001] * 3
+    assert [len(vm.mapping) for vm in maps] == [2000] * 4 + [1001]
     circulant(1000, 1, 2)
     assert built == [2000]  # the counter sees a graph that is built
 
@@ -427,7 +391,7 @@ def _closed_form_witnesses():
     for n in range(3, 25):
         for k1 in range(1, n // 2 + 1):
             g = accordion(n, k1)
-            out += [(g, g, cycle_swap_automorphism(n, k1)), (g, g, accordion_rotation(n, k1))]
+            out.append((g, g, cycle_swap_automorphism(n, k1)))
             for k2 in range(k1 + 1, n // 2 + 1):
                 if accordions_isomorphic(n, k1, k2).isomorphic:
                     out.append((accordion(n, k2), g, accordion_witness(n, k1, k2)))
@@ -439,7 +403,6 @@ def _closed_form_witnesses():
                     out.append((circulant(n, a, b), accordion(n, k), circulant_accordion_witness(n, a, b, k)))
     torus = cartesian_product(cycle_graph(7), cycle_graph(143))
     out.append((circulant_graph(1001, (286, 21)), torus, torus_witness(1001, 286, 21, 7, 143)))
-    out += [(torus, torus, vm) for vm in torus_rotations(7, 143)]
     out.append((accordion(1000, 334), accordion(1000, 6), accordion_witness(1000, 6, 334)))
     return out
 
