@@ -30,8 +30,6 @@ from .graphs import (
     INNER_CYCLE,
     OUTER_CYCLE,
     VERTICAL_SPOKE,
-    AccordionParams,
-    CirculantParams,
     Graph,
     accordion,
     accordion_edge_classes,

@@ -33,14 +33,7 @@ from .errors import (
     InvalidParameterError,
     InvariantViolationError,
 )
-from .graphs import (
-    AccordionParams,
-    accordion,
-    cartesian_product,
-    circulant,
-    cycle_graph,
-    path_graph,
-)
+from .graphs import _check_accordion, accordion, cartesian_product, circulant, cycle_graph, path_graph
 from .serialize import graph_from_json, graph_to_dot, graph_to_edgelist, graph_to_json, witness_to_json
 from .witnesses import verify_witness
 
@@ -133,7 +126,7 @@ def _predicate(args: argparse.Namespace):
         if args.kind == "bipartite":
             ok = accordion_is_bipartite(args.n, args.k)
         else:  # accordion graphs are always connected
-            AccordionParams(args.n, args.k)
+            _check_accordion(args.n, args.k)
             ok = True
     elif args.kind == "bipartite":
         ok = circulant_is_bipartite(args.n, args.a, args.b)

@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidParameterError, InvariantViolationError
-from .graphs import AccordionParams, CirculantParams, _circulant_lengths
+from .errors import InvalidParameterError
+from .graphs import _check_accordion, _circulant_lengths, _circulant_pair
 from .modarith import steps_to_gcd
 
 __all__ = [
@@ -32,18 +32,18 @@ __all__ = [
 
 def accordion_is_bipartite(n: int, k: int) -> bool:
     """A[n,k] is bipartite iff both n and k are even."""
-    p = AccordionParams(n, k)
-    return p.n % 2 == 0 and p.k % 2 == 0
+    _check_accordion(n, k)
+    return n % 2 == 0 and k % 2 == 0
 
 
 def accordion_circulant_clause(n: int, k: int) -> str:
     """The clause making A[n,k] circulant: k-odd, k-even-n-odd, k-2-n-even, or none."""
-    p = AccordionParams(n, k)
-    if p.k % 2 == 1:
+    _check_accordion(n, k)
+    if k % 2 == 1:
         return "k-odd"
-    if p.n % 2 == 1:
+    if n % 2 == 1:
         return "k-even-n-odd"
-    return "k-2-n-even" if p.k == 2 else "none"
+    return "k-2-n-even" if k == 2 else "none"
 
 
 def circulant_is_bipartite(n: int, a: int, b: int) -> bool:
@@ -53,15 +53,15 @@ def circulant_is_bipartite(n: int, a: int, b: int) -> bool:
     circulant of order 2n/d with lengths a/d, b/d, so the same test applies
     to the component (never bipartite when the component order is odd).
     """
-    p = CirculantParams(n, a, b)
-    d = math.gcd(2 * p.n, p.a, p.b)
-    return (2 * p.n // d) % 2 == 0 and (p.a // d) % 2 == 1 and (p.b // d) % 2 == 1
+    a, b = _circulant_pair(n, a, b)
+    d = math.gcd(2 * n, a, b)
+    return (2 * n // d) % 2 == 0 and (a // d) % 2 == 1 and (b // d) % 2 == 1
 
 
 def circulant_is_connected(n: int, a: int, b: int) -> bool:
     """Ci[2n,{a,b}] is connected iff gcd(2n,a,b) = 1."""
-    p = CirculantParams(n, a, b)
-    return math.gcd(2 * p.n, p.a, p.b) == 1
+    a, b = _circulant_pair(n, a, b)
+    return math.gcd(2 * n, a, b) == 1
 
 
 @dataclass
@@ -85,8 +85,8 @@ def accordions_isomorphic(n: int, k1: int, k2: int) -> AccAccVerdict:
     k1*k2/2 == +-2 (mod n).  Both gcds being 2 makes k1*k2 divisible by 4, so
     the halving is exact.  The branch records which sign matched.
     """
-    AccordionParams(n, k1)
-    AccordionParams(n, k2)
+    _check_accordion(n, k1)
+    _check_accordion(n, k2)
     g1 = math.gcd(n, k1)
     g2 = math.gcd(n, k2)
     if k1 == k2:
@@ -104,17 +104,19 @@ def accordions_isomorphic(n: int, k1: int, k2: int) -> AccAccVerdict:
 def unique_partner(n: int, k1: int) -> Optional[int]:
     """The unique k2 != k1 with A[n,k1] ~ A[n,k2], or None.
 
-    At most one partner can exist; finding two is an internal inconsistency.
+    A partner needs gcd(n,k1) = gcd(n,k2) = 2, so n = 2m, k1 = 2j and k2 = 2l
+    with j and l units mod m.  Then k1*k2/2 == +-2 (mod n) is j*l == +-1
+    (mod m), so l == +-c with c = j^-1 (mod m), and k2 <= n/2 keeps
+    l = min(c, m-c) alone: at most one candidate, which the decider then
+    confirms or refutes (it is k1 itself when j*j == +-1 (mod m)).
     """
-    AccordionParams(n, k1)
-    partners = [
-        k2
-        for k2 in range(1, n // 2 + 1)
-        if k2 != k1 and accordions_isomorphic(n, k1, k2).isomorphic
-    ]
-    if len(partners) > 1:
-        raise InvariantViolationError(f"multiple partners for A[{n},{k1}]: {partners}")
-    return partners[0] if partners else None
+    _check_accordion(n, k1)
+    if math.gcd(n, k1) != 2:
+        return None
+    m = n // 2  # >= 2: n is even and >= 3
+    c = pow(k1 // 2, -1, m)
+    k2 = 2 * min(c, m - c)
+    return k2 if k2 != k1 and accordions_isomorphic(n, k1, k2).isomorphic else None
 
 
 def circulant_iso_torus(nprime: int, a1: int, a2: int, n1: int, n2: int) -> bool:
@@ -183,9 +185,8 @@ def circulant_iso_accordion(n: int, a: int, b: int, k: int) -> CiAccVerdict:
     Both lengths even: the circulant is disconnected, so it never matches a
     (connected) accordion; the verdict is a no in the regime "both-even".
     """
-    p = CirculantParams(n, a, b)
-    AccordionParams(n, k)
-    a, b = p.a, p.b
+    a, b = _circulant_pair(n, a, b)
+    _check_accordion(n, k)
     two_n = 2 * n
     connected = math.gcd(two_n, a, b) == 1
 
@@ -232,12 +233,12 @@ def find_accordion_param(n: int, a: int, b: int) -> Optional[int]:
     c = (b/2)*a'^-1, and k' <= m/2 leaves one candidate, which the decider
     then confirms or refutes.
     """
-    p = CirculantParams(n, a, b)
-    if p.a % 2 == 0 and p.b % 2 == 0:
+    a, b = _circulant_pair(n, a, b)
+    if a % 2 == 0 and b % 2 == 0:
         return None  # disconnected; no accordion partner exists
-    if p.a % 2 == 1 and p.b % 2 == 1:
+    if a % 2 == 1 and b % 2 == 1:
         return 2 if circulant_iso_accordion(n, a, b, 2).isomorphic else None
-    odd, even = (p.a, p.b) if p.a % 2 == 1 else (p.b, p.a)
+    odd, even = (a, b) if a % 2 == 1 else (b, a)
     q = math.gcd(2 * n, odd)
     m = n // q  # >= 2: q divides n and q <= odd < n
     c = (even // 2) * pow(odd // q, -1, m) % m

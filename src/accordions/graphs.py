@@ -29,8 +29,6 @@ from .errors import InvalidParameterError
 
 __all__ = [
     "Graph",
-    "AccordionParams",
-    "CirculantParams",
     "cycle_graph",
     "path_graph",
     "cartesian_product",
@@ -173,9 +171,14 @@ class Graph:
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image of the graph under the bijection v -> perm[v]."""
-        if set(map(type, perm)) != {int} or sorted(perm) != list(range(self.order)):  # no bool or float
+        if not _is_permutation(perm, self.order):
             raise InvalidParameterError("relabeling must be a permutation of the vertices")
         return Graph(self.order, tuple((perm[i], perm[j]) for i, j in self.edges))
+
+
+def _is_permutation(seq: Sequence[int], n: int) -> bool:
+    """Whether seq lists each of 0..n-1 once, as an int: no bool or float, since serialize writes %d."""
+    return set(map(type, seq)) == {int} and sorted(seq) == list(range(n))
 
 
 class LocalInvariants(NamedTuple):
@@ -200,20 +203,12 @@ def _path_counts(g: Graph) -> Counter:
     return Counter([v * n + w for nb in g.neighbors for v, w in combinations(nb, 2)])
 
 
-@dataclass(frozen=True)
-class AccordionParams:
-    """Validated (n, k) pair naming the accordion graph A[n,k]."""
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise InvalidParameterError(f"accordion parameter n must be >= 3, got {self.n}")
-        if not 1 <= self.k <= self.n // 2:
-            raise InvalidParameterError(
-                f"accordion parameter k must satisfy 1 <= k <= n//2 = {self.n // 2}, got {self.k}"
-            )
+def _check_accordion(n: int, k: int) -> None:
+    """Refuse an (n, k) that names no accordion graph A[n,k]: n >= 3 and 1 <= k <= n//2."""
+    if n < 3:
+        raise InvalidParameterError(f"accordion parameter n must be >= 3, got {n}")
+    if not 1 <= k <= n // 2:
+        raise InvalidParameterError(f"accordion parameter k must satisfy 1 <= k <= n//2 = {n // 2}, got {k}")
 
 
 def normalize_length(value: int, order: int) -> int:
@@ -243,25 +238,16 @@ def _circulant_lengths(order: int, lengths: Sequence[int]) -> tuple[int, ...]:
     return norm
 
 
-@dataclass(frozen=True)
-class CirculantParams:
-    """Validated (n, a, b) triple naming Ci[2n,{a,b}], the circulant on 2n vertices.
+def _circulant_pair(n: int, a: int, b: int) -> tuple[int, int]:
+    """The lengths of Ci[2n,{a,b}], the circulant on 2n vertices, normalized.
 
-    Lengths are normalized on construction: reduced mod 2n, then folded to
-    min(r, 2n-r).  The result must land in [1, n-1]; length 0 or n (a perfect
-    matching) cannot occur in a quartic circulant of order 2n.
+    Each is reduced mod 2n, then folded to min(r, 2n-r).  The result must
+    land in [1, n-1]; length 0 or n (a perfect matching) cannot occur in a
+    quartic circulant of order 2n.  Refuses n < 3 first.
     """
-
-    n: int
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise InvalidParameterError(f"circulant parameter n must be >= 3, got {self.n}")
-        a, b = _circulant_lengths(2 * self.n, (self.a, self.b))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    if n < 3:
+        raise InvalidParameterError(f"circulant parameter n must be >= 3, got {n}")
+    return _circulant_lengths(2 * n, (a, b))
 
 
 def cycle_graph(t: int) -> Graph:
@@ -297,37 +283,36 @@ def accordion(n: int, k: int) -> Graph:
     Two n-cycles (u_1..u_n) and (v_1..v_n) joined by the vertical spokes
     u_i v_i and the diagonal spokes u_i v_{i+k} (subscripts mod n).
     """
-    p = AccordionParams(n, k)
-    us, vs = range(p.n), range(p.n, 2 * p.n)
-    return Graph(2 * p.n, (
-        *zip(us, us[1:]), (0, p.n - 1),          # outer cycle
-        *zip(vs, vs[1:]), (p.n, 2 * p.n - 1),    # inner cycle
-        *zip(us, vs),                            # vertical spokes
-        *zip(us, (*vs[p.k:], *vs[:p.k])),        # diagonal spokes u_i v_{i+k}
+    _check_accordion(n, k)
+    us, vs = range(n), range(n, 2 * n)
+    return Graph(2 * n, (
+        *zip(us, us[1:]), (0, n - 1),        # outer cycle
+        *zip(vs, vs[1:]), (n, 2 * n - 1),    # inner cycle
+        *zip(us, vs),                        # vertical spokes
+        *zip(us, (*vs[k:], *vs[:k])),        # diagonal spokes u_i v_{i+k}
     ))
 
 
 def accordion_edge_classes(n: int, k: int) -> dict[tuple[int, int], str]:
     """Tag of every edge of A[n,k]; each class has exactly n members."""
-    p = AccordionParams(n, k)
+    _check_accordion(n, k)
 
     def key(i: int, j: int) -> tuple[int, int]:
         return (i, j) if i < j else (j, i)
 
     tags: dict[tuple[int, int], str] = {}
-    for i in range(p.n):
-        j = (i + 1) % p.n
+    for i in range(n):
+        j = (i + 1) % n
         tags[key(i, j)] = OUTER_CYCLE
-        tags[key(p.n + i, p.n + j)] = INNER_CYCLE
-        tags[key(i, p.n + i)] = VERTICAL_SPOKE
-        tags[key(i, p.n + (i + p.k) % p.n)] = DIAGONAL_SPOKE
+        tags[key(n + i, n + j)] = INNER_CYCLE
+        tags[key(i, n + i)] = VERTICAL_SPOKE
+        tags[key(i, n + (i + k) % n)] = DIAGONAL_SPOKE
     return tags
 
 
 def circulant(n: int, a: int, b: int) -> Graph:
     """The quartic circulant Ci[2n,{a,b}] with x_i ~ x_{i+-a}, x_{i+-b}."""
-    p = CirculantParams(n, a, b)
-    return circulant_graph(2 * p.n, (p.a, p.b))
+    return circulant_graph(2 * n, _circulant_pair(n, a, b))
 
 
 def circulant_graph(order: int, lengths: Sequence[int]) -> Graph:
@@ -350,13 +335,13 @@ def cylinder_cut_edges(n: int, k: int) -> tuple[tuple[int, int], ...]:
     With g = gcd(n,k), removing the edges u_{tg}u_{tg+1} and v_{tg}v_{tg+1}
     for t = 1..n/g leaves a graph isomorphic to C_{2n/g} [] P_g.
     """
-    p = AccordionParams(n, k)
-    g = math.gcd(p.n, p.k)
+    _check_accordion(n, k)
+    g = math.gcd(n, k)
     out = []
-    for t in range(1, p.n // g + 1):
-        i = (t * g - 1) % p.n
-        j = (t * g) % p.n
+    for t in range(1, n // g + 1):
+        i = (t * g - 1) % n
+        j = (t * g) % n
         out.append((min(i, j), max(i, j)))
-        out.append((min(i, j) + p.n, max(i, j) + p.n))
+        out.append((min(i, j) + n, max(i, j) + n))
     return tuple(sorted(out))
 

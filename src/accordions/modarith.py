@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidParameterError
+from .graphs import _check_accordion
 
 __all__ = ["steps_to_gcd"]
 
@@ -14,9 +14,8 @@ def steps_to_gcd(n: int, k: int) -> int:
 
     Dividing by g = gcd(n,k) leaves s*(k/g) == 1 (mod n/g), so s is the
     inverse of k/g modulo n/g; n/g >= 2 because k <= n/2, so that inverse
-    lies in [1, n/g - 1].
+    lies in [1, n/g - 1].  Refuses an (n, k) that names no accordion A[n,k].
     """
-    if n < 3 or not 1 <= k <= n // 2:
-        raise InvalidParameterError(f"need n >= 3 and 1 <= k <= n//2, got n={n}, k={k}")
+    _check_accordion(n, k)
     g = math.gcd(n, k)
     return pow(k // g, -1, n // g)

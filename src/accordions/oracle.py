@@ -44,7 +44,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
-from .errors import BudgetExceededError, InvariantViolationError
+from .errors import BudgetExceededError
 from .graphs import Graph
 from .serialize import graph_to_json
 from .witnesses import VertexMap, verify_witness
@@ -350,6 +350,4 @@ def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:
         return False
 
     _search(colors, lambda depth, cs, v: _refine(nbrs, _individualize(cs, v))[0], at_leaf, _tickets(budget), autos)
-    if not best:
-        raise InvariantViolationError("canonical search ended without a labeling")
     return graph_to_json(g.relabel(best[1])).encode("utf-8")

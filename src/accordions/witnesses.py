@@ -14,14 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_iso_torus
-from .errors import InvalidParameterError, InvariantViolationError
-from .graphs import (
-    AccordionParams,
-    Graph,
-    cartesian_product,
-    cycle_graph,
-    path_graph,
-)
+from .errors import InvalidParameterError
+from .graphs import Graph, _check_accordion, _is_permutation, cartesian_product, cycle_graph, path_graph
 from .modarith import steps_to_gcd
 
 __all__ = [
@@ -57,7 +51,7 @@ def verify_witness(g: Graph, h: Graph, vm: VertexMap) -> bool:
         raise InvalidParameterError(
             f"map has {len(m)} entries but graphs have orders {g.order} and {h.order}"
         )
-    if set(map(type, m)) != {int} or sorted(m) != list(range(len(m))):  # no bool or float, as in Graph
+    if not _is_permutation(m, g.order):
         return False
     # an edge {x, y}, x < y, is the integer x*order + y: cheaper to hash than a pair
     n = g.order
@@ -74,7 +68,7 @@ def cycle_swap_automorphism(n: int, k: int) -> VertexMap:
     u_1 <-> v_1 and, for i in [2,n], u_i -> v_{2-i}, v_i -> u_{2-i}
     (subscripts mod n over {1..n}); it reverses each cycle's orientation.
     """
-    AccordionParams(n, k)
+    _check_accordion(n, k)
     m = [n + (-j) % n for j in range(n)] + [(-j) % n for j in range(n)]
     return VertexMap(tuple(m))
 
@@ -152,8 +146,6 @@ def circulant_accordion_witness(n: int, a: int, b: int, k: int) -> VertexMap:
         first = ao + i * bo - 1
         for src, v in zip([(first + t * step) % two_n for t in range(p)], _spoke_cycle(n, k, i)):
             m[src] = v
-    if -1 in m:  # q*p = 2n writes leave a slot empty exactly when two collide
-        raise InvariantViolationError("circulant cycle decomposition collided")
     return VertexMap(tuple(m))
 
 
@@ -192,8 +184,6 @@ class CylinderExtension:
     """
 
     graph: Graph
-    n: int
-    k: int
     steps: int
     added_edges: tuple[tuple[int, int], ...]
     added_index_pairs: tuple[tuple[int, int], ...]
@@ -214,7 +204,7 @@ def accordion_from_cylinder(n1: int, n2: int, k: int) -> CylinderExtension:
     if n2 < 1:
         raise InvalidParameterError(f"n2 must be >= 1, got {n2}")
     n = n1 * n2 // 2
-    AccordionParams(n, k)
+    _check_accordion(n, k)
     if math.gcd(n, k) != n2:
         raise InvalidParameterError(
             f"need gcd(n,k) = n2: gcd({n},{k}) = {math.gcd(n, k)} != {n2}"
@@ -228,4 +218,4 @@ def accordion_from_cylinder(n1: int, n2: int, k: int) -> CylinderExtension:
     rows = [_spoke_cycle(n, k, p + 1) for p in range(n2)]  # n1 vertices each
     vm = VertexMap(tuple(v for column in zip(*rows) for v in column))
     canonical_added = tuple(sorted((min(e), max(e)) for e in added))
-    return CylinderExtension(graph, n, k, steps, canonical_added, tuple(pairs), vm)
+    return CylinderExtension(graph, steps, canonical_added, tuple(pairs), vm)

@@ -12,7 +12,6 @@ from accordions import (
     INNER_CYCLE,
     OUTER_CYCLE,
     VERTICAL_SPOKE,
-    CirculantParams,
     Graph,
     InvalidParameterError,
     accordion,
@@ -293,7 +292,7 @@ def test_every_circulant_entry_point_rejects_bad_lengths(order, lengths):
     with pytest.raises(InvalidParameterError):
         circulant_graph(order, lengths)
     with pytest.raises(InvalidParameterError):
-        CirculantParams(order // 2, *lengths)
+        circulant(order // 2, *lengths)
     with pytest.raises(InvalidParameterError):
         circulant_iso_torus(order, *lengths, 3, 4)
     with pytest.raises(InvalidParameterError):

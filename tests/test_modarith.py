@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from accordions import InvalidParameterError, steps_to_gcd
+from accordions import InvalidParameterError, accordion, steps_to_gcd
 
 
 class TestStepsToGcd:
@@ -16,6 +16,19 @@ class TestStepsToGcd:
     def test_out_of_range(self):
         with pytest.raises(InvalidParameterError):
             steps_to_gcd(10, 6)
+
+    def test_refuses_exactly_as_accordion_does(self):
+        # one rule names the accordions, so both refuse the same (n, k) in the same words
+        def refusal(build, n, k):
+            try:
+                build(n, k)
+            except InvalidParameterError as err:
+                return str(err)
+            return None
+
+        for n in range(13):
+            for k in range(-1, n + 2):
+                assert refusal(steps_to_gcd, n, k) == refusal(accordion, n, k), (n, k)
 
     def test_exhaustive_congruence_and_minimality(self):
         # the reference is the linear scan for the first multiplier that

@@ -1,4 +1,4 @@
-"""Smoke tests for the scripts under scripts/, run as subprocesses."""
+"""Smoke tests for the scripts under scripts/ and for `python -m accordions`, run as subprocesses."""
 
 import os
 import subprocess
@@ -26,3 +26,16 @@ def test_partner_table():
 def test_circulant_accordion_scan():
     lines = run_script("circulant_accordion_scan.py", "--max-n", "6")
     assert lines[-1] == "12 of 20 circulants are accordion graphs (n <= 6)"
+
+
+def test_python_dash_m_entry_point():
+    # README's `python -m accordions`: the exit-code contract through the module's __main__
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "accordions", *argv], capture_output=True, text=True, env=env)
+
+    no = run("decide", "acc-acc", "--n", "10", "--k1", "2", "--k2", "4")
+    assert no.returncode == 1 and "isomorphic: no" in no.stdout.splitlines()
+    assert run("decide", "acc-acc", "--n", "14", "--k1", "4", "--k2", "6").returncode == 0
+    assert run("census", "--max-n", "2").returncode == 2

@@ -1,5 +1,6 @@
 """Witness constructors: every returned map must survive verify_witness."""
 
+import itertools
 import math
 import random
 
@@ -73,6 +74,21 @@ class TestVerifyWitness:
         g = path_graph(2)
         assert not verify_witness(g, g, VertexMap((True, False)))
         assert not verify_witness(g, g, VertexMap((1.0, 0.0)))
+
+    @pytest.mark.parametrize("g", [Graph(4, ()), Graph(4, tuple(itertools.combinations(range(4), 2)))],
+                             ids=["empty", "complete"])
+    def test_false_exactly_when_relabel_refuses(self, g):
+        # every permutation of these graphs is an automorphism, so verify_witness
+        # and relabel both answer by the one permutation test alone
+        maps = [*itertools.product(range(-1, 5), repeat=4), (True, False, 2, 3), (0, 1, 2, 3.0),
+                (1.0, 0.0, 2.0, 3.0), (0, 1, 2, "3")]
+        for m in maps:
+            try:
+                g.relabel(m)
+                refused = False
+            except InvalidParameterError:
+                refused = True
+            assert verify_witness(g, g, VertexMap(m)) is not refused, m
 
     def test_bad_transposition_on_path(self):
         g = path_graph(5)
