@@ -85,7 +85,7 @@ def _ci_acc(args: argparse.Namespace):
     if v is None or v.regime == "both-even":  # disconnected, so no accordion matches
         return {"n": n, "matched-k": "none"}, False, None
     two_n = 2 * n
-    fields = {"n": n, "a": v.a, "b": v.b, "matched-k": v.k, "regime": v.regime,
+    fields = {"n": n, "a": v.a, "b": v.b, "matched-k": k, "regime": v.regime,
               "connected": _yesno(v.connected),
               "gcd(2n,a)": math.gcd(two_n, v.a), "gcd(2n,b)": math.gcd(two_n, v.b)}
     if v.regime == "bipartite":

@@ -68,9 +68,6 @@ def circulant_is_connected(n: int, a: int, b: int) -> bool:
 class AccAccVerdict:
     """Outcome of the accordion-accordion isomorphism test."""
 
-    n: int
-    k1: int
-    k2: int
     isomorphic: bool
     branch: str  # equal-k | case-minus | case-plus | not-isomorphic
     gcd1: int
@@ -90,15 +87,15 @@ def accordions_isomorphic(n: int, k1: int, k2: int) -> AccAccVerdict:
     g1 = math.gcd(n, k1)
     g2 = math.gcd(n, k2)
     if k1 == k2:
-        return AccAccVerdict(n, k1, k2, True, "equal-k", g1, g2, None)
+        return AccAccVerdict(True, "equal-k", g1, g2, None)
     if g1 == 2 and g2 == 2:
         half = k1 * k2 // 2
         if (half + 2) % n == 0:
-            return AccAccVerdict(n, k1, k2, True, "case-minus", g1, g2, half)
+            return AccAccVerdict(True, "case-minus", g1, g2, half)
         if (half - 2) % n == 0:
-            return AccAccVerdict(n, k1, k2, True, "case-plus", g1, g2, half)
-        return AccAccVerdict(n, k1, k2, False, "not-isomorphic", g1, g2, half)
-    return AccAccVerdict(n, k1, k2, False, "not-isomorphic", g1, g2, None)
+            return AccAccVerdict(True, "case-plus", g1, g2, half)
+        return AccAccVerdict(False, "not-isomorphic", g1, g2, half)
+    return AccAccVerdict(False, "not-isomorphic", g1, g2, None)
 
 
 def unique_partner(n: int, k1: int) -> Optional[int]:
@@ -158,10 +155,8 @@ class CiAccVerdict:
     least multiplier with s*k == q mod n); it drives the witness construction.
     """
 
-    n: int
     a: int
     b: int
-    k: int
     regime: str  # bipartite | non-bipartite | both-even
     isomorphic: bool
     swapped: bool = False
@@ -191,7 +186,7 @@ def circulant_iso_accordion(n: int, a: int, b: int, k: int) -> CiAccVerdict:
     connected = math.gcd(two_n, a, b) == 1
 
     if a % 2 == 0 and b % 2 == 0:
-        return CiAccVerdict(n, a, b, k, "both-even", False, connected=False)
+        return CiAccVerdict(a, b, "both-even", False, connected=False)
 
     if a % 2 == 1 and b % 2 == 1:
         iso = (
@@ -201,7 +196,7 @@ def circulant_iso_accordion(n: int, a: int, b: int, k: int) -> CiAccVerdict:
             and math.gcd(two_n, b) == 1
             and a + b == n
         )
-        return CiAccVerdict(n, a, b, k, "bipartite", iso, connected=connected)
+        return CiAccVerdict(a, b, "bipartite", iso, connected=connected)
 
     swapped = a % 2 == 0
     ao, bo = (b, a) if swapped else (a, b)
@@ -213,10 +208,8 @@ def circulant_iso_accordion(n: int, a: int, b: int, k: int) -> CiAccVerdict:
     minus = (bo * q + 2 * steps * ao) % two_n == 0
     iso = connected and parity_ok and gcd_ok and (plus or minus)
     sign = (1 if plus else -1) if iso else None
-    return CiAccVerdict(
-        n, a, b, k, "non-bipartite", iso,
-        swapped=swapped, connected=connected, q=q, steps=steps, sign=sign,
-    )
+    return CiAccVerdict(a, b, "non-bipartite", iso, swapped=swapped, connected=connected,
+                        q=q, steps=steps, sign=sign)
 
 
 def find_accordion_param(n: int, a: int, b: int) -> Optional[int]:

@@ -12,8 +12,8 @@ every operation in this module is a pure function.
 
 The constructors emit ascending pairs in a few sorted runs built from
 ranges, so orienting them changes nothing and the sort only merges the
-runs.  Graph still validates every edge set, theirs included: types,
-self-loops, ranges and duplicates.
+runs.  Graph still checks every edge set, theirs included, in one pass;
+only a set that fails it is walked edge by edge to name its first fault.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
 
@@ -53,43 +53,41 @@ DIAGONAL_SPOKE = "diagonal-spoke"
 def _canonical_edges(order: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
     """The edges as a sorted tuple of ascending pairs; the first bad edge in input order raises.
 
-    One loop checks each edge's type, self-loop and range; one set of the
-    result finds a duplicate, and only then does `_first_duplicate` rescan to
-    name it.  A duplicate before a bad edge is the first fault, so the error
-    path looks for one too.
+    One pass checks each edge's type, self-loop and range, one set of the
+    result finds duplicates, and the sort merges the constructors' ascending
+    runs.  Input that fails this pass, for any reason, is walked once more by
+    `_walk_edges`, the per-edge rule, which raises its first fault.
     """
+    edges = tuple(edges)  # the same object for a tuple; a generator is read once
     out = []
     try:
         for i, j in edges:
             if type(i) is not int or type(j) is not int or i == j or not (0 <= i < order and 0 <= j < order):
-                raise _edge_fault(order, i, j)
+                break
             out.append((i, j) if i < j else (j, i))
-    except (TypeError, ValueError):  # a bad edge, or one that is not a pair
-        pair = _first_duplicate(out)
-        if pair is None:
-            raise
-        raise InvalidParameterError(f"duplicate edge {pair}") from None
-    if len(set(out)) != len(out):
-        raise InvalidParameterError(f"duplicate edge {_first_duplicate(out)}")
+    except (TypeError, ValueError):  # an edge that is not a pair
+        pass
+    if len(out) < len(edges) or len(set(out)) < len(out):
+        return _walk_edges(order, edges)
     out.sort()  # constructors emit a few ascending runs, which this merges
     return tuple(out)
 
 
-def _edge_fault(order: int, i: object, j: object) -> InvalidParameterError:
-    if type(i) is not int or type(j) is not int:  # not bool or float: serialize writes %d
-        return InvalidParameterError(f"edge endpoints must be integers, got ({i!r},{j!r})")
-    if i == j:
-        return InvalidParameterError(f"self-loop at vertex {i}")
-    return InvalidParameterError(f"edge ({i},{j}) out of range for order {order}")
-
-
-def _first_duplicate(pairs: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
+def _walk_edges(order: int, edges: tuple) -> tuple[tuple[int, int], ...]:
+    """The per-edge rule: each edge is checked in input order, so the first fault raises."""
     seen = set()
-    for pair in pairs:
+    for i, j in edges:
+        if type(i) is not int or type(j) is not int:  # not bool or float: serialize writes %d
+            raise InvalidParameterError(f"edge endpoints must be integers, got ({i!r},{j!r})")
+        if i == j:
+            raise InvalidParameterError(f"self-loop at vertex {i}")
+        if not (0 <= i < order and 0 <= j < order):
+            raise InvalidParameterError(f"edge ({i},{j}) out of range for order {order}")
+        pair = (i, j) if i < j else (j, i)
         if pair in seen:
-            return pair
+            raise InvalidParameterError(f"duplicate edge {pair}")
         seen.add(pair)
-    return None
+    return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -312,7 +310,7 @@ def accordion_edge_classes(n: int, k: int) -> dict[tuple[int, int], str]:
 
 def circulant(n: int, a: int, b: int) -> Graph:
     """The quartic circulant Ci[2n,{a,b}] with x_i ~ x_{i+-a}, x_{i+-b}."""
-    return circulant_graph(2 * n, _circulant_pair(n, a, b))
+    return _circulant(2 * n, _circulant_pair(n, a, b))
 
 
 def circulant_graph(order: int, lengths: Sequence[int]) -> Graph:
@@ -321,7 +319,11 @@ def circulant_graph(order: int, lengths: Sequence[int]) -> Graph:
     Lengths are checked by `_circulant_lengths`; with two of them the graph
     is quartic.
     """
-    norm = _circulant_lengths(order, lengths)
+    return _circulant(order, _circulant_lengths(order, lengths))
+
+
+def _circulant(order: int, norm: tuple[int, ...]) -> Graph:
+    """The circulant with lengths already normalized by `_circulant_lengths`."""
     edges: list[tuple[int, int]] = []
     for r in norm:
         edges += zip(range(order - r), range(r, order))  # x_i x_{i+r}

@@ -302,7 +302,11 @@ def are_isomorphic(g: Graph, h: Graph) -> Optional[VertexMap]:
     that found no isomorphism, so the returned map is the same without them.
     """
     # no size screen: equal profiles have equal sizes (their adjacent pairs
-    # count the edges); the root replay tells the seeds apart
+    # count the edges).  The root replay sees only seed ranks: A[50,1] and
+    # A[50,3] pass it, and only the profile rejects them.  No seed-multiset
+    # screen either: of the pairs that pass components and profile it rejects
+    # 0 of 410, 2947 and 6924 (default census, extended pin, acc-acc 60 plus
+    # ci-acc 18), where the profile rejects 269, 1323 and 1419 the seeds pass.
     if g.order != h.order or g.components != h.components:
         return None
     if g.local_invariants.profile != h.local_invariants.profile:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from accordions import VertexMap, accordion, graph_from_json, verify_witness, witness_from_json
-from accordions import census, cli, oracle
+from accordions import census, cli, graphs, oracle
 from accordions.cli import main
 from accordions.serialize import graph_to_json
 
@@ -297,6 +297,16 @@ class TestDecide:
         assert code == 2
         assert out == ""
         assert err == "error: witness failed verification before printing\n"
+
+    def test_valid_input_never_reaches_the_edge_walk(self, capsys, monkeypatch):
+        # the walk only names the first fault of an edge set that fails Graph's one pass
+        monkeypatch.setattr(graphs, "_walk_edges", lambda order, edges: pytest.fail("the edge walk was reached"))
+        assert census.run_census().ok
+        requests = [param.values[0] for param in self.WITNESS_KINDS]
+        requests.append(["ci-acc", "--n", "600", "--a", "1", "--b", "599", "--k", "2"])  # order 1200, bipartite
+        for argv in requests:
+            code, out, _ = run_cli(capsys, "decide", *argv, "--witness")
+            assert code == 0 and "witness: " in out, argv
 
     def test_every_decide_output_is_pinned(self, capsys):
         # exit code, stdout and stderr of each request, hashed in order

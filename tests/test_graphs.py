@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accordions import graphs
 from accordions import (
     DIAGONAL_SPOKE,
     INNER_CYCLE,
@@ -369,7 +370,9 @@ def _faulty_edge_lists(draw):
 @given(_faulty_edge_lists())
 def test_graph_errors_match_the_per_edge_check(case):
     order, edges = case
-    assert _outcome(lambda: Graph(order, tuple(edges)).edges) == _outcome(_reference_edges, order, edges)
+    expected = _outcome(_reference_edges, order, edges)
+    assert _outcome(lambda: Graph(order, tuple(edges)).edges) == expected
+    assert _outcome(lambda: Graph(order, iter(edges)).edges) == expected  # read once, then walked on a fault
 
 
 def test_graph_names_a_duplicate_before_a_later_fault():
@@ -379,6 +382,14 @@ def test_graph_names_a_duplicate_before_a_later_fault():
         with pytest.raises((TypeError, ValueError)) as caught:
             Graph(5, ((1, 2), (0, 3), bad, (2, 1)))
         assert "duplicate" not in str(caught.value)
+
+
+def test_circulant_folds_its_lengths_once(monkeypatch):
+    calls = []
+    real = graphs._circulant_lengths
+    monkeypatch.setattr(graphs, "_circulant_lengths", lambda order, lengths: calls.append(order) or real(order, lengths))
+    assert circulant(5, 3, 16) == circulant_graph(10, (3, 4))
+    assert calls == [10, 10]  # one for each call
 
 
 def _reference_cycle(t):
