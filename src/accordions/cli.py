@@ -214,15 +214,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="accgraph",
-        description="Accordion and quartic circulant graphs: constructors, "
-        "isomorphism deciders, witnesses, and a decider-vs-oracle census.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="construct a family graph and print it")
+def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("family", choices=list(_FAMILIES))
     gen.add_argument("--n", type=int)
     gen.add_argument("--k", type=int)
@@ -231,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n1", type=int)
     gen.add_argument("--n2", type=int)
     gen.add_argument("--format", choices=["edgelist", "dot", "json"], default="json")
-    gen.set_defaults(func=cmd_gen)
 
-    decide = sub.add_parser("decide", help="run an isomorphism or structure decider")
+
+def _decide_arguments(decide: argparse.ArgumentParser) -> None:
     decide.add_argument("kind", choices=list(_KINDS))
     decide.add_argument("--n", type=int)
     decide.add_argument("--k", type=int)
@@ -248,25 +240,56 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument("--n2", type=int)
     decide.add_argument("--family", choices=["accordion", "circulant"])
     decide.add_argument("--witness", action="store_true")
-    decide.set_defaults(func=cmd_decide)
 
-    orc = sub.add_parser("oracle", help="brute-force isomorphism test on two graph files")
+
+def _oracle_arguments(orc: argparse.ArgumentParser) -> None:
     orc.add_argument("file_g")
     orc.add_argument("file_h")
-    orc.set_defaults(func=cmd_oracle)
 
-    census = sub.add_parser("census", help="cross-validate every decider against the oracle")
+
+def _census_arguments(census: argparse.ArgumentParser) -> None:
     census.add_argument("--max-n", type=int, default=14)
     census.add_argument("--max-torus", type=int, default=36)
     census.add_argument("--seed", type=int, default=0)
     census.add_argument("--out", default="census.jsonl")
-    census.set_defaults(func=cmd_census)
+
+
+# command -> (help, function adding its arguments, handler)
+_COMMANDS = {
+    "gen": ("construct a family graph and print it", _gen_arguments, cmd_gen),
+    "decide": ("run an isomorphism or structure decider", _decide_arguments, cmd_decide),
+    "oracle": ("brute-force isomorphism test on two graph files", _oracle_arguments, cmd_oracle),
+    "census": ("cross-validate every decider against the oracle", _census_arguments, cmd_census),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with `command`'s subparser alone, or with all of them when command is None.
+
+    The usage line is spelled out, so a usage error reads the same either way.
+    """
+    parser = argparse.ArgumentParser(
+        prog="accgraph",
+        usage=f"%(prog)s [-h] {{{','.join(_COMMANDS)}}} ...",
+        description="Accordion and quartic circulant graphs: constructors, "
+        "isomorphism deciders, witnesses, and a decider-vs-oracle census.",
+    )
+    # an explicit prog, since argparse would otherwise derive it from the usage above
+    sub = parser.add_subparsers(dest="command", required=True, prog="accgraph")
+    for name in _COMMANDS if command is None else [command]:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        add_arguments(subparser)
+        subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a request that names no command first (help, an unknown command) sees the whole tree
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (

@@ -55,11 +55,14 @@ def verify_witness(g: Graph, h: Graph, vm: VertexMap) -> bool:
         return False
     # an edge {x, y}, x < y, is the integer x*order + y: cheaper to hash than a pair
     n = g.order
-    mapped = set()
+    target = {i * n + j for i, j in h.edges}
     for i, j in g.edges:
         x, y = m[i], m[j]
-        mapped.add(x * n + y if x < y else y * n + x)
-    return mapped == {i * n + j for i, j in h.edges}
+        if (x * n + y if x < y else y * n + x) not in target:
+            return False
+    # g's edges are distinct and m is a bijection, so their images are distinct too:
+    # all in h and as many as h's edges means exactly h's edges
+    return g.size == h.size
 
 
 def cycle_swap_automorphism(n: int, k: int) -> VertexMap:

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, document round-trips, the checks made on emitted witnesses."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -132,6 +133,51 @@ class TestGen:
         for argv in requests:
             digest.update((json.dumps([argv, *run_cli(capsys, *argv)]) + "\n").encode())
         assert digest.hexdigest() == "dd78b618d2acde64da197f915afe0394989017ce716e5fe7e779406fa599dbbc"
+
+
+class TestParser:
+    def test_top_level_and_usage_error_output_is_pinned(self, capsys, monkeypatch):
+        # a request names its command first, so only that subparser is built; each
+        # output here must still read as if the whole tree were there
+        monkeypatch.setenv("COLUMNS", "80")
+        requests = [
+            [], ["-h"], ["nosuch"], ["-h", "decide"], ["--", "decide"],
+            ["oracle", "-h"], ["census", "-h"],
+            ["decide", "acc-acc", "--n", "5", "--k1", "1", "--k2", "2", "extra"],
+            ["census", "--max-n", "5", "stray"],
+            ["gen", "accordion", "--n", "5", "--k", "1", "--bogus", "3"],
+            ["decide"], ["oracle", "a"],
+        ]
+        digest = hashlib.sha256()
+        for argv in requests:
+            digest.update((json.dumps([argv, *run_cli(capsys, *argv)]) + "\n").encode())
+        assert digest.hexdigest() == "196fb754eb763d68a882ff1ea701e1940a628bfa3e86dca1c46060aca503e641"
+
+    def test_a_request_builds_only_its_commands_arguments(self, capsys, monkeypatch):
+        # the top-level and decide -h, and decide's 14; the whole tree makes 33
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        assert run_cli(capsys, "decide", "acc-acc", "--n", "14", "--k1", "4", "--k2", "6")[0] == 0
+        assert len(calls) == 16
+        calls.clear()
+        cli.build_parser()
+        assert len(calls) == 33
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["accgraph", "decide", "acc-acc", "--n", "10", "--k1", "2", "--k2", "4"])
+        assert main() == 1
+        assert capsys.readouterr().out.endswith("isomorphic: no\n")
+        monkeypatch.setattr("sys.argv", ["accgraph", "nosuch"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: accgraph [-h] {gen,decide,oracle,census} ...\n")
 
 
 class TestDecide:

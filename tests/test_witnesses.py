@@ -90,6 +90,14 @@ class TestVerifyWitness:
                 refused = True
             assert verify_witness(g, g, VertexMap(m)) is not refused, m
 
+    def test_edge_count_decides_when_every_image_is_an_edge(self):
+        # P6's five edges all map into C6, which has a sixth; the other way,
+        # C6's closing edge {0, 5} is no edge of P6
+        path, cycle = path_graph(6), cycle_graph(6)
+        identity = VertexMap.identity(6)
+        assert not verify_witness(path, cycle, identity)
+        assert not verify_witness(cycle, path, identity)
+
     def test_bad_transposition_on_path(self):
         g = path_graph(5)
         # swapping an endpoint with an interior vertex breaks adjacency
