@@ -10,10 +10,11 @@ Edges are stored as a sorted tuple of ascending pairs, so two equal graphs
 compare equal and serialize byte-identically.  All graphs are immutable and
 every operation in this module is a pure function.
 
-The constructors emit ascending pairs in a few sorted runs built from
-ranges, so orienting them changes nothing and the sort only merges the
-runs.  Graph still checks every edge set, theirs included, in one pass;
-only a set that fails it is walked edge by edge to name its first fault.
+Graph(order, edges) checks outside input in one pass; only a set that
+fails it is walked edge by edge to name its first fault.  The constructors
+and `Graph.relabel` skip that check: their edge sets are valid by
+construction, and they emit them already sorted through `_built`, the one
+place where every Graph object is made.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
@@ -54,9 +55,9 @@ def _canonical_edges(order: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[
     """The edges as a sorted tuple of ascending pairs; the first bad edge in input order raises.
 
     One pass checks each edge's type, self-loop and range, one set of the
-    result finds duplicates, and the sort merges the constructors' ascending
-    runs.  Input that fails this pass, for any reason, is walked once more by
-    `_walk_edges`, the per-edge rule, which raises its first fault.
+    result finds duplicates, and one sort orders them.  Input that fails this
+    pass, for any reason, is walked once more by `_walk_edges`, the per-edge
+    rule, which raises its first fault.
     """
     edges = tuple(edges)  # the same object for a tuple; a generator is read once
     out = []
@@ -69,7 +70,7 @@ def _canonical_edges(order: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[
         pass
     if len(out) < len(edges) or len(set(out)) < len(out):
         return _walk_edges(order, edges)
-    out.sort()  # constructors emit a few ascending runs, which this merges
+    out.sort()
     return tuple(out)
 
 
@@ -90,19 +91,27 @@ def _walk_edges(order: int, edges: tuple) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Immutable simple undirected graph: a vertex count plus an edge set."""
+    """Immutable simple undirected graph: a vertex count plus an edge set.
+
+    Graph(order, edges) checks its input and stores the edges as a sorted
+    tuple of ascending pairs.
+    """
 
     order: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if type(self.order) is not int:
-            raise InvalidParameterError(f"graph order must be an integer, got {self.order!r}")
-        if self.order < 1:
-            raise InvalidParameterError(f"graph order must be >= 1, got {self.order}")
-        object.__setattr__(self, "edges", _canonical_edges(self.order, self.edges))
+    def __new__(cls, order: int, edges: Iterable[Sequence[int]]) -> "Graph":
+        if type(order) is not int:
+            raise InvalidParameterError(f"graph order must be an integer, got {order!r}")
+        if order < 1:
+            raise InvalidParameterError(f"graph order must be >= 1, got {order}")
+        return _built(order, _canonical_edges(order, edges))
+
+    def __getnewargs__(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        # copy and pickle rebuild through the checked path
+        return self.order, self.edges
 
     @property
     def size(self) -> int:
@@ -171,7 +180,45 @@ class Graph:
         """Image of the graph under the bijection v -> perm[v]."""
         if not _is_permutation(perm, self.order):
             raise InvalidParameterError("relabeling must be a permutation of the vertices")
-        return Graph(self.order, tuple((perm[i], perm[j]) for i, j in self.edges))
+        # a bijection keeps the checked edges distinct and in range: orient and sort them
+        image = [(x, y) if x < y else (y, x) for i, j in self.edges for x, y in [(perm[i], perm[j])]]
+        image.sort()
+        return _built(self.order, tuple(image))
+
+
+def _built(order: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+    """The Graph with these fields, unchecked: order >= 1 and edges a sorted
+    tuple of distinct ascending pairs of ints in range(order).  Graph(...)
+    calls it after its check; the constructors and `relabel` call it directly."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "order", order)
+    object.__setattr__(g, "edges", edges)
+    return g
+
+
+def _edges_from_runs(runs: Iterable[tuple[int, int, Sequence[int]]]) -> tuple[tuple[int, int], ...]:
+    """The sorted edges of a graph given as runs (lo, hi, steps), in vertex order:
+    each v in [lo, hi) meets v + d for each d in the ascending steps, and no
+    other larger vertex.  Each run interleaves one range pair per step."""
+    edges: list[tuple[int, int]] = []
+    for lo, hi, steps in runs:
+        vs = range(lo, hi)
+        edges += chain.from_iterable(zip(*[zip(vs, range(lo + d, hi + d)) for d in steps]))
+    return tuple(edges)
+
+
+def _step_runs(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:
+    """g's vertices as the maximal runs of `_edges_from_runs`: the steps up to
+    each vertex's larger neighbours, read off the sorted edges."""
+    steps: list[list[int]] = [[] for _ in range(g.order)]
+    for i, j in g.edges:
+        steps[i].append(j - i)
+    runs, lo = [], 0
+    for key, group in groupby(map(tuple, steps)):
+        hi = lo + sum(1 for _ in group)
+        runs.append((lo, hi, key))
+        lo = hi
+    return runs
 
 
 def _is_permutation(seq: Sequence[int], n: int) -> bool:
@@ -249,17 +296,17 @@ def _circulant_pair(n: int, a: int, b: int) -> tuple[int, int]:
 
 
 def cycle_graph(t: int) -> Graph:
-    """The cycle C_t on vertices 0..t-1."""
+    """The cycle C_t on vertices 0..t-1: the circulant with the one length 1."""
     if t < 3:
         raise InvalidParameterError(f"cycle length must be >= 3, got {t}")
-    return Graph(t, (*zip(range(t - 1), range(1, t)), (0, t - 1)))
+    return _circulant(t, (1,))
 
 
 def path_graph(t: int) -> Graph:
     """The path P_t on t vertices (t-1 edges; a single vertex when t=1)."""
     if t < 1:
         raise InvalidParameterError(f"path order must be >= 1, got {t}")
-    return Graph(t, tuple(zip(range(t - 1), range(1, t))))
+    return _built(t, _edges_from_runs([(0, t - 1, (1,))]))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -268,11 +315,17 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     (x1, y1) ~ (x2, y2) iff x1 = x2 and y1~y2 in h, or x1~x2 in g and y1 = y2.
     """
     nh = h.order
-    order = g.order * nh
-    edges = [(x + y1, x + y2) for x in range(0, order, nh) for y1, y2 in h.edges]
-    for x1, x2 in g.edges:
-        edges += zip(range(x1 * nh, x1 * nh + nh), range(x2 * nh, x2 * nh + nh))
-    return Graph(order, tuple(edges))
+    h_runs = _step_runs(h)
+    edges: list[tuple[int, int]] = []
+    for lo, hi, steps in _step_runs(g):
+        # block lo holds the vertices (lo, y); at each, the steps within h come
+        # before the larger steps across g.  The run's other blocks are its shifts
+        across = tuple(d * nh for d in steps)
+        base = lo * nh
+        block = _edges_from_runs([(base + y_lo, base + y_hi, within + across) for y_lo, y_hi, within in h_runs])
+        for shift in range(0, (hi - lo) * nh, nh):
+            edges += [(i + shift, j + shift) for i, j in block]
+    return _built(g.order * nh, tuple(edges))
 
 
 def accordion(n: int, k: int) -> Graph:
@@ -282,13 +335,17 @@ def accordion(n: int, k: int) -> Graph:
     u_i v_i and the diagonal spokes u_i v_{i+k} (subscripts mod n).
     """
     _check_accordion(n, k)
-    us, vs = range(n), range(n, 2 * n)
-    return Graph(2 * n, (
-        *zip(us, us[1:]), (0, n - 1),        # outer cycle
-        *zip(vs, vs[1:]), (n, 2 * n - 1),    # inner cycle
-        *zip(us, vs),                        # vertical spokes
-        *zip(us, (*vs[k:], *vs[:k])),        # diagonal spokes u_i v_{i+k}
-    ))
+    # u_i is vertex i-1 and v_i vertex n+i-1.  From u_i the steps up are 1 to
+    # u_{i+1}, n to v_i and n+k to v_{i+k}, or k once i+k wraps past n; u_1 also
+    # meets u_n (n-1 on) and v_1 meets v_n
+    return _built(2 * n, _edges_from_runs([
+        (0, 1, (1, n - 1, n, n + k)),  # u_1
+        (1, n - k, (1, n, n + k)),     # u_2 .. u_{n-k}
+        (n - k, n - 1, (1, k, n)),     # u_{n-k+1} .. u_{n-1}
+        (n - 1, n, (k, n)),            # u_n
+        (n, n + 1, (1, n - 1)),        # v_1
+        (n + 1, 2 * n - 1, (1,)),      # v_2 .. v_{n-1}
+    ]))
 
 
 def accordion_edge_classes(n: int, k: int) -> dict[tuple[int, int], str]:
@@ -323,12 +380,20 @@ def circulant_graph(order: int, lengths: Sequence[int]) -> Graph:
 
 
 def _circulant(order: int, norm: tuple[int, ...]) -> Graph:
-    """The circulant with lengths already normalized by `_circulant_lengths`."""
-    edges: list[tuple[int, int]] = []
-    for r in norm:
-        edges += zip(range(order - r), range(r, order))  # x_i x_{i+r}
-        edges += zip(range(r), range(order - r, order))  # the r pairs that wrap
-    return Graph(order, tuple(edges))
+    """The circulant with lengths already normalized by `_circulant_lengths`.
+
+    x_i meets x_{i+r} for each length r with i + r < order, then, since every
+    r < order/2, the wrapping x_{i+order-r} for each r > i; which of these hold
+    changes only at the cuts r and order - r.
+    """
+    lengths = sorted(norm)
+    cuts = sorted({0, order, *lengths, *(order - r for r in lengths)})
+    runs = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        inner = [r for r in lengths if lo + r < order]
+        wrapping = [order - r for r in reversed(lengths) if lo < r]
+        runs.append((lo, hi, inner + wrapping))
+    return _built(order, _edges_from_runs(runs))
 
 
 def cylinder_cut_edges(n: int, k: int) -> tuple[tuple[int, int], ...]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from accordions import VertexMap, accordion, graph_from_json, verify_witness, witness_from_json
+from accordions import Graph, VertexMap, accordion, graph_from_json, verify_witness, witness_from_json
 from accordions import census, cli, graphs, oracle
 from accordions.cli import main
 from accordions.serialize import graph_to_json
@@ -353,6 +353,21 @@ class TestDecide:
         for argv in requests:
             code, out, _ = run_cli(capsys, "decide", *argv, "--witness")
             assert code == 0 and "witness: " in out, argv
+
+    def test_valid_construction_never_reaches_the_edge_check(self, capsys, monkeypatch):
+        # the constructors and relabel emit edge sets valid by construction; only outside input is checked
+        def refuse(order, edges):
+            raise AssertionError("the edge check was reached")
+
+        monkeypatch.setattr(graphs, "_canonical_edges", refuse)
+        assert census.run_census().ok
+        requests = [param.values[0] for param in self.WITNESS_KINDS]
+        requests.append(["ci-acc", "--n", "600", "--a", "1", "--b", "599", "--k", "2"])  # order 1200, bipartite
+        for argv in requests:
+            code, out, _ = run_cli(capsys, "decide", *argv, "--witness")
+            assert code == 0 and "witness: " in out, argv
+        with pytest.raises(AssertionError, match="the edge check was reached"):
+            Graph(3, [(0, 1)])
 
     def test_every_decide_output_is_pinned(self, capsys):
         # exit code, stdout and stderr of each request, hashed in order

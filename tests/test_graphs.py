@@ -1,6 +1,8 @@
 """Family constructors, edge classes, and structural predicates."""
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -83,6 +85,45 @@ class TestGraphType:
         # an isolated vertex's label is no edge endpoint for Graph to check
         with pytest.raises(InvalidParameterError):
             g.relabel(perm)
+
+    def test_relabel_equals_the_checked_build(self, monkeypatch):
+        # relabel skips Graph's check; on each default census target, its relabeling
+        # and an order-2002 accordion it must make the graph the checked path makes
+        from accordions import census, oracle
+
+        targets = []
+        relabeled = census._relabeled
+
+        def keep(kind, g, args, seed):
+            targets.extend([g, relabeled(kind, g, args, seed)])
+            return targets[-1]
+
+        monkeypatch.setattr(census, "_relabeled", keep)
+        monkeypatch.setattr(oracle, "are_isomorphic", lambda g, h: None)  # only the targets are wanted
+        census.run_census()
+        assert len(targets) == 2 * 92
+        rng = random.Random(7)
+        for g in targets + [accordion(1001, 6)]:
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            fast = g.relabel(perm)
+            checked = Graph(g.order, [(perm[i], perm[j]) for i, j in g.edges])
+            assert fast == checked and hash(fast) == hash(checked) and type(fast.edges) is tuple
+
+    def test_relabel_carries_no_cached_invariant(self):
+        g = accordion(9, 2)
+        cached = ("neighbors", "components", "local_invariants")
+        for name in cached:
+            getattr(g, name)
+        copy = g.relabel(list(range(g.order))[::-1])
+        assert all(name in vars(g) for name in cached)
+        assert not any(name in vars(copy) for name in cached)
+
+    def test_copy_and_pickle_rebuild_through_the_check(self):
+        g = accordion(7, 3)
+        g.neighbors
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g and type(twin.edges) is tuple
 
     def test_components_are_sorted_sizes_and_bipartiteness(self):
         c3_c4 = Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)))
@@ -445,8 +486,34 @@ class TestConstructorsMatchThePerEdgeBuilds:
             for h, h_edges in factors:
                 assert cartesian_product(g, h).edges == _reference_product(g.order, g_edges, h.order, h_edges)
 
+    def test_products_of_any_graphs(self):
+        # the product reads each factor's runs off its edges, whatever the factor
+        rng = random.Random(3)
+        factors = [Graph(1, ())]
+        for order in range(2, 7):
+            pairs = [(i, j) for i in range(order) for j in range(i + 1, order)]
+            factors += [Graph(order, rng.sample(pairs, rng.randint(0, len(pairs)))) for _ in range(4)]
+        for g in factors:
+            for h in factors:
+                assert cartesian_product(g, h).edges == _reference_product(g.order, g.edges, h.order, h.edges)
+
     def test_order_2000(self):
-        assert accordion(1000, 334).edges == _reference_accordion(1000, 334)
-        assert circulant_graph(2000, (1, 998)).edges == _reference_circulant(2000, (1, 998))
-        torus = cartesian_product(cycle_graph(40), cycle_graph(25))
-        assert torus.edges == _reference_product(40, _reference_cycle(40), 25, _reference_cycle(25))
+        # each unchecked build equals its per-edge reference and the graph the checked path makes
+        cases = [
+            (accordion(1000, 334), _reference_accordion(1000, 334)),
+            (accordion(1001, 6), _reference_accordion(1001, 6)),
+            (circulant_graph(2000, (1, 998)), _reference_circulant(2000, (1, 998))),
+            (circulant(1000, 3, 997), _reference_circulant(2000, (3, 997))),
+            (circulant(1001, 286, 21), _reference_circulant(2002, (286, 21))),
+            (path_graph(2002), _reference_path(2002)),
+            (cartesian_product(cycle_graph(40), cycle_graph(25)),
+             _reference_product(40, _reference_cycle(40), 25, _reference_cycle(25))),
+            (cartesian_product(cycle_graph(1001), path_graph(2)),
+             _reference_product(1001, _reference_cycle(1001), 2, _reference_path(2))),
+            (cartesian_product(cycle_graph(4), path_graph(500)),
+             _reference_product(4, _reference_cycle(4), 500, _reference_path(500))),
+            (cartesian_product(cycle_graph(2000), path_graph(1)), _reference_cycle(2000)),
+        ]
+        for g, edges in cases:
+            assert g.edges == edges and type(g.edges) is tuple
+            assert g == Graph(g.order, g.edges) and hash(g) == hash(Graph(g.order, g.edges))

@@ -368,13 +368,14 @@ def test_map_constructors_build_no_graph(monkeypatch):
     from accordions import graphs
 
     built = []
-    post_init = graphs.Graph.__post_init__
+    make = graphs._built
 
-    def counting(self):
-        built.append(self.order)
-        post_init(self)
+    def counting(order, edges):
+        built.append(order)
+        return make(order, edges)
 
-    monkeypatch.setattr(graphs.Graph, "__post_init__", counting)
+    # every Graph is made there: by Graph(...) after its check and by the constructors directly
+    monkeypatch.setattr(graphs, "_built", counting)
     maps = [
         cycle_swap_automorphism(1000, 7),
         accordion_witness(1000, 6, 334),
@@ -385,7 +386,8 @@ def test_map_constructors_build_no_graph(monkeypatch):
     assert built == []
     assert [len(vm.mapping) for vm in maps] == [2000] * 4 + [1001]
     circulant(1000, 1, 2)
-    assert built == [2000]  # the counter sees a graph that is built
+    Graph(3, [(2, 0)])
+    assert built == [2000, 3]  # the counter sees a graph that is built, on either path
 
 
 def test_cut_edges_leave_cylinder():
