@@ -10,11 +10,10 @@ Edges are stored as a sorted tuple of ascending pairs, so two equal graphs
 compare equal and serialize byte-identically.  All graphs are immutable and
 every operation in this module is a pure function.
 
-Graph(order, edges) checks outside input in one pass; only a set that
-fails it is walked edge by edge to name its first fault.  The constructors
-and `Graph.relabel` skip that check: their edge sets are valid by
-construction, and they emit them already sorted through `_built`, the one
-place where every Graph object is made.
+Graph(order, edges) checks outside input edge by edge, in input order, so
+the first fault raises.  The constructors and `Graph.relabel` skip that
+check: their edge sets are valid by construction, and they hand them
+sorted to `_built`, the one place where every Graph object is made.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
@@ -51,31 +50,9 @@ VERTICAL_SPOKE = "vertical-spoke"
 DIAGONAL_SPOKE = "diagonal-spoke"
 
 
-def _canonical_edges(order: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
-    """The edges as a sorted tuple of ascending pairs; the first bad edge in input order raises.
-
-    One pass checks each edge's type, self-loop and range, one set of the
-    result finds duplicates, and one sort orders them.  Input that fails this
-    pass, for any reason, is walked once more by `_walk_edges`, the per-edge
-    rule, which raises its first fault.
-    """
-    edges = tuple(edges)  # the same object for a tuple; a generator is read once
-    out = []
-    try:
-        for i, j in edges:
-            if type(i) is not int or type(j) is not int or i == j or not (0 <= i < order and 0 <= j < order):
-                break
-            out.append((i, j) if i < j else (j, i))
-    except (TypeError, ValueError):  # an edge that is not a pair
-        pass
-    if len(out) < len(edges) or len(set(out)) < len(out):
-        return _walk_edges(order, edges)
-    out.sort()
-    return tuple(out)
-
-
-def _walk_edges(order: int, edges: tuple) -> tuple[tuple[int, int], ...]:
-    """The per-edge rule: each edge is checked in input order, so the first fault raises."""
+def _walk_edges(order: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
+    """The edges as a sorted tuple of ascending pairs, each checked in input
+    order, so the first fault raises."""
     seen = set()
     for i, j in edges:
         if type(i) is not int or type(j) is not int:  # not bool or float: serialize writes %d
@@ -107,7 +84,7 @@ class Graph:
             raise InvalidParameterError(f"graph order must be an integer, got {order!r}")
         if order < 1:
             raise InvalidParameterError(f"graph order must be >= 1, got {order}")
-        return _built(order, _canonical_edges(order, edges))
+        return _built(order, _walk_edges(order, edges))
 
     def __getnewargs__(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         # copy and pickle rebuild through the checked path
@@ -207,20 +184,6 @@ def _edges_from_runs(runs: Iterable[tuple[int, int, Sequence[int]]]) -> tuple[tu
     return tuple(edges)
 
 
-def _step_runs(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:
-    """g's vertices as the maximal runs of `_edges_from_runs`: the steps up to
-    each vertex's larger neighbours, read off the sorted edges."""
-    steps: list[list[int]] = [[] for _ in range(g.order)]
-    for i, j in g.edges:
-        steps[i].append(j - i)
-    runs, lo = [], 0
-    for key, group in groupby(map(tuple, steps)):
-        hi = lo + sum(1 for _ in group)
-        runs.append((lo, hi, key))
-        lo = hi
-    return runs
-
-
 def _is_permutation(seq: Sequence[int], n: int) -> bool:
     """Whether seq lists each of 0..n-1 once, as an int: no bool or float, since serialize writes %d."""
     return set(map(type, seq)) == {int} and sorted(seq) == list(range(n))
@@ -304,6 +267,8 @@ def cycle_graph(t: int) -> Graph:
 
 def path_graph(t: int) -> Graph:
     """The path P_t on t vertices (t-1 edges; a single vertex when t=1)."""
+    if type(t) is not int:  # not bool: the order is stored as given
+        raise InvalidParameterError(f"path order must be an integer, got {t!r}")
     if t < 1:
         raise InvalidParameterError(f"path order must be >= 1, got {t}")
     return _built(t, _edges_from_runs([(0, t - 1, (1,))]))
@@ -313,18 +278,13 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product g [] h; vertex (x, y) gets index x*|V(h)| + y.
 
     (x1, y1) ~ (x2, y2) iff x1 = x2 and y1~y2 in h, or x1~x2 in g and y1 = y2.
+    The edges within each block of h and across the blocks are built, then
+    sorted once.
     """
     nh = h.order
-    h_runs = _step_runs(h)
-    edges: list[tuple[int, int]] = []
-    for lo, hi, steps in _step_runs(g):
-        # block lo holds the vertices (lo, y); at each, the steps within h come
-        # before the larger steps across g.  The run's other blocks are its shifts
-        across = tuple(d * nh for d in steps)
-        base = lo * nh
-        block = _edges_from_runs([(base + y_lo, base + y_hi, within + across) for y_lo, y_hi, within in h_runs])
-        for shift in range(0, (hi - lo) * nh, nh):
-            edges += [(i + shift, j + shift) for i, j in block]
+    edges = [(base + i, base + j) for base in range(0, g.order * nh, nh) for i, j in h.edges]
+    edges += [(i * nh + y, j * nh + y) for i, j in g.edges for y in range(nh)]
+    edges.sort()
     return _built(g.order * nh, tuple(edges))
 
 
@@ -382,18 +342,16 @@ def circulant_graph(order: int, lengths: Sequence[int]) -> Graph:
 def _circulant(order: int, norm: tuple[int, ...]) -> Graph:
     """The circulant with lengths already normalized by `_circulant_lengths`.
 
-    x_i meets x_{i+r} for each length r with i + r < order, then, since every
-    r < order/2, the wrapping x_{i+order-r} for each r > i; which of these hold
-    changes only at the cuts r and order - r.
+    Each length r joins x_i to x_{i+r} for i + r < order and, since
+    r < order/2, x_i to the wrapping x_{i+order-r} for i < r; the pairs of
+    all lengths are sorted once.
     """
-    lengths = sorted(norm)
-    cuts = sorted({0, order, *lengths, *(order - r for r in lengths)})
-    runs = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        inner = [r for r in lengths if lo + r < order]
-        wrapping = [order - r for r in reversed(lengths) if lo < r]
-        runs.append((lo, hi, inner + wrapping))
-    return _built(order, _edges_from_runs(runs))
+    edges: list[tuple[int, int]] = []
+    for r in norm:
+        edges += zip(range(order - r), range(r, order))
+        edges += zip(range(r), range(order - r, order))
+    edges.sort()
+    return _built(order, tuple(edges))
 
 
 def cylinder_cut_edges(n: int, k: int) -> tuple[tuple[int, int], ...]:

@@ -120,10 +120,17 @@ class TestGraphType:
         assert not any(name in vars(copy) for name in cached)
 
     def test_copy_and_pickle_rebuild_through_the_check(self):
-        g = accordion(7, 3)
-        g.neighbors
-        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
-            assert twin == g and type(twin.edges) is tuple
+        # every constructor's output holds only ints, so the checked rebuild accepts it;
+        # a bool the constructors let through (k, a length) must not reach the graph
+        built = [accordion(7, 3), accordion(5, True), circulant(7, 2, 5), circulant_graph(7, (True, 2)),
+                 circulant_graph(9, (1, 2, 3, 4)), cycle_graph(3), path_graph(1), path_graph(4),
+                 cartesian_product(cycle_graph(3), path_graph(2)),
+                 cartesian_product(path_graph(2), Graph(3, ((2, 0),))),
+                 accordion(6, 2).relabel([5, 4, 3, 2, 1, 0, 11, 10, 9, 8, 7, 6])]
+        for g in built:
+            g.neighbors
+            for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+                assert twin == g and hash(twin) == hash(g) and type(twin.edges) is tuple
 
     def test_components_are_sorted_sizes_and_bipartiteness(self):
         c3_c4 = Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)))
@@ -191,6 +198,11 @@ class TestCyclesAndPaths:
     def test_path_invalid(self):
         with pytest.raises(InvalidParameterError):
             path_graph(0)
+
+    def test_path_order_must_be_an_integer(self):
+        # a bool order would reach the Graph unchecked, and copy and pickle would refuse it
+        with pytest.raises(InvalidParameterError, match="path order must be an integer, got True"):
+            path_graph(True)
 
 
 class TestCartesianProduct:
@@ -487,7 +499,7 @@ class TestConstructorsMatchThePerEdgeBuilds:
                 assert cartesian_product(g, h).edges == _reference_product(g.order, g_edges, h.order, h_edges)
 
     def test_products_of_any_graphs(self):
-        # the product reads each factor's runs off its edges, whatever the factor
+        # the product builds its edges from each factor's edges, whatever the factor
         rng = random.Random(3)
         factors = [Graph(1, ())]
         for order in range(2, 7):
