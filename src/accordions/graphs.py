@@ -11,9 +11,9 @@ compare equal and serialize byte-identically.  All graphs are immutable and
 every operation in this module is a pure function.
 
 Graph(order, edges) checks outside input edge by edge, in input order, so
-the first fault raises.  The constructors and `Graph.relabel` skip that
-check: their edge sets are valid by construction, and they hand them
-sorted to `_built`, the one place where every Graph object is made.
+the first fault raises.  The constructors, `Graph.relabel`, the cylinder
+rebuild in `witnesses` and `oracle.canonical_key` skip that check: their
+edges are valid by construction, and go sorted to `_built`, which makes every Graph.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ class Graph:
 def _built(order: int, edges: tuple[tuple[int, int], ...]) -> Graph:
     """The Graph with these fields, unchecked: order >= 1 and edges a sorted
     tuple of distinct ascending pairs of ints in range(order).  Graph(...)
-    calls it after its check; the constructors and `relabel` call it directly."""
+    calls it after its check; builders whose edges are valid by construction, directly."""
     g = object.__new__(Graph)
     object.__setattr__(g, "order", order)
     object.__setattr__(g, "edges", edges)
@@ -309,20 +309,9 @@ def accordion(n: int, k: int) -> Graph:
 
 
 def accordion_edge_classes(n: int, k: int) -> dict[tuple[int, int], str]:
-    """Tag of every edge of A[n,k]; each class has exactly n members."""
-    _check_accordion(n, k)
-
-    def key(i: int, j: int) -> tuple[int, int]:
-        return (i, j) if i < j else (j, i)
-
-    tags: dict[tuple[int, int], str] = {}
-    for i in range(n):
-        j = (i + 1) % n
-        tags[key(i, j)] = OUTER_CYCLE
-        tags[key(n + i, n + j)] = INNER_CYCLE
-        tags[key(i, n + i)] = VERTICAL_SPOKE
-        tags[key(i, n + (i + k) % n)] = DIAGONAL_SPOKE
-    return tags
+    """Tag of every edge (i, j), i < j, of A[n,k], read off i and j; each class has n members."""
+    return {(i, j): OUTER_CYCLE if j < n else INNER_CYCLE if i >= n else VERTICAL_SPOKE if j == n + i
+            else DIAGONAL_SPOKE for i, j in accordion(n, k).edges}
 
 
 def circulant(n: int, a: int, b: int) -> Graph:

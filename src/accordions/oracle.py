@@ -45,7 +45,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import BudgetExceededError
-from .graphs import Graph
+from .graphs import Graph, _built
 from .serialize import graph_to_json
 from .witnesses import VertexMap, verify_witness
 
@@ -207,27 +207,26 @@ def _search(colors, child, at_leaf, tickets, autos=(), grow=None):
     if cell is None:
         return at_leaf(colors) or None
     path = []
-    # a node: its colours, untried and tried cell vertices, and [the orbit of
-    # the tried ones under `fixing` (the automorphisms that fix the path), how
-    # many of `autos` `fixing` has seen]; `fixing` is refreshed when `autos` grows
-    stack = [(colors, iter(cell), [], [set(), [], 0])]
+    # a node: its colours, its untried cell vertices, and [the orbit of the tried
+    # ones under `fixing` (the automorphisms that fix the path), how many of
+    # `autos` `fixing` has seen]; both are refreshed when `autos` grows
+    stack = [(colors, iter(cell), [set(), [], 0])]
     while stack:
-        colors, todo, siblings, prune = stack[-1]
+        colors, todo, prune = stack[-1]
         v = next(todo, None)
         if v is None:
             stack.pop()
             if path:
                 path.pop()
             continue
-        if grow and siblings and not path:
+        orbit, fixing, known = prune
+        if grow and orbit and not path:  # a root child tried: the first is never skipped
             grow()
             grow = None
-        orbit, fixing, known = prune
         if known < len(autos):
             fixing = fixing + [a for a in autos[known:] if all(a[p] == p for p in path)]
-            orbit = _orbit(siblings, fixing)
+            orbit = _orbit(orbit, fixing)
             prune[:] = orbit, fixing, len(autos)
-        siblings.append(v)
         if v in orbit:
             continue
         orbit |= _orbit([v], fixing)
@@ -241,7 +240,7 @@ def _search(colors, child, at_leaf, tickets, autos=(), grow=None):
                 return answer
             continue
         path.append(v)
-        stack.append((nxt, iter(cell), [], [set(), [], 0]))
+        stack.append((nxt, iter(cell), [set(), [], 0]))
     return None
 
 
@@ -341,7 +340,7 @@ def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     nbrs = g.neighbors
     colors = _refine(nbrs, _partition(g.local_invariants.seeds))[0]
-    best = []  # [least relabeled edge list, its labels]
+    best = []  # [least relabeled edge list, oriented and sorted, its labels]
     autos = []
 
     def at_leaf(labels):
@@ -354,4 +353,4 @@ def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:
         return False
 
     _search(colors, lambda depth, cs, v: _refine(nbrs, _individualize(cs, v))[0], at_leaf, _tickets(budget), autos)
-    return graph_to_json(g.relabel(best[1])).encode("utf-8")
+    return graph_to_json(_built(g.order, tuple(best[0]))).encode("utf-8")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_iso_torus
 from .errors import InvalidParameterError
-from .graphs import Graph, _check_accordion, _is_permutation, cartesian_product, cycle_graph, path_graph
+from .graphs import Graph, _built, _check_accordion, _is_permutation, cartesian_product, cycle_graph, path_graph
 from .modarith import steps_to_gcd
 
 __all__ = [
@@ -217,8 +217,10 @@ def accordion_from_cylinder(n1: int, n2: int, k: int) -> CylinderExtension:
     base = cartesian_product(cycle_graph(n1), path_graph(n2))
     added = [(i * n2 + n2 - 1, ((i + shift) % n1) * n2) for i in range(n1)]
     pairs = [(i + 1, ((i + shift) % n1) + 1) for i in range(n1)]
-    graph = Graph(2 * n, base.edges + tuple(added))
+    canonical_added = tuple(sorted((min(e), max(e)) for e in added))
+    # valid by construction: shift is even, non-zero (s*k == gcd(n,k) < n) and not n1/2 (that
+    # needs n = 2), so no chord r_i -- l_{i+shift} is a loop, an edge of the base or another chord
+    graph = _built(2 * n, tuple(sorted(base.edges + canonical_added)))
     rows = [_spoke_cycle(n, k, p + 1) for p in range(n2)]  # n1 vertices each
     vm = VertexMap(tuple(v for column in zip(*rows) for v in column))
-    canonical_added = tuple(sorted((min(e), max(e)) for e in added))
     return CylinderExtension(graph, steps, canonical_added, tuple(pairs), vm)

@@ -2,15 +2,26 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 from itertools import chain
 from pathlib import Path
 
 import pytest
 
-from accordions import Graph, VertexMap, accordion, graph_from_json, verify_witness, witness_from_json
+import accordions
+from accordions import (
+    Graph,
+    VertexMap,
+    accordion,
+    accordion_from_cylinder,
+    graph_from_json,
+    verify_witness,
+    witness_from_json,
+)
 from accordions import census, cli, graphs, oracle
 from accordions.cli import main
 from accordions.serialize import graph_to_json
@@ -356,6 +367,10 @@ class TestDecide:
         for argv in requests:
             code, out, _ = run_cli(capsys, "decide", *argv, "--witness")
             assert code == 0 and "witness: " in out, argv
+        # the chorded cylinders, one with a trivial path (n2 = 1)
+        for n1, n2, k in [(4, 5, 5), (6, 1, 1), (8, 3, 3)]:
+            ext = accordion_from_cylinder(n1, n2, k)
+            assert verify_witness(ext.graph, accordion(n1 * n2 // 2, k), ext.to_accordion)
         with pytest.raises(AssertionError, match="the edge check was reached"):
             Graph(3, [(0, 1)])
 
@@ -562,3 +577,10 @@ class TestCensusCmd:
             cols = [row.kind, row.params, row.decider, row.oracle, row.agree, row.witness_verified]
             digest.update((json.dumps(cols, sort_keys=True, separators=(",", ":")) + "\n").encode())
         assert digest.hexdigest() == "1064541744c8c5e6111008ec400e210e2838b98ca261aa5df9750dd26c1de763"
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(accordions.__path__) if m.name != "__main__"])
+def test_every_public_name_resolves(name):
+    # a traced benchmark run wraps every name in each module's __all__; __main__ would run the CLI
+    module = importlib.import_module(f"accordions.{name}")
+    assert [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)] == []

@@ -467,6 +467,19 @@ def _reference_accordion(n, k):
     return _reference_edges(2 * n, edges)
 
 
+def _reference_edge_classes(n, k):
+    # the definition's four classes, each by its own index formula
+    tags = {}
+    for i in range(n):
+        j = (i + 1) % n
+        for tag, (x, y) in ((OUTER_CYCLE, (i, j)), (INNER_CYCLE, (n + i, n + j)),
+                            (VERTICAL_SPOKE, (i, n + i)), (DIAGONAL_SPOKE, (i, n + (i + k) % n))):
+            edge = (min(x, y), max(x, y))
+            assert edge not in tags, (n, k, edge)
+            tags[edge] = tag
+    return tags
+
+
 def _reference_circulant(order, lengths):
     norm = [min(r % order, order - r % order) for r in lengths]
     return _reference_edges(order, [(i, (i + r) % order) for r in norm for i in range(order)])
@@ -477,6 +490,11 @@ class TestConstructorsMatchThePerEdgeBuilds:
         for n in range(3, 41):
             for k in range(1, n // 2 + 1):
                 assert accordion(n, k).edges == _reference_accordion(n, k), (n, k)
+
+    def test_accordion_edge_classes(self):
+        for n in range(3, 61):
+            for k in range(1, n // 2 + 1):
+                assert accordion_edge_classes(n, k) == _reference_edge_classes(n, k), (n, k)
 
     def test_circulants(self):
         for order in range(3, 61):
