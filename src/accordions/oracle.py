@@ -13,10 +13,13 @@ isomorphism II, 2014).
 
 Refinement keeps an ordered partition; a vertex's colour is the start of
 its cell, so a discrete colouring is a permutation.  It works through a
-queue of splitter cells, counts neighbours only for the vertices a splitter
-touches, and queues the pieces of a split cell by the smaller-half rule, in
-O((n+m) log n) (Berkholz, Bonsma & Grohe, 2013).  Each splitter leaves an
-event in a trace: the count profile of every cell it hits, split or not.
+queue of splitter cells, groups the vertices a splitter touches by colour,
+and queues the pieces of a split cell by the smaller-half rule, in
+O((n+m) log n) (Berkholz, Bonsma & Grohe, 2013).  It counts neighbours only
+where a count can exceed 1, so not for a singleton splitter in a simple
+graph, and sorts by count only a splitter whose counts differ.  Each
+splitter leaves an event in a trace: the count profile of every cell it
+hits, split or not.
 g is refined once and writes the trace; h is replayed against it and
 rejected at the first event that differs.  An individualized child queues
 only its new singleton, because its parent colouring is already equitable.
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import groupby
-from operator import itemgetter
 from typing import Optional
 
 from .errors import BudgetExceededError
@@ -90,6 +92,13 @@ def _splits(nbrs, colors, queue):
     queue by the smaller-half rule (Berkholz, Bonsma & Grohe 2013): all of them
     if the cell was queued, else all but the largest.  The walk stops once the
     partition is discrete.
+
+    A singleton splitter is not counted: the graph is simple, so its
+    neighbours are the vertices met, each once.  A larger one is counted.
+    Where every count is the same (1 where the neighbour lists do not overlap,
+    2 for a pair of twins), each cell's met vertices, in the order first met,
+    are its one piece; otherwise they are sorted stably by count and cut into
+    pieces.
     """
     n = len(colors)
     order = sorted(range(n), key=colors.__getitem__)
@@ -107,17 +116,31 @@ def _splits(nbrs, colors, queue):
     while queue and cells < n:
         s = queue.popleft()
         queued[s] = False
-        counts = {}
-        for u in order[s:s + size[s]]:
-            for w in nbrs[u]:
-                counts[w] = counts.get(w, 0) + 1
-        pieces = {}
-        for w, k in counts.items():
-            pieces.setdefault((colors[w], k), []).append(w)
-        keys = sorted(pieces)
-        yield s, tuple((c, k, len(pieces[c, k])) for c, k in keys)
-        for c, group in groupby(keys, itemgetter(0)):
-            group = [pieces[key] for key in group]
+        if size[s] == 1:
+            met, k = nbrs[order[s]], 1
+        else:
+            counts = {}
+            for u in order[s:s + size[s]]:
+                for w in nbrs[u]:
+                    counts[w] = counts.get(w, 0) + 1
+            met, ks = counts, set(counts.values())
+            k = ks.pop() if len(ks) == 1 else 0
+        hits = {}
+        for w in met:
+            hits.setdefault(colors[w], []).append(w)
+        event, splits = [], []
+        for c in sorted(hits):
+            group = hits[c]
+            if k:
+                event.append((c, k, len(group)))
+                group = [group]
+            else:
+                group.sort(key=counts.__getitem__)
+                group = [list(piece) for _, piece in groupby(group, counts.__getitem__)]
+                event += [(c, counts[piece[0]], len(piece)) for piece in group]
+            splits.append((c, group))
+        yield s, tuple(event)
+        for c, group in splits:
             hit = sum(map(len, group))
             if len(group) == 1 and hit == size[c]:
                 continue

@@ -5,8 +5,10 @@ import math
 import random
 import sys
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Sequence
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given
@@ -35,6 +37,7 @@ from accordions.oracle import (
     _refine,
     _replay,
     _search,
+    _splits,
     _target_cell,
     _tickets,
 )
@@ -446,6 +449,164 @@ class _CountingSequence(Sequence):
 
     def __len__(self):
         return len(self.items)
+
+
+class _RecordingSequence(_CountingSequence):
+    """A sequence that also records which items are read, in order."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = []
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+# The kernel before it grouped a splitter's neighbours by colour, skipped
+# counting for a singleton and sorting by count where every count is the same,
+# kept verbatim: `_splits` must make the same events and the same splits, each
+# piece in the same vertex order.
+def _reference_splits(nbrs, colors, queue):
+    """Refine the ordered partition `colors` in place to the coarsest equitable
+    one below it, splitting by the cells in `queue` first; yield each splitter's
+    event before its splits are made.
+
+    An event is the splitter's start and, for every cell the splitter hits, one
+    (cell start, neighbour count, vertices with that count) per count.  A hit
+    cell splits by count: the vertices with no neighbour in the splitter keep
+    the cell's start, the hit pieces follow in count order.  The pieces join the
+    queue by the smaller-half rule (Berkholz, Bonsma & Grohe 2013): all of them
+    if the cell was queued, else all but the largest.  The walk stops once the
+    partition is discrete.
+    """
+    n = len(colors)
+    order = sorted(range(n), key=colors.__getitem__)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    size = [0] * n
+    for c in colors:
+        size[c] += 1
+    cells = n - size.count(0)
+    queued = [False] * n
+    for s in queue:
+        queued[s] = True
+    queue = deque(queue)
+    while queue and cells < n:
+        s = queue.popleft()
+        queued[s] = False
+        counts = {}
+        for u in order[s:s + size[s]]:
+            for w in nbrs[u]:
+                counts[w] = counts.get(w, 0) + 1
+        pieces = {}
+        for w, k in counts.items():
+            pieces.setdefault((colors[w], k), []).append(w)
+        keys = sorted(pieces)
+        yield s, tuple((c, k, len(pieces[c, k])) for c, k in keys)
+        for c, group in groupby(keys, itemgetter(0)):
+            group = [pieces[key] for key in group]
+            hit = sum(map(len, group))
+            if len(group) == 1 and hit == size[c]:
+                continue
+            # move the hit vertices to the tail of the cell, in count order
+            t = c + size[c]
+            for piece in reversed(group):
+                for v in piece:
+                    t -= 1
+                    u, p = order[t], pos[v]
+                    order[t], order[p] = v, u
+                    pos[v], pos[u] = t, p
+            size[c] -= hit
+            starts = [c] if size[c] else []
+            for piece in group:
+                if t != c:
+                    for v in piece:
+                        colors[v] = t
+                size[t] = len(piece)
+                starts.append(t)
+                t += len(piece)
+            cells += len(starts) - 1
+            if not queued[c]:
+                starts.remove(max(starts, key=size.__getitem__))
+            for x in starts:
+                if not queued[x]:
+                    queued[x] = True
+                    queue.append(x)
+
+
+def _k4_plus_2k2():
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    return Graph(8, tuple(k4) + ((4, 5), (6, 7)))
+
+
+class TestRefinementKernel:
+    """`_splits` against `_reference_splits` on the same starts."""
+
+    @staticmethod
+    def _assert_same_as_reference(g, start):
+        # the neighbour lists are read in the order of each splitter's cell, so
+        # equal reads mean every piece was moved in the same vertex order
+        nbrs, ref_nbrs = _RecordingSequence(g.neighbors), _RecordingSequence(g.neighbors)
+        colors = list(start[0])
+        trace = list(_reference_splits(ref_nbrs, colors, start[1]))
+        assert _refine(nbrs, start) == (colors, trace)
+        assert nbrs.read == ref_nbrs.read
+        return trace
+
+    def _assert_tree_top_is_the_reference(self, g):
+        """The seed start, each individualized child of the root and of its first child."""
+        start = _partition(g.local_invariants.seeds)
+        traces = [self._assert_same_as_reference(g, start)]
+        colors = _refine(g.neighbors, start)[0]
+        for _ in range(2):
+            cell = _target_cell(colors)
+            if cell is None:
+                break
+            traces += [self._assert_same_as_reference(g, _individualize(colors, v)) for v in cell]
+            colors = _refine(g.neighbors, _individualize(colors, cell[0]))[0]
+        return traces
+
+    @pytest.mark.parametrize("order", range(6, 31, 2))
+    def test_family_graphs_and_the_seed_start_of_their_relabelings(self, order):
+        rng = random.Random(order)
+        for g in _quartic_family(order):
+            perm = list(range(order))
+            rng.shuffle(perm)
+            self._assert_tree_top_is_the_reference(g)
+            h = g.relabel(perm)
+            self._assert_same_as_reference(h, _partition(h.local_invariants.seeds))
+
+    @pytest.mark.parametrize("g", [
+        *(accordion(n, 2) for n in range(5, 13)),
+        *(circulant_graph(2 * n, (1, n - 1)) for n in range(3, 11)),
+        *(cartesian_product(cycle_graph(4), cycle_graph(m)) for m in range(3, 9)),
+        _k4_plus_2k2(),
+    ], ids=repr)
+    def test_graphs_whose_splitters_count_above_1(self, g):
+        traces = self._assert_tree_top_is_the_reference(g)
+        assert any(k > 1 for trace in traces for _, hits in trace for _, k, _ in hits)
+
+    def test_a_count_that_differs_inside_one_colour_is_caught(self):
+        # the splitter {0, 1} sends four edges into the cell {2, 3, 4, 5} of
+        # both graphs; in g they meet two vertices twice, in h four vertices once
+        start = [0, 0, 2, 2, 2, 2], [0]
+        g = Graph(6, ((0, 2), (0, 3), (1, 2), (1, 3)))
+        h = Graph(6, ((0, 2), (0, 3), (1, 4), (1, 5)))
+        trace = _refine(g.neighbors, start)[1]
+        assert trace[0] == (0, ((2, 2, 2),))
+        assert next(_splits(h.neighbors, list(start[0]), start[1])) == (0, ((2, 1, 4),))
+        assert _replay(h.neighbors, start, trace) is None
+        assert _replay(h.neighbors, start, _refine(h.neighbors, start)[1]) is not None
+
+    def test_counted_splitter_of_a_6_2_is_pinned(self):
+        # vertex 0 individualized: its neighbours {1, 5, 6, 8} are the second
+        # splitter, meeting 0 and its twin 7 four times and four vertices twice
+        g = accordion(6, 2)
+        colors, trace = _refine(g.neighbors, _individualize([0] * 12, 0))
+        assert trace[1] == (7, ((0, 2, 4), (0, 4, 1), (11, 4, 1)))
+        assert colors == [11, 7, 2, 0, 2, 7, 7, 6, 7, 2, 0, 2]
 
 
 class TestRefinementWork:
