@@ -20,24 +20,30 @@ where a count can exceed 1, so not for a singleton splitter in a simple
 graph, and sorts by count only a splitter whose counts differ.  Each
 splitter leaves an event in a trace: the count profile of every cell it
 hits, split or not.
-g is refined once and writes the trace; h is replayed against it and
-rejected at the first event that differs.  An individualized child queues
-only its new singleton, because its parent colouring is already equitable.
-are_isomorphic searches h's tree with a target: g's path
-individualizes the first vertex of each target cell, and every node of h is
-replayed against g's trace at its depth.  canonical_key searches g's tree
-with a minimiser: the least relabeled leaf wins, and the automorphisms that
-equal leaves reveal prune equivalent branches.  are_isomorphic prunes
-the same way by automorphisms of h, found once it has to try a second
-vertex of h's root cell: leaves of h's tree searched against h's own path.
-The search keeps its own stack, so depth is not limited by the recursion
-limit, and counts its own nodes: are_isomorphic's budget bounds the nodes
-of h's tree, those that find its automorphisms included.
+One graph is refined and writes the trace; the other is replayed against
+it and rejected at the first event that differs.  An individualized child
+queues only its new singleton, because its parent colouring is already
+equitable.  A graph's first path is its refined seeds, then at each level
+the first vertex of the target cell individualized.  Each Graph keeps the
+levels of its first path that a search refines or replays to the end, and
+a later call takes a kept level as the reference and replays the other
+graph against it.  are_isomorphic searches h's tree with a target: g's
+first path, and every node of h is replayed against g's trace at its
+depth.  canonical_key searches g's tree with a minimiser: the least
+relabeled leaf wins, and the automorphisms that equal leaves reveal prune
+equivalent branches.  are_isomorphic prunes the same way by automorphisms
+of h, found once it has to try a second vertex of h's root cell: leaves of
+h's tree searched against h's own path.  The search keeps its own stack,
+so depth is not limited by the recursion limit, and counts its own nodes:
+are_isomorphic's budget bounds the nodes of h's tree, those that find its
+automorphisms included.
 
 Every map returned by are_isomorphic has passed `verify_witness` at the
-leaf that produced it.  Searches keep no state between calls apart from
-each Graph's cached invariants, h's automorphisms among them, which are
-deterministic, so they may run in parallel; a single search is sequential.
+leaf that produced it.  A search keeps state between calls only on its
+Graph objects: their invariants, h's automorphisms and each graph's first
+path.  All are deterministic, and the path is kept whole levels at a time
+and keyed by depth, so searches on shared graphs may run in parallel and
+answer as they would on fresh copies; a single search is sequential.
 """
 
 from __future__ import annotations
@@ -190,11 +196,18 @@ def _replay(nbrs, start, trace):
     return colors
 
 
-def _target_cell(colors):
-    """The smallest non-singleton colour class, ties to the lowest colour; None if discrete."""
+def _target(colors):
+    """The colour of the smallest non-singleton class, ties to the lowest; None if discrete."""
     sizes = Counter(colors)
-    cell = min(((size, c) for c, size in sizes.items() if size > 1), default=None)
-    return None if cell is None else [v for v, c in enumerate(colors) if c == cell[1]]
+    if len(sizes) == len(colors):
+        return None
+    return min((size, c) for c, size in sizes.items() if size > 1)[1]
+
+
+def _target_cell(colors):
+    """The vertices of the target class, `_target`, in index order; None if discrete."""
+    target = _target(colors)
+    return None if target is None else [v for v, c in enumerate(colors) if c == target]
 
 
 def _orbit(points, perms):
@@ -267,37 +280,79 @@ def _search(colors, child, at_leaf, tickets, autos=(), grow=None):
     return None
 
 
-def _matcher(g, h, root):
-    """`child` and `at_leaf` for h's tree against g's path below g's refined `root`
-    (colours, trace): a leaf gives its map g -> h if that verifies."""
-    levels = [root]
+def _path(x):
+    """The first path x keeps: depth -> (colours, trace, first vertex of the
+    target cell, or None where the colours are discrete)."""
+    return vars(x).setdefault("_first_path", {})
+
+
+def _level(x, d, trace=None):
+    """Level d of x's first path: x's seeds refined at d = 0, else level d - 1
+    refined with its first vertex individualized.  A kept level is returned,
+    or None if its trace is not `trace`.  Otherwise x is replayed against
+    `trace` and kept only if it follows, or with no `trace` refined and kept.
+    Levels are kept whole and by depth, so parallel searches on x keep one path."""
+    path = _path(x)
+    if d in path:
+        level = path[d]
+        return level if trace is None or level[1] == trace else None
+    if d:
+        colors, _, v = path[d - 1]
+        start = _individualize(colors, v)
+    else:
+        start = _partition(x.local_invariants.seeds)
+    if trace is None:
+        colors, trace = _refine(x.neighbors, start)
+    else:
+        colors = _replay(x.neighbors, start, trace)
+        if colors is None:
+            return None
+    target = _target(colors)
+    return path.setdefault(d, (colors, trace, None if target is None else colors.index(target)))
+
+
+def _follows(g, h, d):
+    """h's level d if it follows g's, else None.  The graph that keeps its
+    level is the reference, and the other is replayed against it; g is refined
+    if neither does."""
+    if d in _path(g) or d not in _path(h):
+        return _level(h, d, _level(g, d)[1])
+    level = _level(h, d)
+    return level if _level(g, d, level[1]) else None
+
+
+def _matcher(g, h):
+    """`child` and `at_leaf` for h's tree against g's first path: a leaf gives
+    its map g -> h if that verifies.  Both graphs keep their level 0."""
+    gp, hp = _path(g), _path(h)
 
     def child(depth, colors, w):
-        # a level of g's path is refined only when h's search first reaches its depth
-        if depth + 1 == len(levels):
-            cg = levels[depth][0]
-            levels.append(_refine(g.neighbors, _individualize(cg, _target_cell(cg)[0])))
-        return _replay(h.neighbors, _individualize(colors, w), levels[depth + 1][1])
+        level = hp.get(depth)
+        if level and colors is level[0] and w == level[2]:  # on h's own first path
+            level = _follows(g, h, depth + 1)
+            return level and level[0]
+        return _replay(h.neighbors, _individualize(colors, w), _level(g, depth + 1)[1])
 
     def at_leaf(colors):
-        # h's colouring is discrete only where g's is, at g's last level
+        # h's colouring is discrete only where g's is, at the last level g keeps
         image = {c: w for w, c in enumerate(colors)}
-        vm = VertexMap(tuple(image[c] for c in levels[-1][0]))
+        vm = VertexMap(tuple(image[c] for c in gp[len(gp) - 1][0]))
         return vm if verify_witness(g, h, vm) else None
 
     return child, at_leaf
 
 
-def _automorphisms(h, root, tickets):
-    """Automorphisms of h, from its tree searched against its own path: for each
-    w of the target cell of `root`, h's refined colours, not yet in the orbit
-    of its first vertex v, the first leaf of w's subtree that matches the path
-    gives one carrying v onto w.  A w whose child fails its replay costs one node."""
-    child, at_leaf = _matcher(h, h, (root, ()))
+def _automorphisms(h, tickets):
+    """Automorphisms of h, from its tree searched against its own first path:
+    for each w of its root's target cell, not yet in the orbit of the first
+    vertex v, the first leaf of w's subtree that matches the path gives one
+    carrying v onto w.  A w whose child fails its replay costs one node."""
+    child, at_leaf = _matcher(h, h)
 
     def below(depth, colors, u):  # w's subtree, one level down h's path
         return child(depth + 1, colors, u)
 
+    root = _level(h, 0)[0]
     cell = _target_cell(root)
     found, orbit = [], {cell[0]}
     for w in cell[1:]:
@@ -317,11 +372,18 @@ def are_isomorphic(g: Graph, h: Graph) -> Optional[VertexMap]:
     Complete at desk scale; more than DEFAULT_NODE_BUDGET search nodes abort
     with BudgetExceededError rather than returning a wrong answer.
 
+    Each Graph object keeps the levels of its first path that a call refines
+    or replays to the end: level 0 its refined seeds, each next level its
+    first vertex individualized.  A later call on either object reuses them,
+    the kept side as the reference, so a graph shared by many calls is refined
+    once and the other side is only replayed.  The search tree, its node
+    count and the returned map do not depend on what is kept.
+
     Before it tries a second vertex of h's root cell, the search finds
     automorphisms of h (`_automorphisms`, its nodes counted), once per Graph
-    object, kept on h like its cached invariants.  It then skips a vertex
-    they carry onto a sibling already tried: its subtree is the image of one
-    that found no isomorphism, so the returned map is the same without them.
+    object, kept on h like its first path.  It then skips a vertex they
+    carry onto a sibling already tried: its subtree is the image of one that
+    found no isomorphism, so the returned map is the same without them.
     """
     # no size screen: equal profiles have equal sizes (their adjacent pairs
     # count the edges).  The root replay sees only seed ranks: A[50,1] and
@@ -333,19 +395,18 @@ def are_isomorphic(g: Graph, h: Graph) -> Optional[VertexMap]:
         return None
     if g.local_invariants.profile != h.local_invariants.profile:
         return None
-    root = _refine(g.neighbors, _partition(g.local_invariants.seeds))
-    ch = _replay(h.neighbors, _partition(h.local_invariants.seeds), root[1])
-    if ch is None:
+    root = _follows(g, h, 0)
+    if root is None:
         return None
     tickets = _tickets(DEFAULT_NODE_BUDGET)
     autos = []
 
-    def grow():  # ch followed g's trace to its end, so it is h's own refinement
+    def grow():
         if "_automorphisms" not in vars(h):
-            vars(h)["_automorphisms"] = _automorphisms(h, ch, tickets)
+            vars(h)["_automorphisms"] = _automorphisms(h, tickets)
         autos.extend(vars(h)["_automorphisms"])
 
-    return _search(ch, *_matcher(g, h, root), tickets, autos, grow)
+    return _search(root[0], *_matcher(g, h), tickets, autos, grow)
 
 
 def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:
@@ -362,7 +423,7 @@ def canonical_key(g: Graph, node_budget: Optional[int] = None) -> bytes:
         )
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     nbrs = g.neighbors
-    colors = _refine(nbrs, _partition(g.local_invariants.seeds))[0]
+    colors = _level(g, 0)[0]
     best = []  # [least relabeled edge list, oriented and sorted, its labels]
     autos = []
 

@@ -671,6 +671,29 @@ class TestSearch:
         assert self._run(autos, lambda colors: autos.append([2, 3, 0, 1]) if not autos else False) == (None, [0, 1])
 
 
+def _shuffled(g, seed):
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+def _torus_row():
+    """Ci[15,{1,5}] and a relabeled C3 [] C5, a torus_rows(36) row that passes
+    every screen and that the search rejects."""
+    return circulant_graph(15, (1, 5)), census._relabeled(
+        "ci-torus", cartesian_product(cycle_graph(3), cycle_graph(5)), (3, 5), 15)
+
+
+# pairs that reach the search: a yes 14 levels down through A[14,2]'s twins,
+# a yes at the first leaf, and two noes that run discovery
+_SEARCHED_PAIRS = {
+    "A14-2": lambda: (accordion(14, 2), _shuffled(accordion(14, 2), 14)),
+    "A30-3": lambda: (accordion(30, 3), _shuffled(accordion(30, 3), 30)),
+    "A50-6-vs-14": lambda: (accordion(50, 6), accordion(50, 14)),
+    "Ci15-vs-C3xC5": _torus_row,
+}
+
+
 class TestAutomorphismPruning:
     """are_isomorphic with the automorphisms of h that it finds itself."""
 
@@ -693,13 +716,14 @@ class TestAutomorphismPruning:
         random.Random(h.order).shuffle(perm)
         h = h.relabel(perm)
         root = self._root(h)
-        autos = _automorphisms(h, root, _tickets(100))
+        autos = _automorphisms(h, _tickets(100))
         assert autos and all(verify_witness(h, h, VertexMap(tuple(a))) for a in autos)
         assert _orbit(_target_cell(root)[:1], autos) == set(range(h.order))
 
     def test_maps_are_the_same_with_and_without_discovery(self, monkeypatch):
         # on every isomorphic row of the default census grid, and on a pair
-        # whose first root child fails: a fresh copy of h keeps no automorphisms
+        # whose first root child fails: the census's shared graphs keep their
+        # paths and h's automorphisms, fresh copies keep nothing
         real, compared = oracle.are_isomorphic, []
 
         def both(g, h):
@@ -707,7 +731,7 @@ class TestAutomorphismPruning:
             if vm is not None:
                 with monkeypatch.context() as m:
                     m.setattr(oracle, "_automorphisms", lambda *args: [])
-                    assert real(g, Graph(h.order, h.edges)) == vm
+                    assert real(Graph(g.order, g.edges), Graph(h.order, h.edges)) == vm
                 compared.append(vm)
             return vm
 
@@ -726,16 +750,11 @@ class TestAutomorphismPruning:
         # Ci[15,{1,5}] is not C3 [] C5; h is vertex-transitive, so refinement
         # leaves it one cell: the first root image fails after one replay, and
         # discovery's maps, found in 3 nodes, carry it onto all the others
-        g = circulant_graph(15, (1, 5))
-
-        def h():
-            return census._relabeled("ci-torus", cartesian_product(cycle_graph(3), cycle_graph(5)), (3, 5), 15)
-
         monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 4)
-        assert are_isomorphic(g, h()) is None
+        assert are_isomorphic(*_torus_row()) is None
         monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 3)
         with pytest.raises(BudgetExceededError):
-            are_isomorphic(g, h())
+            are_isomorphic(*_torus_row())
 
     def test_a_screen_passing_no_at_order_2000_takes_a_few_nodes(self, monkeypatch):
         # without discovery the search refines every one of the 2000 root images
@@ -769,6 +788,57 @@ class TestAutomorphismPruning:
         monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 13)
         with pytest.raises(BudgetExceededError):
             census.run_census()
+
+
+class TestKeptPaths:
+    """Each Graph keeps the levels of its first path: a call refines only the
+    levels that neither graph keeps, and answers as fresh copies do."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls, real = [], getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("pair", _SEARCHED_PAIRS.values(), ids=_SEARCHED_PAIRS.keys())
+    def test_a_second_call_on_the_same_objects_refines_nothing(self, monkeypatch, pair):
+        g, h = pair()
+        refined = self._count(monkeypatch, "_refine")
+        vm = are_isomorphic(g, h)
+        assert refined != []
+        refined.clear()
+        assert are_isomorphic(g, h) == vm and refined == []
+
+    def test_a_fresh_source_against_a_kept_target_is_only_replayed(self, monkeypatch):
+        # the fresh circulant follows the torus's root, fails the replay of its
+        # first child, and the torus's kept automorphisms skip every other one
+        g, h = _torus_row()
+        assert g.components == h.components and g.local_invariants.profile == h.local_invariants.profile
+        assert are_isomorphic(g, h) is None
+        refined, replayed = self._count(monkeypatch, "_refine"), self._count(monkeypatch, "_replay")
+        assert are_isomorphic(circulant_graph(15, (1, 5)), h) is None
+        assert refined == [] and len(replayed) == 2
+
+    def test_a_relabeled_copy_starts_with_no_kept_path(self):
+        g, h = _SEARCHED_PAIRS["A30-3"]()
+        assert are_isomorphic(g, h) is not None
+        assert "_first_path" in vars(g) and "_first_path" in vars(h)
+        copy = h.relabel(list(range(h.order)))
+        assert copy == h and "_first_path" not in vars(copy)
+
+    @pytest.mark.parametrize("name, nodes", [("A14-2", 14), ("A30-3", 2), ("A50-6-vs-14", 7), ("Ci15-vs-C3xC5", 4)])
+    def test_a_call_cut_by_the_budget_keeps_only_whole_levels(self, monkeypatch, name, nodes):
+        # every budget short of the search's nodes, each on new objects, then
+        # the full budget on the same objects
+        pair = _SEARCHED_PAIRS[name]
+        fresh = are_isomorphic(*pair())
+        for budget in range(1, nodes):
+            g, h = pair()
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "DEFAULT_NODE_BUDGET", budget)
+                with pytest.raises(BudgetExceededError):
+                    are_isomorphic(g, h)
+            assert are_isomorphic(g, h) == fresh
 
 
 class TestCanonicalKey:
