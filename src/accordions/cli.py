@@ -306,5 +306,17 @@ def main(argv=None) -> int:
         return 2
 
 
+# encoded once, so it is written with no allocation: a failure that escapes
+# `main` is most often memory that ran out inside its own handler
+_ESCAPED = b"error: uncaught failure, most likely out of memory\n"
+
+
 def run() -> None:
-    raise SystemExit(main())
+    """The console script.  An exception that escapes `main` exits 2, never
+    Python's 1, the code for "no"; argparse's SystemExit passes through."""
+    try:
+        code = main()
+    except Exception:  # not SystemExit, a BaseException
+        os.write(2, _ESCAPED)
+        os._exit(2)
+    raise SystemExit(code)

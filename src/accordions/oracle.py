@@ -17,11 +17,14 @@ queue of splitter cells, groups the vertices a splitter touches by colour,
 and queues the pieces of a split cell by the smaller-half rule, in
 O((n+m) log n) (Berkholz, Bonsma & Grohe, 2013).  It counts neighbours only
 where a count can exceed 1, so not for a singleton splitter in a simple
-graph, and sorts by count only a splitter whose counts differ.  Each
-splitter leaves an event in a trace: the count profile of every cell it
-hits, split or not.
+graph, and sorts by count only a splitter whose counts differ.  A cell met
+with one count is split in the pass that writes its part of the event: its
+met vertices move to its tail as one piece.  Each splitter leaves an event
+in a trace: the count profile of every cell it hits, split or not.  The
+event is yielded once the splitter's splits are made.
 One graph is refined and writes the trace; the other is replayed against
-it and rejected at the first event that differs.  An individualized child
+it and rejected at the first event that differs, with that splitter's
+splits already made on colours it then drops.  An individualized child
 queues only its new singleton, because its parent colouring is already
 equitable.  A graph's first path is its refined seeds, then at each level
 the first vertex of the target cell individualized.  Each Graph keeps the
@@ -89,7 +92,7 @@ def _individualize(colors, v):
 def _splits(nbrs, colors, queue):
     """Refine the ordered partition `colors` in place to the coarsest equitable
     one below it, splitting by the cells in `queue` first; yield each splitter's
-    event before its splits are made.
+    event once its splits are made.
 
     An event is the splitter's start and, for every cell the splitter hits, one
     (cell start, neighbour count, vertices with that count) per count.  A hit
@@ -97,14 +100,17 @@ def _splits(nbrs, colors, queue):
     the cell's start, the hit pieces follow in count order.  The pieces join the
     queue by the smaller-half rule (Berkholz, Bonsma & Grohe 2013): all of them
     if the cell was queued, else all but the largest.  The walk stops once the
-    partition is discrete.
+    partition is discrete.  A consumer that stops at an event, as a replay
+    whose event differs does, finds that splitter's splits already made.
 
     A singleton splitter is not counted: the graph is simple, so its
     neighbours are the vertices met, each once.  A larger one is counted.
     Where every count is the same (1 where the neighbour lists do not overlap,
     2 for a pair of twins), each cell's met vertices, in the order first met,
     are its one piece; otherwise they are sorted stably by count and cut into
-    pieces.
+    pieces.  A cell met with one count is split in the pass that writes its
+    entry: met whole it keeps its start, else its piece moves to the cell's
+    tail and one half is queued.
     """
     n = len(colors)
     order = sorted(range(n), key=colors.__getitem__)
@@ -134,46 +140,61 @@ def _splits(nbrs, colors, queue):
         hits = {}
         for w in met:
             hits.setdefault(colors[w], []).append(w)
-        event, splits = [], []
+        event = []
         for c in sorted(hits):
-            group = hits[c]
+            piece = hits[c]
+            hit = len(piece)
             if k:
-                event.append((c, k, len(group)))
-                group = [group]
+                event.append((c, k, hit))
             else:
-                group.sort(key=counts.__getitem__)
-                group = [list(piece) for _, piece in groupby(group, counts.__getitem__)]
-                event += [(c, counts[piece[0]], len(piece)) for piece in group]
-            splits.append((c, group))
-        yield s, tuple(event)
-        for c, group in splits:
-            hit = sum(map(len, group))
-            if len(group) == 1 and hit == size[c]:
+                piece.sort(key=counts.__getitem__)
+                group = [list(p) for _, p in groupby(piece, counts.__getitem__)]
+                event += [(c, counts[p[0]], len(p)) for p in group]
+                if len(group) > 1:
+                    # move the hit vertices to the tail of the cell, in count order
+                    t = c + size[c]
+                    for p in reversed(group):
+                        for v in p:
+                            t -= 1
+                            u, i = order[t], pos[v]
+                            order[t], order[i] = v, u
+                            pos[v], pos[u] = t, i
+                    size[c] -= hit
+                    starts = [c] if size[c] else []
+                    for p in group:
+                        if t != c:
+                            for v in p:
+                                colors[v] = t
+                        size[t] = len(p)
+                        starts.append(t)
+                        t += len(p)
+                    cells += len(starts) - 1
+                    if not queued[c]:
+                        starts.remove(max(starts, key=size.__getitem__))
+                    for x in starts:
+                        if not queued[x]:
+                            queued[x] = True
+                            queue.append(x)
+                    continue
+            rest = size[c] - hit
+            if not rest:
                 continue
-            # move the hit vertices to the tail of the cell, in count order
-            t = c + size[c]
-            for piece in reversed(group):
-                for v in piece:
-                    t -= 1
-                    u, p = order[t], pos[v]
-                    order[t], order[p] = v, u
-                    pos[v], pos[u] = t, p
-            size[c] -= hit
-            starts = [c] if size[c] else []
-            for piece in group:
-                if t != c:
-                    for v in piece:
-                        colors[v] = t
-                size[t] = len(piece)
-                starts.append(t)
-                t += len(piece)
-            cells += len(starts) - 1
-            if not queued[c]:
-                starts.remove(max(starts, key=size.__getitem__))
-            for x in starts:
-                if not queued[x]:
-                    queued[x] = True
-                    queue.append(x)
+            # one piece: the met vertices move to the tail of the cell, the
+            # first met last, and take the new start
+            new = t = c + rest
+            t += hit
+            for v in piece:
+                t -= 1
+                u, i = order[t], pos[v]
+                order[t], order[i] = v, u
+                pos[v], pos[u] = t, i
+                colors[v] = new
+            size[c], size[new] = rest, hit
+            cells += 1
+            x = new if queued[c] or hit <= rest else c
+            queued[x] = True
+            queue.append(x)
+        yield s, tuple(event)
 
 
 def _refine(nbrs, start):

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import pkgutil
+import subprocess
+import sys
 from itertools import chain
 from pathlib import Path
 
@@ -577,6 +579,36 @@ class TestCensusCmd:
             cols = [row.kind, row.params, row.decider, row.oracle, row.agree, row.witness_verified]
             digest.update((json.dumps(cols, sort_keys=True, separators=(",", ":")) + "\n").encode())
         assert digest.hexdigest() == "1064541744c8c5e6111008ec400e210e2838b98ca261aa5df9750dd26c1de763"
+
+
+class TestEscapedFailure:
+    """`run`, the console script, in a child process whose address space is
+    limited to 400 MiB, so that only the child runs out of memory."""
+
+    @staticmethod
+    def _run(*argv, limit=400 * 2 ** 20):
+        resource = pytest.importorskip("resource")
+        env = dict(os.environ, PYTHONPATH=str(Path(accordions.__file__).resolve().parent.parent))
+        return subprocess.run(
+            [sys.executable, "-m", "accordions", *argv], capture_output=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "accordion", "--n", "30000000", "--k", "3"],
+        ["decide", "acc-acc", "--n", "30000000", "--k1", "3", "--k2", "3", "--witness"],
+    ], ids=["gen", "decide"])
+    def test_memory_exhausted_inside_the_handler_exits_2(self, argv):
+        # `main`'s own handler runs out of memory too, so the failure escapes it;
+        # Python would exit 1, the code for "no"
+        proc = self._run(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.endswith(cli._ESCAPED)
+
+    def test_help_still_exits_0(self):
+        proc = self._run("--help")
+        assert proc.returncode == 0 and proc.stdout.startswith(b"usage: accgraph")
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(accordions.__path__) if m.name != "__main__"])

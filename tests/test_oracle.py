@@ -541,6 +541,61 @@ def _k4_plus_2k2():
     return Graph(8, tuple(k4) + ((4, 5), (6, 7)))
 
 
+def _shrikhande():
+    """The Shrikhande graph: Z4 x Z4, each vertex joined to its +-(1,0), +-(0,1)
+    and +-(1,1) neighbours.  SRG(16,6,2,2), as the 4x4 rook's graph is."""
+    steps = ((1, 0), (0, 1), (1, 1))
+    return Graph(16, tuple(sorted({
+        tuple(sorted((4 * i + j, 4 * ((i + a) % 4) + (j + b) % 4)))
+        for i in range(4) for j in range(4) for a, b in steps
+    })))
+
+
+def _rook_4x4():
+    """K4 [] K4: vertices joined when they share a row or a column."""
+    return Graph(16, tuple((u, v) for u in range(16) for v in range(u + 1, 16) if u // 4 == v // 4 or u % 4 == v % 4))
+
+
+_K4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_CUBE = tuple((u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b)
+
+
+def _cfi(base, twists=0):
+    """The Cai-Fuerer-Immerman graph over the connected graph `base` (Cai,
+    Fuerer & Immerman 1992), its first `twists` edges twisted.  Each base
+    vertex v with incident edges E(v) gives two end vertices (v, e, 0/1) per
+    e in E(v) and one middle vertex per even subset S of E(v), joined to
+    (v, e, [e in S]); a base edge uv joins (u, uv, b) to (v, uv, b), or to
+    (v, uv, 1 - b) where it is twisted.  Over a connected base the parity of
+    the twists is the isomorphism class: an odd count is not isomorphic to
+    the untwisted graph, an even one is."""
+    incident = {}
+    for e in base:
+        for v in e:
+            incident.setdefault(v, []).append(e)
+    ends = {(v, e): 2 * i for i, (v, e) in enumerate((v, e) for v, es in sorted(incident.items()) for e in es)}
+    order, edges = 2 * len(ends), []
+    for v, es in sorted(incident.items()):
+        for subset in range(1 << len(es)):
+            if bin(subset).count("1") % 2 == 0:
+                edges += [(order, ends[v, e] + (subset >> i & 1)) for i, e in enumerate(es)]
+                order += 1
+    for i, (u, v) in enumerate(base):
+        edges += [(ends[u, (u, v)] + b, ends[v, (u, v)] + (b ^ (i < twists))) for b in (0, 1)]
+    return Graph(order, tuple(edges))
+
+
+# graphs off the families, cubic or strongly regular, whose cells split by
+# several counts at the top of the tree
+_SEVERAL_COUNT_GRAPHS = {
+    "shrikhande": _shrikhande(),
+    "cfi-k4": _cfi(_K4),
+    "cfi-k4-twisted": _cfi(_K4, 1),
+    "cfi-cube": _cfi(_CUBE),
+    "cfi-cube-twisted": _cfi(_CUBE, 1),
+}
+
+
 class TestRefinementKernel:
     """`_splits` against `_reference_splits` on the same starts."""
 
@@ -583,6 +638,7 @@ class TestRefinementKernel:
         *(circulant_graph(2 * n, (1, n - 1)) for n in range(3, 11)),
         *(cartesian_product(cycle_graph(4), cycle_graph(m)) for m in range(3, 9)),
         _k4_plus_2k2(),
+        _rook_4x4(),
     ], ids=repr)
     def test_graphs_whose_splitters_count_above_1(self, g):
         traces = self._assert_tree_top_is_the_reference(g)
@@ -599,6 +655,11 @@ class TestRefinementKernel:
         assert next(_splits(h.neighbors, list(start[0]), start[1])) == (0, ((2, 1, 4),))
         assert _replay(h.neighbors, start, trace) is None
         assert _replay(h.neighbors, start, _refine(h.neighbors, start)[1]) is not None
+
+    @pytest.mark.parametrize("g", _SEVERAL_COUNT_GRAPHS.values(), ids=_SEVERAL_COUNT_GRAPHS)
+    def test_graphs_whose_cells_split_by_several_counts(self, g):
+        traces = self._assert_tree_top_is_the_reference(g)
+        assert any(len({c for c, _, _ in hits}) < len(hits) for trace in traces for _, hits in trace)
 
     def test_counted_splitter_of_a_6_2_is_pinned(self):
         # vertex 0 individualized: its neighbours {1, 5, 6, 8} are the second
@@ -839,6 +900,40 @@ class TestKeptPaths:
                 with pytest.raises(BudgetExceededError):
                     are_isomorphic(g, h)
             assert are_isomorphic(g, h) == fresh
+
+
+# pairs off the families with answers known by construction, so no VF2 is
+# needed, and the search nodes each took when it was added: measurements, as
+# the census's 14 is.  Shrikhande and the rook's graph have equal profiles
+# and one cell after refinement, but the one's neighbourhoods are 6-cycles and
+# the other's two triangles; an odd number of CFI twists is not isomorphic to
+# none, an even number is.
+_KNOWN_ANSWERS = {
+    "shrikhande-vs-rook-4x4": (lambda: (_shrikhande(), _rook_4x4()), False, 27),
+    "cfi-k4-twisted-once": (lambda: (_cfi(_K4), _cfi(_K4, 1)), False, 48),
+    "cfi-cube-twisted-once": (lambda: (_cfi(_CUBE), _cfi(_CUBE, 1)), False, 120),
+    "cfi-k4-twisted-twice": (lambda: (_cfi(_K4), _cfi(_K4, 2)), True, 4),
+    "cfi-cube-twisted-twice": (lambda: (_cfi(_CUBE), _cfi(_CUBE, 2)), True, 6),
+    "cfi-k4-relabeled": (lambda: (_cfi(_K4), _shuffled(_cfi(_K4), 40)), True, 41),
+    "cfi-cube-relabeled": (lambda: (_cfi(_CUBE), _shuffled(_cfi(_CUBE), 80)), True, 6),
+}
+
+
+class TestKnownAnswers:
+    """are_isomorphic on graphs outside the families the deciders cover."""
+
+    @pytest.mark.parametrize("name", _KNOWN_ANSWERS)
+    def test_answer_map_and_node_count(self, monkeypatch, name):
+        pair, isomorphic, nodes = _KNOWN_ANSWERS[name]
+        g, h = pair()
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", nodes)
+        vm = are_isomorphic(g, h)
+        assert (vm is not None) is isomorphic
+        assert vm is None or verify_witness(g, h, vm)
+        # fresh objects: a cut call may have kept h's automorphisms
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", nodes - 1)
+        with pytest.raises(BudgetExceededError):
+            are_isomorphic(*pair())
 
 
 class TestCanonicalKey:
