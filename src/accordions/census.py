@@ -23,7 +23,7 @@ from . import oracle
 from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_iso_torus
 from .errors import InvalidParameterError
 from .graphs import Graph, accordion, cartesian_product, circulant, circulant_graph, cycle_graph
-from .witnesses import accordion_witness, circulant_accordion_witness, torus_witness, verify_witness
+from .witnesses import VertexMap, accordion_witness, circulant_accordion_witness, torus_witness, verify_witness
 
 __all__ = [
     "CensusRow",
@@ -83,14 +83,16 @@ def _relabeled(kind: str, g: Graph, args: tuple, seed: int) -> Graph:
     return g.relabel(perm)
 
 
-def _witness_verified(pairing: Pairing, params: dict, g: Graph, h: Graph) -> bool:
-    """Whether the pairing's witness map at `params` carries g onto h; False also
-    when the constructor refuses, as it may for a decider that says yes wrongly."""
+def _checked_witness(pairing: Pairing, params: dict, g: Graph, h: Graph) -> Optional[VertexMap]:
+    """The pairing's witness map at `params` if it carries g onto h, else None: the
+    one check before the census records a witness or `decide --witness` prints
+    one.  A ValueError (InvalidParameterError is one) is a failed witness, as a
+    decider that says yes wrongly may make the constructor raise."""
     try:
         vm = pairing.witness(**params)
-    except InvalidParameterError:
-        return False
-    return verify_witness(g, h, vm)
+    except ValueError:
+        return None
+    return vm if verify_witness(g, h, vm) else None
 
 
 def _rows(kind: str, group: list[dict], seed: int) -> Iterator[CensusRow]:
@@ -109,7 +111,7 @@ def _rows(kind: str, group: list[dict], seed: int) -> Iterator[CensusRow]:
         start = time.perf_counter()
         decided = pairing.decide(**params)
         found = oracle.are_isomorphic(g, h) is not None
-        verified = _witness_verified(pairing, params, g, built[target]) if decided else None
+        verified = _checked_witness(pairing, params, g, built[target]) is not None if decided else None
         yield CensusRow(kind, params, decided, found, decided == found, verified,
                         time.perf_counter() - start)
 

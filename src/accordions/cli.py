@@ -1,8 +1,9 @@
 """Command-line surface: generate graphs, run deciders, emit witnesses, census.
 
 Exit codes are a total contract: 0 = yes/success, 1 = no, 2 = invalid input
-or error.  `cmd_decide` is the one place that checks a requested witness
-(verify_witness, before anything is printed) and maps a verdict to 0 or 1.
+or error.  `cmd_decide` maps a verdict to 0 or 1, and checks a requested
+witness before anything is printed, by the census's own check
+(`census._checked_witness`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import oracle
-from .census import PAIRINGS, run_census
+from .census import PAIRINGS, _checked_witness, run_census
 from .deciders import (
     accordion_circulant_clause,
     accordion_is_bipartite,
@@ -35,7 +36,6 @@ from .errors import (
 )
 from .graphs import _check_accordion, accordion, cartesian_product, circulant, cycle_graph, path_graph
 from .serialize import graph_from_json, graph_to_dot, graph_to_edgelist, graph_to_json, witness_to_json
-from .witnesses import verify_witness
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -136,8 +136,8 @@ def _predicate(args: argparse.Namespace):
 
 
 # kind -> (required flags, verdict label, answer).  An answer gives the printed
-# fields, the verdict and, for the "isomorphic" kinds alone, the parameters of
-# the kind's census.PAIRINGS entry with the direction its certificate goes.
+# fields, the verdict and, for the kinds in census.PAIRINGS alone, the
+# parameters of the kind's entry with the direction its certificate goes.
 _KINDS = {
     "acc-acc": (["n", "k1", "k2"], "isomorphic", _acc_acc),
     "ci-acc": (["n", "a", "b"], "isomorphic", _ci_acc),
@@ -150,7 +150,7 @@ _KINDS = {
 
 def cmd_decide(args: argparse.Namespace) -> int:
     required, label, answer = _KINDS[args.kind]
-    if args.witness and label != "isomorphic":
+    if args.witness and args.kind not in PAIRINGS:
         raise InvalidParameterError(f"--witness is not supported for kind {args.kind}")
     _require(args, required, f"decide {args.kind}")
     fields, verdict, certificate = answer(args)
@@ -159,9 +159,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
         params, direction = certificate
         pairing = PAIRINGS[args.kind]
         source, target = (build(*a) for build, a in (pairing.source(**params), pairing.target(**params)))
-        vm = pairing.witness(**params)
         # checked against independently built graphs: a failing witness leaves stdout empty
-        if not verify_witness(source, target, vm):
+        vm = _checked_witness(pairing, params, source, target)
+        if vm is None:
             raise InvariantViolationError("witness failed verification before printing")
         witness = f"witness-direction: {direction}\nwitness: " + witness_to_json(source, target, vm)
     print(f"kind: {args.kind}")
@@ -216,12 +216,9 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("family", choices=list(_FAMILIES))
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--a", type=int)
-    gen.add_argument("--b", type=int)
-    gen.add_argument("--n1", type=int)
-    gen.add_argument("--n2", type=int)
+    # every family's flags once, in table order: n, k, a, b, n1, n2
+    for name in dict.fromkeys(flag for required, _ in _FAMILIES.values() for flag in required):
+        gen.add_argument(f"--{name}", type=int)
     gen.add_argument("--format", choices=["edgelist", "dot", "json"], default="json")
 
 

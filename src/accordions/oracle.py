@@ -217,18 +217,14 @@ def _replay(nbrs, start, trace):
     return colors
 
 
-def _target(colors):
-    """The colour of the smallest non-singleton class, ties to the lowest; None if discrete."""
+def _target_cell(colors):
+    """The vertices of the smallest non-singleton class, ties to the lowest
+    colour, in index order; None if discrete."""
     sizes = Counter(colors)
     if len(sizes) == len(colors):
         return None
-    return min((size, c) for c, size in sizes.items() if size > 1)[1]
-
-
-def _target_cell(colors):
-    """The vertices of the target class, `_target`, in index order; None if discrete."""
-    target = _target(colors)
-    return None if target is None else [v for v, c in enumerate(colors) if c == target]
+    target = min((size, c) for c, size in sizes.items() if size > 1)[1]
+    return [v for v, c in enumerate(colors) if c == target]
 
 
 def _orbit(points, perms):
@@ -328,8 +324,8 @@ def _level(x, d, trace=None):
         colors = _replay(x.neighbors, start, trace)
         if colors is None:
             return None
-    target = _target(colors)
-    return path.setdefault(d, (colors, trace, None if target is None else colors.index(target)))
+    cell = _target_cell(colors)
+    return path.setdefault(d, (colors, trace, cell and cell[0]))
 
 
 def _follows(g, h, d):

@@ -1,10 +1,11 @@
 """The census row driver: rows that rerun alone, and rows named for what they gate."""
 
 import dataclasses
+from functools import partial
 
 import pytest
 
-from accordions import census, oracle
+from accordions import census, oracle, witnesses
 
 
 def test_every_default_row_reruns_alone(monkeypatch):
@@ -46,3 +47,22 @@ def test_a_witness_that_cannot_be_built_is_a_recorded_failure(monkeypatch):
     assert not report.ok and report.summary["witness_failures"] == [
         {"n": 4, "a": a, "b": b, "k": k, "kind": "ci-acc"} for a, b, k in ((1, 2, 2), (1, 3, 1), (2, 3, 2))
     ]
+
+
+@pytest.mark.parametrize("kind, decider, params, wrong_yes", [
+    # a ci-acc decider that drops the bipartite gcd clauses says yes to
+    # Ci[24,{3,9}] vs A[12,2]: 3 is not a unit mod 24, so the closed-form
+    # witness fails inside its arithmetic, not by a refusal
+    ("ci-acc", "circulant_iso_accordion", {"n": 12, "a": 3, "b": 9, "k": 2},
+     lambda real, *args: dataclasses.replace(real(*args), isomorphic=True)),
+    # a torus decider that drops gcd(n1,n2) = 1 says yes to Ci[18,{3,6}] vs C3 [] C6
+    ("ci-torus", "circulant_iso_torus", {"nprime": 18, "a1": 3, "a2": 6, "n1": 3, "n2": 6},
+     lambda real, *args: True),
+], ids=["ci-acc-bipartite-gcds-dropped", "ci-torus-coprime-dropped"])
+def test_a_witness_that_fails_in_its_arithmetic_is_a_recorded_failure(monkeypatch, kind, decider, params, wrong_yes):
+    # the decider is patched where both the census and the witness constructors read it
+    mutant = partial(wrong_yes, getattr(census, decider))
+    monkeypatch.setattr(census, decider, mutant)
+    monkeypatch.setattr(witnesses, decider, mutant)
+    (row,) = census._rows(kind, [params], 0)
+    assert (row.decider, row.oracle, row.agree, row.witness_verified) == (True, False, False, False)

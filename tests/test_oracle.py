@@ -387,6 +387,14 @@ class TestReplay:
         assert colors == [0] * 4 and trace == [(0, ((0, 2, 4),))]
         assert _replay(path_graph(4).neighbors, _uniform(4), trace) is None
 
+    def test_a_trace_cut_short_is_rejected(self):
+        # a graph that follows every event of a whole trace ends with it, so
+        # only a trace cut short runs out first, and the replay rejects it
+        g = cartesian_product(cycle_graph(3), path_graph(4))
+        trace = _refine(g.neighbors, _uniform(g.order))[1]
+        assert _replay(g.neighbors, _uniform(g.order), trace) is not None
+        assert len(trace) > 1 and _replay(g.neighbors, _uniform(g.order), trace[:-1]) is None
+
     def test_histogram_mismatch_is_rejected(self):
         # every neighbour count of 2K4 occurs in K4 + 2K2, but in other numbers
         k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
@@ -558,6 +566,10 @@ def _rook_4x4():
 
 _K4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _CUBE = tuple((u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b)
+_K33 = tuple((u, v) for u in range(3) for v in range(3, 6))
+# the outer 5-cycle, the spokes and the inner pentagram
+_PETERSEN = (tuple((i, (i + 1) % 5) for i in range(5)) + tuple((i, i + 5) for i in range(5))
+             + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)))
 
 
 def _cfi(base, twists=0):
@@ -593,6 +605,10 @@ _SEVERAL_COUNT_GRAPHS = {
     "cfi-k4-twisted": _cfi(_K4, 1),
     "cfi-cube": _cfi(_CUBE),
     "cfi-cube-twisted": _cfi(_CUBE, 1),
+    "cfi-k33": _cfi(_K33),
+    "cfi-k33-twisted": _cfi(_K33, 1),
+    "cfi-petersen": _cfi(_PETERSEN),
+    "cfi-petersen-twisted": _cfi(_PETERSEN, 1),
 }
 
 
@@ -912,10 +928,16 @@ _KNOWN_ANSWERS = {
     "shrikhande-vs-rook-4x4": (lambda: (_shrikhande(), _rook_4x4()), False, 27),
     "cfi-k4-twisted-once": (lambda: (_cfi(_K4), _cfi(_K4, 1)), False, 48),
     "cfi-cube-twisted-once": (lambda: (_cfi(_CUBE), _cfi(_CUBE, 1)), False, 120),
+    "cfi-k33-twisted-once": (lambda: (_cfi(_K33), _cfi(_K33, 1)), False, 124),
+    "cfi-petersen-twisted-once": (lambda: (_cfi(_PETERSEN), _cfi(_PETERSEN, 1)), False, 320),
     "cfi-k4-twisted-twice": (lambda: (_cfi(_K4), _cfi(_K4, 2)), True, 4),
     "cfi-cube-twisted-twice": (lambda: (_cfi(_CUBE), _cfi(_CUBE, 2)), True, 6),
+    "cfi-k33-twisted-twice": (lambda: (_cfi(_K33), _cfi(_K33, 2)), True, 6),
+    "cfi-petersen-twisted-twice": (lambda: (_cfi(_PETERSEN), _cfi(_PETERSEN, 2)), True, 8),
     "cfi-k4-relabeled": (lambda: (_cfi(_K4), _shuffled(_cfi(_K4), 40)), True, 41),
     "cfi-cube-relabeled": (lambda: (_cfi(_CUBE), _shuffled(_cfi(_CUBE), 80)), True, 6),
+    "cfi-k33-relabeled": (lambda: (_cfi(_K33), _shuffled(_cfi(_K33), 60)), True, 55),
+    "cfi-petersen-relabeled": (lambda: (_cfi(_PETERSEN), _shuffled(_cfi(_PETERSEN), 100)), True, 85),
 }
 
 
