@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import oracle
-from .census import PAIRINGS, _checked_witness, run_census
+from .census import PAIRINGS, _checked_witness, _torus, run_census
 from .deciders import (
     accordion_circulant_clause,
     accordion_is_bipartite,
@@ -54,17 +55,19 @@ def _yesno(flag: bool) -> str:
 _FAMILIES = {
     "accordion": (["n", "k"], accordion),
     "circulant": (["n", "a", "b"], circulant),
-    "torus": (["n1", "n2"], lambda n1, n2: cartesian_product(cycle_graph(n1), cycle_graph(n2))),
+    "torus": (["n1", "n2"], _torus),
     "cyl": (["n1", "n2"], lambda n1, n2: cartesian_product(cycle_graph(n1), path_graph(n2))),
 }
+
+# gen --format -> renderer, in the order help lists the choices
+_FORMATS = {"edgelist": graph_to_edgelist, "dot": graph_to_dot, "json": graph_to_json}
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     required, build = _FAMILIES[args.family]
     _require(args, required, f"gen {args.family}")
     g = build(*(getattr(args, name) for name in required))
-    renderer = {"json": graph_to_json, "dot": graph_to_dot, "edgelist": graph_to_edgelist}
-    sys.stdout.write(renderer[args.format](g))
+    sys.stdout.write(_FORMATS[args.format](g))
     return 0
 
 
@@ -219,7 +222,7 @@ def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     # every family's flags once, in table order: n, k, a, b, n1, n2
     for name in dict.fromkeys(flag for required, _ in _FAMILIES.values() for flag in required):
         gen.add_argument(f"--{name}", type=int)
-    gen.add_argument("--format", choices=["edgelist", "dot", "json"], default="json")
+    gen.add_argument("--format", choices=list(_FORMATS), default="json")
 
 
 def _decide_arguments(decide: argparse.ArgumentParser) -> None:
@@ -260,21 +263,16 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with `command`'s subparser alone, or with all of them when command is None.
-
-    The usage line is spelled out, so a usage error reads the same either way.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process; `main` parses every request with it."""
     parser = argparse.ArgumentParser(
         prog="accgraph",
-        usage=f"%(prog)s [-h] {{{','.join(_COMMANDS)}}} ...",
         description="Accordion and quartic circulant graphs: constructors, "
         "isomorphism deciders, witnesses, and a decider-vs-oracle census.",
     )
-    # an explicit prog, since argparse would otherwise derive it from the usage above
-    sub = parser.add_subparsers(dest="command", required=True, prog="accgraph")
-    for name in _COMMANDS if command is None else [command]:
-        help_text, add_arguments, handler = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
         subparser = sub.add_parser(name, help=help_text)
         add_arguments(subparser)
         subparser.set_defaults(func=handler)
@@ -282,11 +280,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # a request that names no command first (help, an unknown command) sees the whole tree
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (

@@ -150,8 +150,7 @@ class TestGen:
 
 class TestParser:
     def test_top_level_and_usage_error_output_is_pinned(self, capsys, monkeypatch):
-        # a request names its command first, so only that subparser is built; each
-        # output here must still read as if the whole tree were there
+        # help, usage errors and unknown commands, each read against the whole tree
         monkeypatch.setenv("COLUMNS", "80")
         requests = [
             [], ["-h"], ["nosuch"], ["-h", "decide"], ["--", "decide"],
@@ -166,8 +165,8 @@ class TestParser:
             digest.update((json.dumps([argv, *run_cli(capsys, *argv)]) + "\n").encode())
         assert digest.hexdigest() == "196fb754eb763d68a882ff1ea701e1940a628bfa3e86dca1c46060aca503e641"
 
-    def test_a_request_builds_only_its_commands_arguments(self, capsys, monkeypatch):
-        # the top-level and decide -h, and decide's 14; the whole tree makes 33
+    def test_the_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        # the first build adds every command's arguments, 33 in all; a later request adds none
         calls = []
         add_argument = argparse.ArgumentParser.add_argument
 
@@ -176,11 +175,13 @@ class TestParser:
             return add_argument(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
-        assert run_cli(capsys, "decide", "acc-acc", "--n", "14", "--k1", "4", "--k2", "6")[0] == 0
-        assert len(calls) == 16
-        calls.clear()
-        cli.build_parser()
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
         assert len(calls) == 33
+        calls.clear()
+        assert run_cli(capsys, "decide", "acc-acc", "--n", "14", "--k1", "4", "--k2", "6")[0] == 0
+        assert run_cli(capsys, "gen", "accordion", "--n", "5", "--k", "1")[0] == 0
+        assert calls == [] and cli.build_parser() is parser
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["accgraph", "decide", "acc-acc", "--n", "10", "--k1", "2", "--k2", "4"])
