@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InvalidParameterError", "NotApplicableError", "InvariantViolationError", "BudgetExceededError"]
+
 
 class InvalidParameterError(ValueError):
     """Parameters fall outside the contract of an operation or family."""
@@ -10,8 +12,9 @@ class NotApplicableError(ValueError):
 
     The library no longer raises it: every decider answers every valid
     query (a circulant with both lengths even is a "both-even" no from
-    circulant_iso_accordion).  The name stays exported for code that still
-    catches it.
+    circulant_iso_accordion).  The name stays exported for the one caller
+    that still catches it: bench/workloads.py, which imports it from
+    accordions.errors.
     """
 
 

@@ -2,7 +2,8 @@
 
 Vertices are always the integers ``0..order-1``.  The families are usually
 written with 1-based subscripts (u_i, v_i, x_i over residue systems
-{1..n} / {1..2n}); conversion happens here and only here:
+{1..n} / {1..2n}); the constructors here and the closed-form maps in
+`witnesses` convert them the same way:
 
     u_i -> i-1,    v_i -> n+i-1,    x_i -> i-1.
 

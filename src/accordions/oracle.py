@@ -60,12 +60,7 @@ from .graphs import Graph, _built
 from .serialize import graph_to_json
 from .witnesses import VertexMap, verify_witness
 
-__all__ = [
-    "DEFAULT_NODE_BUDGET",
-    "DEFAULT_CANONICAL_MAX_ORDER",
-    "are_isomorphic",
-    "canonical_key",
-]
+__all__ = ["are_isomorphic", "canonical_key"]
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_CANONICAL_MAX_ORDER = 30

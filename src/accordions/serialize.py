@@ -38,6 +38,13 @@ def _require_int(value: object, what: str) -> int:
     return value
 
 
+def _loads(text: str, kind: str) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"not a valid {kind} document: {exc}") from exc
+
+
 def _graph_from_doc(doc: object) -> Graph:
     # the shape is checked here; Graph refuses an order or endpoint that is not an int
     if not isinstance(doc, dict) or set(doc) != {"order", "edges"}:
@@ -62,11 +69,7 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(f"not a valid graph document: {exc}") from exc
-    return _graph_from_doc(doc)
+    return _graph_from_doc(_loads(text, "graph"))
 
 
 def graph_to_dot(g: Graph) -> str:
@@ -89,10 +92,7 @@ def witness_to_json(source: Graph, target: Graph, vm: VertexMap) -> str:
 
 
 def witness_from_json(text: str) -> tuple[Graph, Graph, VertexMap]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(f"not a valid witness document: {exc}") from exc
+    doc = _loads(text, "witness")
     if not isinstance(doc, dict) or set(doc) != {"source", "target", "mapping"}:
         raise InvalidParameterError(
             'witness document must have exactly the keys "source", "target" and "mapping"'

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import importlib
+import inspect
 import json
 import math
 import os
@@ -617,3 +618,12 @@ def test_every_public_name_resolves(name):
     # a traced benchmark run wraps every name in each module's __all__; __main__ would run the CLI
     module = importlib.import_module(f"accordions.{name}")
     assert [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)] == []
+
+
+def test_package_names_are_the_reexported_modules_all():
+    # __init__ lists no names of its own, and no two modules claim one name
+    alls = [importlib.import_module(f"accordions.{name}").__all__
+            for name in ("deciders", "errors", "graphs", "modarith", "oracle", "serialize", "witnesses")]
+    public = {name for name, value in vars(accordions).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set().union(*alls) and len(public) == sum(map(len, alls))

@@ -108,6 +108,14 @@ def test_witness_roundtrip():
     assert src == g and tgt == h and back == vm
 
 
+@pytest.mark.parametrize("reader, kind", [(graph_from_json, "graph"), (witness_from_json, "witness")])
+def test_text_that_is_not_json_names_the_document_kind(reader, kind):
+    with pytest.raises(InvalidParameterError) as info:
+        reader('{"order":')
+    assert str(info.value) == f"not a valid {kind} document: Expecting value: line 1 column 10 (char 9)"
+    assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+
 def test_witness_parse_errors():
     with pytest.raises(InvalidParameterError):
         witness_from_json('{"source":{},"target":{},"mapping":[]}')
