@@ -5,18 +5,23 @@ The JSON graph document is bit-exact by construction: keys "order" then
 no trailing whitespace, newline-terminated.  Golden files and round-trip
 diffs rely on this.
 
-Documents are written by one string-formatting pass, not by the json
-encoder: a Graph holds only ints (its constructor refuses anything else), so
-``%d`` writes exactly what ``json.dumps(doc, separators=(",", ":"))`` would,
-without first building a list per edge.  tests/test_serialize.py keeps that
-encoder as the reference and pins the two byte-identical.  Reading still
-goes through ``json.loads``.
+Documents are written by joining strings, not by the json encoder.  Each
+document first builds one table of vertex labels, ``str(v)`` for each v
+below the largest order in it, and writes each edge endpoint by looking it
+up: a witness between two quartic graphs of order 2000 converts 2000 ints,
+not the 16 000 endpoints of their edges.  A Graph's endpoints are ints in
+range(order) (its constructor refuses anything else), so the table writes
+exactly what ``json.dumps(doc, separators=(",", ":"))`` would.  A witness's
+map is converted entry by entry, not read through the table: VertexMap
+checks nothing, and a negative entry would index the table from the end and
+write a wrong number.  tests/test_serialize.py keeps the encoder as the
+reference and pins the two byte-identical.  Reading still goes through
+``json.loads``.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
 
 from .errors import InvalidParameterError
 from .graphs import Graph
@@ -58,14 +63,14 @@ def _graph_from_doc(doc: object) -> Graph:
     return Graph(doc["order"], edges)
 
 
-def _graph_text(g: Graph) -> str:
-    # one format string for all the edges: a third faster than one per edge
-    edges = ",".join(["[%d,%d]"] * len(g.edges)) % tuple(chain.from_iterable(g.edges))
-    return '{"order":%d,"edges":[%s]}' % (g.order, edges)
+def _graph_text(g: Graph, labels: list[str]) -> str:
+    # labels[v] is str(v): each endpoint is looked up, not converted
+    edges = "],[".join([f"{labels[i]},{labels[j]}" for i, j in g.edges])
+    return '{"order":%d,"edges":[%s]}' % (g.order, f"[{edges}]" if edges else "")
 
 
 def graph_to_json(g: Graph) -> str:
-    return _graph_text(g) + "\n"
+    return _graph_text(g, list(map(str, range(g.order)))) + "\n"
 
 
 def graph_from_json(text: str) -> Graph:
@@ -87,8 +92,10 @@ def graph_to_edgelist(g: Graph) -> str:
 
 
 def witness_to_json(source: Graph, target: Graph, vm: VertexMap) -> str:
+    labels = list(map(str, range(max(source.order, target.order))))
+    # the map is converted, not looked up: VertexMap does not check its entries
     return '{"source":%s,"target":%s,"mapping":[%s]}\n' % (
-        _graph_text(source), _graph_text(target), ",".join(map(str, vm.mapping)))
+        _graph_text(source, labels), _graph_text(target, labels), ",".join(map(str, vm.mapping)))
 
 
 def witness_from_json(text: str) -> tuple[Graph, Graph, VertexMap]:

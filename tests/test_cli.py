@@ -359,6 +359,18 @@ class TestDecide:
         assert out == ""
         assert err == "error: witness failed verification before printing\n"
 
+    @pytest.mark.parametrize("argv, order", WITNESS_KINDS)
+    def test_failure_while_writing_the_document_prints_no_verdict(self, capsys, monkeypatch, argv, order):
+        # the whole witness text is built before the first line is printed
+        def fail(source, target, vm):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "witness_to_json", fail)
+        code, out, err = run_cli(capsys, "decide", *argv, "--witness")
+        assert code == 2
+        assert out == ""
+        assert err == "error: MemoryError: \n"
+
     def test_valid_construction_never_reaches_the_edge_check(self, capsys, monkeypatch):
         # the constructors and relabel emit edge sets valid by construction; only outside input is checked
         def refuse(order, edges):

@@ -14,14 +14,17 @@ from accordions import (
     VertexMap,
     accordion,
     accordion_witness,
+    cartesian_product,
     circulant,
     circulant_accordion_witness,
+    circulant_graph,
     cycle_graph,
     graph_from_json,
     graph_to_dot,
     graph_to_edgelist,
     graph_to_json,
     path_graph,
+    torus_witness,
     verify_witness,
     witness_from_json,
     witness_to_json,
@@ -195,6 +198,28 @@ def test_json_matches_the_json_encoder_on_small_graphs(g):
     _assert_graph_and_identity_witness_match(g)
 
 
+@given(graphs())
+def test_json_matches_the_json_encoder_on_random_graphs(g):
+    # orders 1-10 include edgeless graphs of every order, which write "edges":[]
+    assert graph_to_json(g) == _reference_graph_to_json(g)
+
+
+@given(st.data())
+def test_witness_json_matches_the_json_encoder_on_random_pairs(data):
+    # source and target are drawn apart, so their orders may differ and the
+    # label table is sized by the larger one
+    source = data.draw(graphs())
+    target = data.draw(graphs())
+    vm = VertexMap(tuple(data.draw(st.permutations(range(source.order)))))
+    assert witness_to_json(source, target, vm) == _reference_witness_to_json(source, target, vm)
+
+
+def test_witness_json_writes_map_entries_as_the_json_encoder_does():
+    # VertexMap checks nothing: an entry outside range(order) is still written as its number
+    p2, vm = path_graph(2), VertexMap((-1, 5))
+    assert witness_to_json(p2, p2, vm) == _reference_witness_to_json(p2, p2, vm)
+
+
 def test_json_matches_the_json_encoder_on_the_census_grid():
     seen = 0
     for g in _census_graphs():
@@ -208,8 +233,10 @@ def test_json_matches_the_json_encoder_on_the_census_grid():
     [
         lambda: (accordion(1000, 334), accordion(1000, 6), accordion_witness(1000, 6, 334)),
         lambda: (circulant(1000, 3, 997), accordion(1000, 2), circulant_accordion_witness(1000, 3, 997, 2)),
+        lambda: (circulant_graph(2001, (29, 69)), cartesian_product(cycle_graph(69), cycle_graph(29)),
+                 torus_witness(2001, 29, 69, 69, 29)),
     ],
-    ids=["A[1000,334]->A[1000,6]", "Ci[2000,{3,997}]->A[1000,2]"],
+    ids=["A[1000,334]->A[1000,6]", "Ci[2000,{3,997}]->A[1000,2]", "Ci[2001,{29,69}]->C69xC29"],
 )
 def test_json_matches_the_json_encoder_at_order_2000(certificate):
     source, target, vm = certificate()
