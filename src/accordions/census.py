@@ -8,6 +8,13 @@ itself when its search needs them, once per relabeled target.  The target
 that `kind` builds from `args` is relabeled by
 random.Random(f"{seed}:{kind}:{args}") alone, once per order, so rows are
 independent and deterministic given the seed, and any row reruns alone.
+
+For a unit u mod m, x -> ux mod m carries Ci[m,S] onto Ci[m,uS] (Ádám's
+multiplier isomorphisms).  Within one order's rows, a circulant source whose
+lengths are a unit multiple of an earlier source's is checked to be carried
+onto it by that map, and its rows take the oracle's verdicts for the earlier
+source against the same relabeled targets.  Rerunning a row alone calls the
+oracle on that row's own graphs, so it cross-checks a carried verdict.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Iterator, Optional
 from . import oracle
 from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_iso_torus
 from .errors import InvalidParameterError
-from .graphs import Graph, accordion, cartesian_product, circulant, circulant_graph, cycle_graph
+from .graphs import Graph, accordion, cartesian_product, circulant, circulant_graph, cycle_graph, normalize_length
 from .witnesses import VertexMap, accordion_witness, circulant_accordion_witness, torus_witness, verify_witness
 
 __all__ = [
@@ -41,25 +48,29 @@ def _torus(n1: int, n2: int) -> Graph:
 
 
 # kind -> functions of its parameters: the decider, the source and target graphs
-# as (constructor, arguments) and the witness map from source onto target.
+# as (constructor, arguments), the witness map from source onto target, and the
+# source's (order, lengths) if it is a circulant, else None.
 # Names are looked up at call time, so patched or traced attributes are used.
-Pairing = namedtuple("Pairing", "decide source target witness")
+Pairing = namedtuple("Pairing", "decide source target witness lengths")
 PAIRINGS = {
     "acc-acc": Pairing(
         lambda n, k1, k2: accordions_isomorphic(n, k1, k2).isomorphic,
         lambda n, k1, k2: (accordion, (n, k2)),
         lambda n, k1, k2: (accordion, (n, k1)),
-        lambda n, k1, k2: accordion_witness(n, k1, k2)),
+        lambda n, k1, k2: accordion_witness(n, k1, k2),
+        lambda n, k1, k2: None),
     "ci-acc": Pairing(
         lambda n, a, b, k: circulant_iso_accordion(n, a, b, k).isomorphic,
         lambda n, a, b, k: (circulant, (n, a, b)),
         lambda n, a, b, k: (accordion, (n, k)),
-        lambda n, a, b, k: circulant_accordion_witness(n, a, b, k)),
+        lambda n, a, b, k: circulant_accordion_witness(n, a, b, k),
+        lambda n, a, b, k: (2 * n, (a, b))),
     "ci-torus": Pairing(
         lambda nprime, a1, a2, n1, n2: circulant_iso_torus(nprime, a1, a2, n1, n2),
         lambda nprime, a1, a2, n1, n2: (circulant_graph, (nprime, (a1, a2))),
         lambda nprime, a1, a2, n1, n2: (_torus, (n1, n2)),
-        lambda nprime, a1, a2, n1, n2: torus_witness(nprime, a1, a2, n1, n2)),
+        lambda nprime, a1, a2, n1, n2: torus_witness(nprime, a1, a2, n1, n2),
+        lambda nprime, a1, a2, n1, n2: (nprime, (a1, a2))),
 }
 
 
@@ -95,11 +106,47 @@ def _checked_witness(pairing: Pairing, params: dict, g: Graph, h: Graph) -> Opti
     return vm if verify_witness(g, h, vm) else None
 
 
+def _multiplier_class(source: tuple, circulant: Optional[tuple], built: dict, heads: dict) -> tuple:
+    """The head of `source`'s multiplier class among the sources met so far.
+
+    `circulant` is the source's order and lengths (m, S), None for no circulant.
+    `heads` maps the sorted normalized lengths uT of each head Ci[m,T], for
+    every unit u mod m, to the head and u.  If S is one of them, that head is
+    the class's, once verify_witness has checked that x -> vx mod m, v the
+    inverse of u, carries `source` onto it; else `source` heads a new class."""
+    if circulant is None:
+        return source
+    m, lengths = circulant
+    found = heads.get(_scaled(lengths, 1, m))
+    if found is not None:
+        head, u = found
+        inverse = pow(u, -1, m)
+        if verify_witness(built[source], built[head], VertexMap(tuple(inverse * x % m for x in range(m)))):
+            return head
+    # -u gives the same normalized lengths as u
+    for u in range(1, m // 2 + 1):
+        if math.gcd(u, m) == 1:
+            heads.setdefault(_scaled(lengths, u, m), (source, u))
+    return source
+
+
+def _scaled(lengths: tuple, u: int, m: int) -> tuple:
+    """The sorted normalized lengths of Ci[m, u * lengths]."""
+    return tuple(sorted(normalize_length(u * a, m) for a in lengths))
+
+
 def _rows(kind: str, group: list[dict], seed: int) -> Iterator[CensusRow]:
     """`kind`'s rows at the parameter dicts of `group`, one order's, which share
-    their graphs and relabeled targets; a row reruns alone as the group [params]."""
+    their graphs and relabeled targets; a row reruns alone as the group [params].
+
+    Circulant sources of the group that are multiplier images of one another
+    (`_multiplier_class`) are isomorphic by a checked map, so they share one
+    verdict against each target: the oracle's on the first row of their class
+    with that target, which the later rows carry.  A row alone heads its own
+    class, so rerunning it calls the oracle on its own graphs and cross-checks
+    the verdict that the sweep carried to it."""
     pairing = PAIRINGS[kind]
-    built, targets = {}, {}
+    built, targets, classes, heads, verdicts = {}, {}, {}, {}, {}
     for params in group:
         source, target = pairing.source(**params), pairing.target(**params)
         for build, args in (source, target):
@@ -107,10 +154,15 @@ def _rows(kind: str, group: list[dict], seed: int) -> Iterator[CensusRow]:
                 built[build, args] = build(*args)
         if target not in targets:
             targets[target] = _relabeled(kind, built[target], target[1], seed)
+        if source not in classes:
+            classes[source] = _multiplier_class(source, pairing.lengths(**params), built, heads)
         g, h = built[source], targets[target]
         start = time.perf_counter()
         decided = pairing.decide(**params)
-        found = oracle.are_isomorphic(g, h) is not None
+        key = classes[source], target
+        if key not in verdicts:
+            verdicts[key] = oracle.are_isomorphic(g, h) is not None
+        found = verdicts[key]
         verified = _checked_witness(pairing, params, g, built[target]) is not None if decided else None
         yield CensusRow(kind, params, decided, found, decided == found, verified,
                         time.perf_counter() - start)

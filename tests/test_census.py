@@ -1,6 +1,8 @@
-"""The census row driver: rows that rerun alone, and rows named for what they gate."""
+"""`census._rows`: rows that rerun alone, verdicts carried along multiplier maps,
+and rows named for what they gate."""
 
 import dataclasses
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -8,19 +10,54 @@ import pytest
 from accordions import census, oracle, witnesses
 
 
-def test_every_default_row_reruns_alone(monkeypatch):
-    # the same row, timing apart, and the oracle called on equal graphs
-    pairs = []
+def _recording_oracle(monkeypatch):
+    """The list that each later `oracle.are_isomorphic` call appends its (g, h) to."""
+    calls = []
     real = oracle.are_isomorphic
-    monkeypatch.setattr(oracle, "are_isomorphic", lambda g, h: pairs.append((g, h)) or real(g, h))
-    rows = census.run_census().rows
-    assert len(rows) == len(pairs) == 2059
-    in_sweep = pairs[:]
-    pairs.clear()
-    for row, pair in zip(rows, in_sweep):
+    monkeypatch.setattr(oracle, "are_isomorphic", lambda g, h: calls.append((g, h)) or real(g, h))
+    return calls
+
+
+def _default_rows(calls):
+    """The rows of `run_census()` at its defaults, each with the oracle calls made for it."""
+    for rows in (census.accordion_pair_rows(14), census.circulant_accordion_rows(10), census.torus_rows(36)):
+        for row in rows:
+            yield row, calls[:]
+            calls.clear()
+
+
+def test_every_default_row_reruns_alone(monkeypatch):
+    # the sweep calls the oracle once per multiplier class of sources and
+    # target; a row run alone heads its class, so it calls the oracle once,
+    # on the sweep's graphs where the sweep called it, and gives the same row
+    calls = _recording_oracle(monkeypatch)
+    sweep = list(_default_rows(calls))
+    assert len(sweep) == 2059 and sum(len(made) for _, made in sweep) == 661
+    for row, made in sweep:
         (alone,) = census._rows(row.kind, [row.params], 0)
         assert dataclasses.replace(alone, elapsed=row.elapsed) == row
-        assert pairs.pop() == pair
+        assert len(calls) == 1 and made in ([], calls)
+        calls.clear()
+
+
+def test_carried_verdicts_are_the_oracles_on_the_rows_own_graphs(monkeypatch):
+    # both circulant kinds carry verdicts along multiplier maps, acc-acc none;
+    # each carried verdict is the oracle's on fresh copies of the row's source
+    # and relabeled target
+    real = oracle.are_isomorphic
+    calls = _recording_oracle(monkeypatch)
+    made, carried = Counter(), []
+    for row, calls_for_row in _default_rows(calls):
+        made[row.kind] += len(calls_for_row)
+        if not calls_for_row:
+            carried.append(row)
+    assert made == {"acc-acc": 139, "ci-acc": 182, "ci-torus": 340}
+    assert Counter(row.kind for row in carried) == {"ci-acc": 288, "ci-torus": 1110}
+    for row in carried:
+        pairing = census.PAIRINGS[row.kind]
+        (build, args), (target, target_args) = pairing.source(**row.params), pairing.target(**row.params)
+        h = census._relabeled(row.kind, target(*target_args), target_args, 0)
+        assert (real(build(*args), h) is not None) == row.oracle, row
 
 
 @pytest.mark.parametrize("kind, params", [

@@ -1,4 +1,5 @@
-"""What the census can catch: mutants of the three isomorphism deciders.
+"""What the census can catch: mutants of the three isomorphism deciders, and
+of the multiplier link along which it carries circulant verdicts.
 
 Each mutant drops one clause or one sign of a decider, or replaces s by 1.
 A mutant that changes some verdict is named with one census row on which it
@@ -136,3 +137,25 @@ def test_mixed_gcd_clause_forces_k_odd_when_n_even():
             for k in range(1, n):
                 if math.gcd(n, k) in odd_gcds:
                     assert k % 2, (n, k)
+
+
+def _any_multiplier_class(source, circulant, built, heads):
+    # census._multiplier_class with non-unit multipliers allowed and the map unchecked
+    if circulant is None:
+        return source
+    m, lengths = circulant
+    found = heads.get(census._scaled(lengths, 1, m))
+    if found is not None:
+        return found[0]
+    for u in range(1, m // 2 + 1):
+        heads.setdefault(census._scaled(lengths, u, m), (source, u))
+    return source
+
+
+def test_a_multiplier_link_without_its_check_is_caught(monkeypatch):
+    # 2 is no unit mod 10: the disconnected Ci[10,{2,4}] is linked to Ci[10,{1,2}]
+    # and carries its "yes" against A[5,1], where the decider says no
+    monkeypatch.setattr(census, "_multiplier_class", _any_multiplier_class)
+    report = census.run_census()
+    assert not report.ok and len(report.summary["disagreements"]) == 14
+    assert {"kind": "ci-acc", "n": 5, "a": 2, "b": 4, "k": 1} in report.summary["disagreements"]

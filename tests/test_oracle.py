@@ -798,9 +798,10 @@ class TestAutomorphismPruning:
         assert _orbit(_target_cell(root)[:1], autos) == set(range(h.order))
 
     def test_maps_are_the_same_with_and_without_discovery(self, monkeypatch):
-        # on every isomorphic row of the default census grid, and on a pair
-        # whose first root child fails: the census's shared graphs keep their
-        # paths and h's automorphisms, fresh copies keep nothing
+        # on the default census grid, whose shared graphs keep their paths and
+        # h's automorphisms, and on each of its isomorphic rows run alone, where
+        # the sweep may have carried the verdict along a multiplier map; and on
+        # a pair whose first root child fails; fresh copies keep nothing
         real, compared = oracle.are_isomorphic, []
 
         def both(g, h):
@@ -813,7 +814,13 @@ class TestAutomorphismPruning:
             return vm
 
         monkeypatch.setattr(oracle, "are_isomorphic", both)
-        assert census.run_census().ok
+        report = census.run_census()
+        assert report.ok and len(compared) == 82
+        compared.clear()
+        for row in report.rows:
+            if row.oracle:
+                (alone,) = census._rows(row.kind, [row.params], 0)
+                assert alone.oracle
         assert len(compared) == 135
         # Ci[15,{1,5}] and C3 [] C5 side by side; h's first root vertex is in
         # the torus, g's in the circulant
