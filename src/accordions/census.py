@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 from . import oracle
 from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_iso_torus
 from .errors import InvalidParameterError
-from .graphs import Graph, accordion, cartesian_product, circulant, circulant_graph, cycle_graph, normalize_length
+from .graphs import Graph, accordion, cartesian_product, circulant_graph, cycle_graph, normalize_length
 from .witnesses import VertexMap, accordion_witness, circulant_accordion_witness, torus_witness, verify_witness
 
 __all__ = [
@@ -48,29 +48,27 @@ def _torus(n1: int, n2: int) -> Graph:
 
 
 # kind -> functions of its parameters: the decider, the source and target graphs
-# as (constructor, arguments), the witness map from source onto target, and the
-# source's (order, lengths) if it is a circulant, else None.
-# Names are looked up at call time, so patched or traced attributes are used.
-Pairing = namedtuple("Pairing", "decide source target witness lengths")
+# as (constructor, arguments), and the witness map from source onto target.  A
+# circulant source is (circulant_graph, (order, lengths)), which
+# `_multiplier_class` reads.  Names are looked up at call time, so patched or
+# traced attributes are used.
+Pairing = namedtuple("Pairing", "decide source target witness")
 PAIRINGS = {
     "acc-acc": Pairing(
         lambda n, k1, k2: accordions_isomorphic(n, k1, k2).isomorphic,
         lambda n, k1, k2: (accordion, (n, k2)),
         lambda n, k1, k2: (accordion, (n, k1)),
-        lambda n, k1, k2: accordion_witness(n, k1, k2),
-        lambda n, k1, k2: None),
+        lambda n, k1, k2: accordion_witness(n, k1, k2)),
     "ci-acc": Pairing(
         lambda n, a, b, k: circulant_iso_accordion(n, a, b, k).isomorphic,
-        lambda n, a, b, k: (circulant, (n, a, b)),
+        lambda n, a, b, k: (circulant_graph, (2 * n, (a, b))),
         lambda n, a, b, k: (accordion, (n, k)),
-        lambda n, a, b, k: circulant_accordion_witness(n, a, b, k),
-        lambda n, a, b, k: (2 * n, (a, b))),
+        lambda n, a, b, k: circulant_accordion_witness(n, a, b, k)),
     "ci-torus": Pairing(
         lambda nprime, a1, a2, n1, n2: circulant_iso_torus(nprime, a1, a2, n1, n2),
         lambda nprime, a1, a2, n1, n2: (circulant_graph, (nprime, (a1, a2))),
         lambda nprime, a1, a2, n1, n2: (_torus, (n1, n2)),
-        lambda nprime, a1, a2, n1, n2: torus_witness(nprime, a1, a2, n1, n2),
-        lambda nprime, a1, a2, n1, n2: (nprime, (a1, a2))),
+        lambda nprime, a1, a2, n1, n2: torus_witness(nprime, a1, a2, n1, n2)),
 }
 
 
@@ -106,17 +104,19 @@ def _checked_witness(pairing: Pairing, params: dict, g: Graph, h: Graph) -> Opti
     return vm if verify_witness(g, h, vm) else None
 
 
-def _multiplier_class(source: tuple, circulant: Optional[tuple], built: dict, heads: dict) -> tuple:
+def _multiplier_class(source: tuple, built: dict, heads: dict) -> tuple:
     """The head of `source`'s multiplier class among the sources met so far.
 
-    `circulant` is the source's order and lengths (m, S), None for no circulant.
-    `heads` maps the sorted normalized lengths uT of each head Ci[m,T], for
-    every unit u mod m, to the head and u.  If S is one of them, that head is
-    the class's, once verify_witness has checked that x -> vx mod m, v the
-    inverse of u, carries `source` onto it; else `source` heads a new class."""
-    if circulant is None:
+    A source (circulant_graph, (m, S)) is Ci[m,S]; a source built by anything
+    else heads its own class.  `heads` maps the sorted normalized lengths uT
+    of each head Ci[m,T], for every unit u mod m, to the head and u.  If S is
+    one of them, that head is the class's, once verify_witness has checked
+    that x -> vx mod m, v the inverse of u, carries `source` onto it; else
+    `source` heads a new class."""
+    build, args = source
+    if build is not circulant_graph:
         return source
-    m, lengths = circulant
+    m, lengths = args
     found = heads.get(_scaled(lengths, 1, m))
     if found is not None:
         head, u = found
@@ -155,7 +155,7 @@ def _rows(kind: str, group: list[dict], seed: int) -> Iterator[CensusRow]:
         if target not in targets:
             targets[target] = _relabeled(kind, built[target], target[1], seed)
         if source not in classes:
-            classes[source] = _multiplier_class(source, pairing.lengths(**params), built, heads)
+            classes[source] = _multiplier_class(source, built, heads)
         g, h = built[source], targets[target]
         start = time.perf_counter()
         decided = pairing.decide(**params)

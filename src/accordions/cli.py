@@ -3,7 +3,8 @@
 Exit codes are a total contract: 0 = yes/success, 1 = no, 2 = invalid input
 or error.  `cmd_decide` maps a verdict to 0 or 1, and checks a requested
 witness before anything is printed, by the census's own check
-(`census._checked_witness`).
+(`census._checked_witness`).  Each choice is one table (gen families and
+formats, decide kinds, commands), read by both the parser and the handlers.
 """
 
 from __future__ import annotations
@@ -227,17 +228,8 @@ def _gen_arguments(gen: argparse.ArgumentParser) -> None:
 
 def _decide_arguments(decide: argparse.ArgumentParser) -> None:
     decide.add_argument("kind", choices=list(_KINDS))
-    decide.add_argument("--n", type=int)
-    decide.add_argument("--k", type=int)
-    decide.add_argument("--k1", type=int)
-    decide.add_argument("--k2", type=int)
-    decide.add_argument("--a", type=int)
-    decide.add_argument("--b", type=int)
-    decide.add_argument("--nprime", type=int)
-    decide.add_argument("--a1", type=int)
-    decide.add_argument("--a2", type=int)
-    decide.add_argument("--n1", type=int)
-    decide.add_argument("--n2", type=int)
+    for name in ("n", "k", "k1", "k2", "a", "b", "nprime", "a1", "a2", "n1", "n2"):
+        decide.add_argument(f"--{name}", type=int)
     decide.add_argument("--family", choices=["accordion", "circulant"])
     decide.add_argument("--witness", action="store_true")
 
@@ -283,17 +275,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InvalidParameterError,
-        BudgetExceededError,
-        InvariantViolationError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
-        # exit 1 means "no": a crash must never be read as a verdict
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # exit 1 means "no": a crash must never be read as a verdict; invalid
+        # input, a spent budget, a failed check and OSError are reported bare
+        named = isinstance(exc, (InvalidParameterError, BudgetExceededError, InvariantViolationError, OSError))
+        print(f"error: {exc}" if named else f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -15,6 +15,9 @@ Graph(order, edges) checks outside input edge by edge, in input order, so
 the first fault raises.  The constructors, `Graph.relabel`, the cylinder
 rebuild in `witnesses` and `oracle.canonical_key` skip that check: their
 edges are valid by construction, and go sorted to `_built`, which makes every Graph.
+Each parameter rule is one function that every entry point calls:
+`_check_accordion` for A[n,k], `_circulant_lengths` for circulant lengths, and
+`_is_permutation`, which `Graph.relabel` and `witnesses.verify_witness` share.
 """
 
 from __future__ import annotations

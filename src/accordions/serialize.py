@@ -15,8 +15,9 @@ exactly what ``json.dumps(doc, separators=(",", ":"))`` would.  A witness's
 map is converted entry by entry, not read through the table: VertexMap
 checks nothing, and a negative entry would index the table from the end and
 write a wrong number.  tests/test_serialize.py keeps the encoder as the
-reference and pins the two byte-identical.  Reading still goes through
-``json.loads``.
+reference and pins the two byte-identical.  Both readers go through
+``json.loads`` behind one parse guard, `_loads`; they check the shape, and
+Graph is the integer check.
 """
 
 from __future__ import annotations

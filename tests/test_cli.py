@@ -581,6 +581,34 @@ class TestCensusCmd:
                                "--out", str(tmp_path / "r.jsonl"))
         assert code == 2 and "error" in err
 
+    def test_negative_max_torus_exits_2_without_a_report(self, capsys, tmp_path):
+        out_path = tmp_path / "r.jsonl"
+        code, out, err = run_cli(capsys, "census", "--max-torus", "-1", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == "error: max_torus must be >= 0, got -1\n"
+        assert not out_path.exists()
+
+    def test_a_disagreement_is_a_recorded_failure(self, capsys, tmp_path, monkeypatch):
+        # an acc-acc decider that says "no" at n = 4 disagrees with the oracle on
+        # its two "yes" rows, A[4,1] and A[4,2] against themselves
+        pairing = census.PAIRINGS["acc-acc"]
+        monkeypatch.setitem(census.PAIRINGS, "acc-acc", pairing._replace(
+            decide=lambda n, k1, k2: n != 4 and pairing.decide(n, k1, k2)))
+        out_path = tmp_path / "rows.jsonl"
+        code, out, _ = run_cli(capsys, "census", "--max-n", "4", "--max-torus", "0",
+                               "--out", str(out_path))
+        assert code == 1
+        lines = out.splitlines()
+        assert [line for line in lines if "DISAGREE" in line] == [
+            "  DISAGREE {'n': 4, 'k1': 1, 'k2': 1, 'kind': 'acc-acc'}",
+            "  DISAGREE {'n': 4, 'k1': 2, 'k2': 2, 'kind': 'acc-acc'}",
+        ]
+        assert "disagreements: 2" in lines and "witness failures: 0" in lines
+        assert lines[-1] == "result: FAIL"
+        summary = json.loads(out_path.read_text().splitlines()[-1])["summary"]
+        assert summary["all_agree"] is False and summary["disagreements"] == [
+            {"n": 4, "k1": 1, "k2": 1, "kind": "acc-acc"}, {"n": 4, "k1": 2, "k2": 2, "kind": "acc-acc"}]
+
     def test_extended_run_verdicts_are_pinned(self):
         # acc-acc to n = 30, ci-acc to n = 14, ci-torus to order 60: 11837 rows,
         # every verdict column pinned, timings left out

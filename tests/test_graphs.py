@@ -334,6 +334,11 @@ class TestCirculant:
         with pytest.raises(InvalidParameterError):
             circulant_graph(12, (6, 1))
 
+    def test_an_order_with_no_length_is_rejected(self):
+        # below order 3, (order-1)//2 = 0 leaves no length that makes a cycle
+        with pytest.raises(InvalidParameterError, match="a circulant of order 2 has no length"):
+            circulant_graph(2, (1,))
+
     def test_normalize_length(self):
         assert normalize_length(0 - 7, 10) == 3
         assert normalize_length(2 - 7, 10) == 5

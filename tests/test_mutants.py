@@ -1,5 +1,6 @@
-"""What the census can catch: mutants of the three isomorphism deciders, and
-of the multiplier link along which it carries circulant verdicts.
+"""What the checks can catch: mutants of the three isomorphism deciders, of
+the multiplier link along which the census carries circulant verdicts, and
+of the oracle and verify_witness.
 
 Each mutant drops one clause or one sign of a decider, or replaces s by 1.
 A mutant that changes some verdict is named with one census row on which it
@@ -10,12 +11,20 @@ branch in `deciders.py` needs a new row here.
 Four clauses of the ci-acc decider follow from the others, so dropping one
 changes no verdict and no census grid can tell such a mutant from the
 decider.  Each of those lemmas is checked exhaustively for n <= 200 instead.
+
+An oracle or verify_witness mutant is an edited copy of one function, put in
+place of the original in its module and in the test module that kills it,
+which binds the name at import; its killers, tier-1 tests, are run against
+it and must fail.
 """
 
+import inspect
 import math
 from functools import partial
 
 import pytest
+import test_oracle as oracle_tests
+import test_witnesses as witness_tests
 
 from accordions import (
     accordions_isomorphic,
@@ -23,7 +32,9 @@ from accordions import (
     circulant_iso_accordion,
     circulant_iso_torus,
     normalize_length,
+    oracle,
     steps_to_gcd,
+    witnesses,
 )
 
 ORDERS = range(3, 201)
@@ -139,11 +150,12 @@ def test_mixed_gcd_clause_forces_k_odd_when_n_even():
                     assert k % 2, (n, k)
 
 
-def _any_multiplier_class(source, circulant, built, heads):
+def _any_multiplier_class(source, built, heads):
     # census._multiplier_class with non-unit multipliers allowed and the map unchecked
-    if circulant is None:
+    build, args = source
+    if build is not census.circulant_graph:
         return source
-    m, lengths = circulant
+    m, lengths = args
     found = heads.get(census._scaled(lengths, 1, m))
     if found is not None:
         return found[0]
@@ -159,3 +171,59 @@ def test_a_multiplier_link_without_its_check_is_caught(monkeypatch):
     report = census.run_census()
     assert not report.ok and len(report.summary["disagreements"]) == 14
     assert {"kind": "ci-acc", "n": 5, "a": 2, "b": 4, "k": 1} in report.summary["disagreements"]
+
+
+def _edited(fn, old, new):
+    """A copy of `fn` with `old`, which its source holds once, replaced by
+    `new`.  It reads its module's globals, patched ones included, and is bound
+    to no name there."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(source.replace(old, new), fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+# mutant -> (module, function, text of its source, the text that replaces it,
+# its killers: each a test module, "Class.test" and the test's parameters)
+CHECK_MUTANTS = {
+    "B: a leaf map returned without verify_witness": (
+        oracle, "_matcher", "return vm if verify_witness(g, h, vm) else None", "return vm",
+        [(oracle_tests, "TestKnownAnswers.test_answer_map_and_node_count", "cfi-k4-twisted-once")]),
+    "A: the orbit skip by every automorphism, not only those that fix the path": (
+        oracle, "_search", "[a for a in autos[known:] if all(a[p] == p for p in path)]", "autos[known:]",
+        [(oracle_tests, "TestKnownAnswers.test_answer_map_and_node_count", "cfi-k4-twisted-once-relabeled"),
+         (oracle_tests, "TestCanonicalKey.test_orbit_pruning_node_count_is_pinned")]),
+    "a replay that accepts once the trace runs out": (
+        oracle, "_replay", "next(events, None)", "next(events, event)",
+        [(oracle_tests, "TestReplay.test_a_trace_cut_short_is_rejected")]),
+    "a kept level returned whatever its trace": (
+        oracle, "_level", "level if trace is None or level[1] == trace else None", "level",
+        [(oracle_tests, "TestKeptPaths.test_a_second_call_on_the_same_objects_refines_nothing",
+          oracle_tests._SEARCHED_PAIRS[pair]) for pair in ("A50-6-vs-14", "Ci15-vs-C3xC5")]),
+    "verify_witness without its permutation check": (
+        witnesses, "verify_witness", "not _is_permutation(m, g.order)", "False",
+        [(witness_tests, "TestVerifyWitness.test_image_out_of_range_is_false")]),
+    "verify_witness without its edge-count comparison": (
+        witnesses, "verify_witness", "return g.size == h.size", "return True",
+        [(witness_tests, "TestVerifyWitness.test_edge_count_decides_when_every_image_is_an_edge")]),
+}
+
+
+@pytest.mark.parametrize("name", CHECK_MUTANTS)
+def test_each_check_mutant_fails_its_killers(monkeypatch, name):
+    module, function, old, new, killers = CHECK_MUTANTS[name]
+    mutant = _edited(getattr(module, function), old, new)
+    for tests, test, *args in killers:
+        cls, method = test.split(".")
+        killer = getattr(getattr(tests, cls)(), method)
+        with monkeypatch.context() as m:
+            for bound in (module, tests):
+                if hasattr(bound, function):
+                    m.setattr(bound, function, mutant)
+            if "monkeypatch" in inspect.signature(killer).parameters:
+                args = [m, *args]
+            # an assertion or pytest.raises that sees no exception; a mutant
+            # that crashes the killer some other way is not counted as killed
+            with pytest.raises((AssertionError, pytest.fail.Exception)):
+                killer(*args)

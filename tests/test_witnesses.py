@@ -337,6 +337,10 @@ class TestAccordionFromCylinder:
         with pytest.raises(InvalidParameterError):
             accordion_from_cylinder(5, 2, 1)
 
+    def test_empty_path_rejected(self):
+        with pytest.raises(InvalidParameterError, match="n2 must be >= 1, got 0"):
+            accordion_from_cylinder(4, 0, 1)
+
     def test_chord_count(self):
         r = accordion_from_cylinder(8, 3, 3)  # n = 12, gcd(12,3) = 3
         assert len(r.added_edges) == 8
