@@ -10,11 +10,11 @@ random.Random(f"{seed}:{kind}:{args}") alone, once per order, so rows are
 independent and deterministic given the seed, and any row reruns alone.
 
 For a unit u mod m, x -> ux mod m carries Ci[m,S] onto Ci[m,uS] (Ádám's
-multiplier isomorphisms).  Within one order's rows, a circulant source whose
-lengths are a unit multiple of an earlier source's is checked to be carried
-onto it by that map, and its rows take the oracle's verdicts for the earlier
-source against the same relabeled targets.  Rerunning a row alone calls the
-oracle on that row's own graphs, so it cross-checks a carried verdict.
+multiplier isomorphisms).  Within one order's rows, a source Ci[m,uS] after
+a source Ci[m,S] is checked to be the image of Ci[m,S] under that map, and
+its rows take the oracle's verdicts for Ci[m,S] against the same relabeled
+targets.  Rerunning a row alone calls the oracle on that row's own graphs,
+so it cross-checks a carried verdict.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def _multiplier_class(source: tuple, built: dict, heads: dict) -> tuple:
     else heads its own class.  `heads` maps the sorted normalized lengths uT
     of each head Ci[m,T], for every unit u mod m, to the head and u.  If S is
     one of them, that head is the class's, once verify_witness has checked
-    that x -> vx mod m, v the inverse of u, carries `source` onto it; else
-    `source` heads a new class."""
+    that x -> ux mod m carries the head onto `source`; else `source` heads a
+    new class."""
     build, args = source
     if build is not circulant_graph:
         return source
@@ -120,8 +120,7 @@ def _multiplier_class(source: tuple, built: dict, heads: dict) -> tuple:
     found = heads.get(_scaled(lengths, 1, m))
     if found is not None:
         head, u = found
-        inverse = pow(u, -1, m)
-        if verify_witness(built[source], built[head], VertexMap(tuple(inverse * x % m for x in range(m)))):
+        if verify_witness(built[head], built[source], VertexMap(tuple(u * x % m for x in range(m)))):
             return head
     # -u gives the same normalized lengths as u
     for u in range(1, m // 2 + 1):

@@ -4,7 +4,7 @@ Exit codes are a total contract: 0 = yes/success, 1 = no, 2 = invalid input
 or error.  `cmd_decide` maps a verdict to 0 or 1, and checks a requested
 witness before anything is printed, by the census's own check
 (`census._checked_witness`).  Each choice is one table (gen families and
-formats, decide kinds, commands), read by both the parser and the handlers.
+formats, decide kinds and predicates, commands), read by parser and handlers.
 """
 
 from __future__ import annotations
@@ -36,16 +36,18 @@ from .errors import (
     InvalidParameterError,
     InvariantViolationError,
 )
-from .graphs import _check_accordion, accordion, cartesian_product, circulant, cycle_graph, path_graph
+from .graphs import _check_accordion, accordion, cartesian_product, circulant, cycle_graph, normalize_length, path_graph
 from .serialize import graph_from_json, graph_to_dot, graph_to_edgelist, graph_to_json, witness_to_json
 
 __all__ = ["main", "run", "build_parser"]
 
 
-def _require(args: argparse.Namespace, names: list[str], context: str) -> None:
+def _require(args: argparse.Namespace, names: list[str], context: str) -> list:
+    """The values of the flags `names`, in that order; refuses any that is missing."""
     missing = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None]
     if missing:
         raise InvalidParameterError(f"{context} requires {', '.join(missing)}")
+    return [getattr(args, name) for name in names]
 
 
 def _yesno(flag: bool) -> str:
@@ -66,8 +68,7 @@ _FORMATS = {"edgelist": graph_to_edgelist, "dot": graph_to_dot, "json": graph_to
 
 def cmd_gen(args: argparse.Namespace) -> int:
     required, build = _FAMILIES[args.family]
-    _require(args, required, f"gen {args.family}")
-    g = build(*(getattr(args, name) for name in required))
+    g = build(*_require(args, required, f"gen {args.family}"))
     sys.stdout.write(_FORMATS[args.format](g))
     return 0
 
@@ -106,14 +107,15 @@ def _ci_torus(args: argparse.Namespace):
         raise InvalidParameterError("--n1 and --n2 must be given together")
     m, a1, a2 = args.nprime, args.a1, args.a2
     found = torus_parameters(m, a1, a2) if args.n1 is None else (args.n1, args.n2)
+    ok = found is not None and circulant_iso_torus(m, a1, a2, *found)
+    a1, a2 = normalize_length(a1, m), normalize_length(a2, m)  # both deciders checked them
     fields = {"nprime": m, "a1": a1, "a2": a2}
     if found is None:
         return fields | {"factors": "none"}, False, None
     n1, n2 = found
-    ok = circulant_iso_torus(m, a1, a2, n1, n2)
     if args.n1 is None:
         fields["factors"] = f"{n1} x {n2}"
-    fields |= {"gcd(nprime,a1)": math.gcd(m, a1 % m), "gcd(nprime,a2)": math.gcd(m, a2 % m),
+    fields |= {"gcd(nprime,a1)": math.gcd(m, a1), "gcd(nprime,a2)": math.gcd(m, a2),
                "gcd(n1,n2)": math.gcd(n1, n2)}
     return fields, ok, ({"nprime": m, "a1": a1, "a2": a2, "n1": n1, "n2": n2},
                         f"Ci[{m},{{{a1},{a2}}}] -> C{n1} x C{n2}")
@@ -124,19 +126,18 @@ def _acc_circulant(args: argparse.Namespace):
     return {"n": args.n, "k": args.k, "clause": clause}, clause != "none", None
 
 
+# (family, kind) -> predicate, called with the family's flags in _FAMILIES order
+_PREDICATES = {
+    ("accordion", "bipartite"): accordion_is_bipartite,
+    ("accordion", "connected"): lambda n, k: _check_accordion(n, k) is None,  # always, once (n, k) is valid
+    ("circulant", "bipartite"): circulant_is_bipartite,
+    ("circulant", "connected"): circulant_is_connected,
+}
+
+
 def _predicate(args: argparse.Namespace):
-    _require(args, _FAMILIES[args.family][0], f"decide {args.kind} --family {args.family}")
-    if args.family == "accordion":
-        if args.kind == "bipartite":
-            ok = accordion_is_bipartite(args.n, args.k)
-        else:  # accordion graphs are always connected
-            _check_accordion(args.n, args.k)
-            ok = True
-    elif args.kind == "bipartite":
-        ok = circulant_is_bipartite(args.n, args.a, args.b)
-    else:
-        ok = circulant_is_connected(args.n, args.a, args.b)
-    return {"family": args.family}, ok, None
+    flags = _require(args, _FAMILIES[args.family][0], f"decide {args.kind} --family {args.family}")
+    return {"family": args.family}, _PREDICATES[args.family, args.kind](*flags), None
 
 
 # kind -> (required flags, verdict label, answer).  An answer gives the printed
@@ -230,7 +231,7 @@ def _decide_arguments(decide: argparse.ArgumentParser) -> None:
     decide.add_argument("kind", choices=list(_KINDS))
     for name in ("n", "k", "k1", "k2", "a", "b", "nprime", "a1", "a2", "n1", "n2"):
         decide.add_argument(f"--{name}", type=int)
-    decide.add_argument("--family", choices=["accordion", "circulant"])
+    decide.add_argument("--family", choices=list(dict.fromkeys(family for family, _ in _PREDICATES)))
     decide.add_argument("--witness", action="store_true")
 
 

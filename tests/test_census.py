@@ -28,36 +28,24 @@ def _default_rows(calls):
 
 def test_every_default_row_reruns_alone(monkeypatch):
     # the sweep calls the oracle once per multiplier class of sources and
-    # target; a row run alone heads its class, so it calls the oracle once,
-    # on the sweep's graphs where the sweep called it, and gives the same row
+    # target, and the class's later rows carry its verdict (acc-acc rows carry
+    # none); a row run alone heads its class, so it calls the oracle once, on
+    # fresh copies of its own graphs (equal to the sweep's where the sweep
+    # called it), and gives the same row: each carried verdict is the oracle's
+    # on the row's own graphs
     calls = _recording_oracle(monkeypatch)
     sweep = list(_default_rows(calls))
-    assert len(sweep) == 2059 and sum(len(made) for _, made in sweep) == 661
-    for row, made in sweep:
+    made = Counter()
+    for row, made_for_row in sweep:
+        made[row.kind] += len(made_for_row)
+    carried = Counter(row.kind for row, made_for_row in sweep if not made_for_row)
+    assert len(sweep) == 2059 and made == {"acc-acc": 139, "ci-acc": 182, "ci-torus": 340}  # 661 calls
+    assert carried == {"ci-acc": 288, "ci-torus": 1110}
+    for row, made_for_row in sweep:
         (alone,) = census._rows(row.kind, [row.params], 0)
         assert dataclasses.replace(alone, elapsed=row.elapsed) == row
-        assert len(calls) == 1 and made in ([], calls)
+        assert len(calls) == 1 and made_for_row in ([], calls)
         calls.clear()
-
-
-def test_carried_verdicts_are_the_oracles_on_the_rows_own_graphs(monkeypatch):
-    # both circulant kinds carry verdicts along multiplier maps, acc-acc none;
-    # each carried verdict is the oracle's on fresh copies of the row's source
-    # and relabeled target
-    real = oracle.are_isomorphic
-    calls = _recording_oracle(monkeypatch)
-    made, carried = Counter(), []
-    for row, calls_for_row in _default_rows(calls):
-        made[row.kind] += len(calls_for_row)
-        if not calls_for_row:
-            carried.append(row)
-    assert made == {"acc-acc": 139, "ci-acc": 182, "ci-torus": 340}
-    assert Counter(row.kind for row in carried) == {"ci-acc": 288, "ci-torus": 1110}
-    for row in carried:
-        pairing = census.PAIRINGS[row.kind]
-        (build, args), (target, target_args) = pairing.source(**row.params), pairing.target(**row.params)
-        h = census._relabeled(row.kind, target(*target_args), target_args, 0)
-        assert (real(build(*args), h) is not None) == row.oracle, row
 
 
 @pytest.mark.parametrize("kind, params", [

@@ -257,6 +257,10 @@ class TestDecide:
         code, _, err = run_cli(capsys, "decide", "ci-torus", "--nprime", "12", "--a1", "2",
                                "--a2", "3", "--n1", "2", "--n2", "3")
         assert code == 2 and "error" in err
+        # a bad factor is reported before a bad length (6 is no length of a circulant of order 12)
+        code, _, err = run_cli(capsys, "decide", "ci-torus", "--nprime", "12", "--a1", "6",
+                               "--a2", "3", "--n1", "2", "--n2", "6")
+        assert code == 2 and err == "error: cycle factors must be >= 3, got n1=2, n2=6\n"
 
     def test_ci_torus_witness(self, capsys):
         code, out, _ = run_cli(capsys, "decide", "ci-torus", "--nprime", "12", "--a1", "3",
@@ -271,6 +275,15 @@ class TestDecide:
                                "--a2", "4")
         assert code == 0
         assert "factors: 3 x 4" in out
+
+    @pytest.mark.parametrize("factors", [[], ["--n1", "3", "--n2", "4"]], ids=["scan", "given"])
+    def test_ci_torus_prints_normalized_lengths(self, capsys, factors):
+        # -3 and 16 mod 12 are the lengths 3 and 4, as ci-acc prints Ci[12,{1,5}] for --n 6 --a -1 --b 7
+        request = ["decide", "ci-torus", "--nprime", "12", *factors, "--witness"]
+        raw = run_cli(capsys, *request, "--a1", "-3", "--a2", "16")
+        folded = run_cli(capsys, *request, "--a1", "3", "--a2", "4")
+        assert raw == folded and "a1: 3\na2: 4\n" in raw[1]
+        assert "witness-direction: Ci[12,{3,4}] -> C3 x C4\n" in raw[1]
 
     @pytest.mark.parametrize("kind,given_factors", [("acc-acc", False), ("ci-acc", False),
                                                     ("ci-torus", False), ("ci-torus", True)])

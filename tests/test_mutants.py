@@ -12,10 +12,11 @@ Four clauses of the ci-acc decider follow from the others, so dropping one
 changes no verdict and no census grid can tell such a mutant from the
 decider.  Each of those lemmas is checked exhaustively for n <= 200 instead.
 
-An oracle or verify_witness mutant is an edited copy of one function, put in
-place of the original in its module and in the test module that kills it,
-which binds the name at import; its killers, tier-1 tests, are run against
-it and must fail.
+A check mutant is an edited copy of one function of the oracle, of
+verify_witness and the permutation test it shares with Graph.relabel, or of
+the census's multiplier link, put in place of the original wherever the
+package or the test module that kills it binds the name at import; its
+killers, tier-1 tests, are run against it and must fail.
 """
 
 import inspect
@@ -23,14 +24,17 @@ import math
 from functools import partial
 
 import pytest
+import test_census as census_tests
 import test_oracle as oracle_tests
 import test_witnesses as witness_tests
 
+import accordions
 from accordions import (
     accordions_isomorphic,
     census,
     circulant_iso_accordion,
     circulant_iso_torus,
+    graphs,
     normalize_length,
     oracle,
     steps_to_gcd,
@@ -185,7 +189,7 @@ def _edited(fn, old, new):
 
 
 # mutant -> (module, function, text of its source, the text that replaces it,
-# its killers: each a test module, "Class.test" and the test's parameters)
+# its killers: each a test module, "Class.test" or "test", and the test's parameters)
 CHECK_MUTANTS = {
     "B: a leaf map returned without verify_witness": (
         oracle, "_matcher", "return vm if verify_witness(g, h, vm) else None", "return vm",
@@ -207,19 +211,31 @@ CHECK_MUTANTS = {
     "verify_witness without its edge-count comparison": (
         witnesses, "verify_witness", "return g.size == h.size", "return True",
         [(witness_tests, "TestVerifyWitness.test_edge_count_decides_when_every_image_is_an_edge")]),
+    "verify_witness without its edge-membership test": (
+        witnesses, "verify_witness", "(x * n + y if x < y else y * n + x) not in target", "False",
+        [(witness_tests, "TestVerifyWitness.test_bad_transposition_on_path")]),
+    "_is_permutation without its int-type test": (
+        graphs, "_is_permutation", "set(map(type, seq)) == {int} and ", "",
+        [(witness_tests, "TestVerifyWitness.test_bool_and_float_entries_are_false")]),
+    "a multiplier link checked the wrong way round, x -> ux from the source onto the head": (
+        census, "_multiplier_class",
+        "verify_witness(built[head], built[source]", "verify_witness(built[source], built[head]",
+        [(census_tests, "test_every_default_row_reruns_alone")]),
 }
 
 
 @pytest.mark.parametrize("name", CHECK_MUTANTS)
 def test_each_check_mutant_fails_its_killers(monkeypatch, name):
     module, function, old, new, killers = CHECK_MUTANTS[name]
-    mutant = _edited(getattr(module, function), old, new)
+    original = getattr(module, function)
+    mutant = _edited(original, old, new)
+    package = [accordions, *(value for value in vars(accordions).values() if inspect.ismodule(value))]
     for tests, test, *args in killers:
-        cls, method = test.split(".")
-        killer = getattr(getattr(tests, cls)(), method)
+        cls, _, method = test.rpartition(".")
+        killer = getattr(getattr(tests, cls)() if cls else tests, method)
         with monkeypatch.context() as m:
-            for bound in (module, tests):
-                if hasattr(bound, function):
+            for bound in (*package, tests):
+                if getattr(bound, function, None) is original:
                     m.setattr(bound, function, mutant)
             if "monkeypatch" in inspect.signature(killer).parameters:
                 args = [m, *args]
