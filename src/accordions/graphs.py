@@ -23,11 +23,10 @@ Each parameter rule is one function that every entry point calls:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError
 
@@ -133,30 +132,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.neighbors)
 
-    @cached_property
-    def local_invariants(self) -> "LocalInvariants":
-        """Seed colours and pair profile, from one count of the length-2 paths
-        (`_path_counts`) and one pass over the edges; computed once per Graph
-        object.  Each edge takes its pair's count out of the Counter, so what
-        is left there are the non-adjacent pairs that share a neighbour."""
-        n = self.order
-        counts = _path_counts(self)
-        around: list[list[int]] = [[] for _ in range(n)]
-        adjacent = []
-        for v, w in self.edges:
-            c = counts.pop(v * n + w, 0)
-            around[v].append(c)
-            around[w].append(c)
-            adjacent.append(c)
-        seeds = []
-        for common in around:
-            common.sort()
-            seeds.append((len(common), sum(common) // 2, *common))
-        triangles = tuple(sorted(seed[1] for seed in seeds))
-        pairs = [((True, c), m) for c, m in Counter(adjacent).items()]
-        pairs += [((False, c), m) for c, m in Counter(counts.values()).items()]
-        return LocalInvariants(tuple(seeds), (triangles, tuple(sorted(pairs))))
-
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image of the graph under the bijection v -> perm[v]."""
         if not _is_permutation(perm, self.order):
@@ -191,28 +166,6 @@ def _edges_from_runs(runs: Iterable[tuple[int, int, Sequence[int]]]) -> tuple[tu
 def _is_permutation(seq: Sequence[int], n: int) -> bool:
     """Whether seq lists each of 0..n-1 once, as an int: no bool or float, since serialize writes %d."""
     return set(map(type, seq)) == {int} and sorted(seq) == list(range(n))
-
-
-class LocalInvariants(NamedTuple):
-    """Isomorphism invariants read off a graph's common-neighbour counts.
-
-    `seeds[v]` is (degree, triangles at v, *sorted common-neighbour counts of v
-    with each neighbour).  `profile` is the sorted triangle counts and the
-    multiset, as sorted ((adjacent?, #common), multiplicity) items, of the
-    vertex pairs that are adjacent or share a neighbour; between graphs of one
-    order the remaining (0, 0) pairs follow by subtraction.
-    """
-
-    seeds: tuple[tuple[int, ...], ...]
-    profile: tuple
-
-
-def _path_counts(g: Graph) -> Counter:
-    """{v * order + w: number of common neighbours of v and w} over the pairs
-    v < w at the ends of a path of length 2: one entry per pair, so at most
-    the sum of C(d(u), 2) over the middle vertices u."""
-    n = g.order
-    return Counter([v * n + w for nb in g.neighbors for v, w in combinations(nb, 2)])
 
 
 def _check_accordion(n: int, k: int) -> None:

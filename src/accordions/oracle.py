@@ -2,14 +2,10 @@
 
 Independent ground truth for the arithmetic deciders.  The pipeline is:
 cheap invariant screening (order, then component sizes with bipartiteness
-from one BFS, `Graph.components`, then the profile: per-vertex triangle
-counts and the multiset of (adjacent?, #common neighbours) over the pairs
-at distance <= 2, `Graph.local_invariants`, read off one Counter of the
-length-2 paths and one pass over the edges; both are computed once per
-graph), then colour refinement from the per-vertex seeds (degree,
-triangles, common counts over the neighbours), then one search over the
-individualization-refinement tree (McKay & Piperno, Practical graph
-isomorphism II, 2014).
+from one BFS, `Graph.components`, then the profile of `_local_invariants`),
+then colour refinement from that function's per-vertex seeds, then one
+search over the individualization-refinement tree (McKay & Piperno,
+Practical graph isomorphism II, 2014).
 
 Refinement keeps an ordered partition; a vertex's colour is the start of
 its cell, so a discrete colouring is a permutation.  It works through a
@@ -42,18 +38,18 @@ are_isomorphic's budget bounds the nodes of h's tree, those that find its
 automorphisms included.
 
 Every map returned by are_isomorphic has passed `verify_witness` at the
-leaf that produced it.  A search keeps state between calls only on its
-Graph objects: their invariants, h's automorphisms and each graph's first
-path.  All are deterministic, and the path is kept whole levels at a time
-and keyed by depth, so searches on shared graphs may run in parallel and
-answer as they would on fresh copies; a single search is sequential.
+leaf that made it.  A search keeps state between calls only on its Graph
+objects, through `_kept`: their invariants, h's automorphisms and each
+graph's first path.  All are deterministic, and the path is kept whole
+levels at a time and keyed by depth, so searches on shared graphs may run
+in parallel and answer as on fresh copies; one search is sequential.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import groupby
-from typing import Optional
+from itertools import combinations, groupby
+from typing import NamedTuple, Optional
 
 from .errors import BudgetExceededError
 from .graphs import Graph, _built
@@ -64,6 +60,59 @@ __all__ = ["are_isomorphic", "canonical_key"]
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_CANONICAL_MAX_ORDER = 30
+
+
+class LocalInvariants(NamedTuple):
+    """Isomorphism invariants read off a graph's common-neighbour counts.
+
+    `seeds[v]` is (degree, triangles at v, *sorted common-neighbour counts of v
+    with each neighbour).  `profile` is the sorted triangle counts and the
+    multiset, as sorted ((adjacent?, #common), multiplicity) items, of the
+    vertex pairs that are adjacent or share a neighbour; between graphs of one
+    order the remaining (0, 0) pairs follow by subtraction.
+    """
+
+    seeds: tuple[tuple[int, ...], ...]
+    profile: tuple
+
+
+def _kept(x, key, make):
+    """x's record `key`, kept in x's own __dict__ from make() on first use;
+    the first one stored wins, so parallel searches on x share one."""
+    kept = vars(x)
+    return kept[key] if key in kept else kept.setdefault(key, make())
+
+
+def _path_counts(g):
+    """{v * order + w: number of common neighbours of v and w} over the pairs
+    v < w at the ends of a path of length 2: one entry per pair, so at most
+    the sum of C(d(u), 2) over the middle vertices u."""
+    n = g.order
+    return Counter([v * n + w for nb in g.neighbors for v, w in combinations(nb, 2)])
+
+
+def _local_invariants(g):
+    """g's LocalInvariants, kept on g: from one count of the length-2 paths
+    (`_path_counts`) and one pass over the edges.  Each edge takes its pair's
+    count out of the Counter, so what is left there are the non-adjacent pairs
+    that share a neighbour."""
+
+    def count():
+        n = g.order
+        counts = _path_counts(g)
+        around: list[list[int]] = [[] for _ in range(n)]
+        adjacent = []
+        for v, w in g.edges:
+            c = counts.pop(v * n + w, 0)
+            around[v].append(c)
+            around[w].append(c)
+            adjacent.append(c)
+        seeds = [(len(common), sum(common) // 2, *sorted(common)) for common in around]
+        triangles = tuple(sorted(seed[1] for seed in seeds))
+        pairs = [((True, c), m) for c, m in Counter(adjacent).items()]
+        pairs += [((False, c), m) for c, m in Counter(counts.values()).items()]
+        return LocalInvariants(tuple(seeds), (triangles, tuple(sorted(pairs))))
+    return _kept(g, "_local_invariants", count)
 
 
 def _partition(seeds):
@@ -295,7 +344,7 @@ def _search(colors, child, at_leaf, tickets, autos=(), grow=None):
 def _path(x):
     """The first path x keeps: depth -> (colours, trace, first vertex of the
     target cell, or None where the colours are discrete)."""
-    return vars(x).setdefault("_first_path", {})
+    return _kept(x, "_first_path", dict)
 
 
 def _level(x, d, trace=None):
@@ -312,7 +361,7 @@ def _level(x, d, trace=None):
         colors, _, v = path[d - 1]
         start = _individualize(colors, v)
     else:
-        start = _partition(x.local_invariants.seeds)
+        start = _partition(_local_invariants(x).seeds)
     if trace is None:
         colors, trace = _refine(x.neighbors, start)
     else:
@@ -405,7 +454,7 @@ def are_isomorphic(g: Graph, h: Graph) -> Optional[VertexMap]:
     # ci-acc 18), where the profile rejects 269, 1323 and 1419 the seeds pass.
     if g.order != h.order or g.components != h.components:
         return None
-    if g.local_invariants.profile != h.local_invariants.profile:
+    if _local_invariants(g).profile != _local_invariants(h).profile:
         return None
     root = _follows(g, h, 0)
     if root is None:
@@ -414,9 +463,7 @@ def are_isomorphic(g: Graph, h: Graph) -> Optional[VertexMap]:
     autos = []
 
     def grow():
-        if "_automorphisms" not in vars(h):
-            vars(h)["_automorphisms"] = _automorphisms(h, tickets)
-        autos.extend(vars(h)["_automorphisms"])
+        autos.extend(_kept(h, "_automorphisms", lambda: _automorphisms(h, tickets)))
 
     return _search(root[0], *_matcher(g, h), tickets, autos, grow)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accordions import graphs
+from accordions import graphs, oracle
 from accordions import (
     DIAGONAL_SPOKE,
     INNER_CYCLE,
@@ -112,9 +112,8 @@ class TestGraphType:
 
     def test_relabel_carries_no_cached_invariant(self):
         g = accordion(9, 2)
-        cached = ("neighbors", "components", "local_invariants")
-        for name in cached:
-            getattr(g, name)
+        cached = ("neighbors", "components", "_local_invariants")
+        g.neighbors, g.components, oracle._local_invariants(g)
         copy = g.relabel(list(range(g.order))[::-1])
         assert all(name in vars(g) for name in cached)
         assert not any(name in vars(copy) for name in cached)
