@@ -24,11 +24,11 @@ splits already made on colours it then drops.  An individualized child
 queues only its new singleton, because its parent colouring is already
 equitable.  A graph's first path is its refined seeds, then at each level
 the first vertex of the target cell individualized.  Each Graph keeps the
-levels of its first path that a search refines or replays to the end, and
-a later call takes a kept level as the reference and replays the other
-graph against it.  are_isomorphic searches h's tree with a target: g's
-first path, and every node of h is replayed against g's trace at its
-depth.  canonical_key searches g's tree with a minimiser: the least
+levels of its first path that a search refines or replays to the end.
+are_isomorphic searches h's tree with a target: g's first path.  On h's
+first path, h's level is refined once per object and kept, and g is
+checked against it; every other node of h is replayed against g's trace
+at its depth.  canonical_key searches g's tree with a minimiser: the least
 relabeled leaf wins, and the automorphisms that equal leaves reveal prune
 equivalent branches.  are_isomorphic prunes the same way by automorphisms
 of h, found once it has to try a second vertex of h's root cell: leaves of
@@ -372,16 +372,6 @@ def _level(x, d, trace=None):
     return path.setdefault(d, (colors, trace, cell and cell[0]))
 
 
-def _follows(g, h, d):
-    """h's level d if it follows g's, else None.  The graph that keeps its
-    level is the reference, and the other is replayed against it; g is refined
-    if neither does."""
-    if d in _path(g) or d not in _path(h):
-        return _level(h, d, _level(g, d)[1])
-    level = _level(h, d)
-    return level if _level(g, d, level[1]) else None
-
-
 def _matcher(g, h):
     """`child` and `at_leaf` for h's tree against g's first path: a leaf gives
     its map g -> h if that verifies.  Both graphs keep their level 0."""
@@ -390,8 +380,8 @@ def _matcher(g, h):
     def child(depth, colors, w):
         level = hp.get(depth)
         if level and colors is level[0] and w == level[2]:  # on h's own first path
-            level = _follows(g, h, depth + 1)
-            return level and level[0]
+            level = _level(h, depth + 1)
+            return level[0] if _level(g, depth + 1, level[1]) else None
         return _replay(h.neighbors, _individualize(colors, w), _level(g, depth + 1)[1])
 
     def at_leaf(colors):
@@ -435,10 +425,11 @@ def are_isomorphic(g: Graph, h: Graph) -> Optional[VertexMap]:
 
     Each Graph object keeps the levels of its first path that a call refines
     or replays to the end: level 0 its refined seeds, each next level its
-    first vertex individualized.  A later call on either object reuses them,
-    the kept side as the reference, so a graph shared by many calls is refined
-    once and the other side is only replayed.  The search tree, its node
-    count and the returned map do not depend on what is kept.
+    first vertex individualized.  On h's first path, h's level is refined
+    once per object and kept, and g is checked against it; every other node
+    of h is replayed against g's trace.  So a target shared by many calls is
+    refined once.  The search tree, its node count and the returned map do
+    not depend on what is kept.
 
     Before it tries a second vertex of h's root cell, the search finds
     automorphisms of h (`_automorphisms`, its nodes counted), once per Graph
@@ -456,8 +447,8 @@ def are_isomorphic(g: Graph, h: Graph) -> Optional[VertexMap]:
         return None
     if _local_invariants(g).profile != _local_invariants(h).profile:
         return None
-    root = _follows(g, h, 0)
-    if root is None:
+    root = _level(h, 0)
+    if _level(g, 0, root[1]) is None:
         return None
     tickets = _tickets(DEFAULT_NODE_BUDGET)
     autos = []

@@ -876,8 +876,9 @@ class TestAutomorphismPruning:
 
 
 class TestKeptPaths:
-    """Each Graph keeps the levels of its first path: a call refines only the
-    levels that neither graph keeps, and answers as fresh copies do."""
+    """Each Graph keeps the levels of its first path: on h's first path a call
+    refines only the levels h does not keep and checks g against them, and
+    answers as fresh copies do."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -903,6 +904,28 @@ class TestKeptPaths:
         refined, replayed = self._count(monkeypatch, "_refine"), self._count(monkeypatch, "_replay")
         assert are_isomorphic(circulant_graph(15, (1, 5)), h) is None
         assert refined == [] and len(replayed) == 2
+
+    def test_a_kept_source_against_a_fresh_target_refines_only_the_target(self, monkeypatch):
+        # A[30,3] takes two search nodes, both on h's first path: h's 3 levels
+        # are refined and g's kept ones are checked against their traces
+        g = accordion(30, 3)
+        assert are_isomorphic(g, _shuffled(g, 30)) is not None
+        h = _shuffled(g, 31)
+        fresh = are_isomorphic(accordion(30, 3), _shuffled(g, 31))
+        refined, replayed = self._count(monkeypatch, "_refine"), self._count(monkeypatch, "_replay")
+        assert are_isomorphic(g, h) == fresh
+        assert [args[0] for args in refined] == [h.neighbors] * 3 and replayed == []
+
+    def test_a_kept_root_is_checked_against_a_new_target(self, monkeypatch):
+        # the seed-only pair of TestScreenCoverage, after g has kept its root
+        # from a call against a relabeling of itself: g's kept root must not
+        # follow h's, whose seed values differ
+        g = Graph(6, ((0, 3), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)))
+        h = Graph(6, ((0, 1), (0, 2), (0, 3), (0, 5), (2, 3), (2, 5), (3, 4), (4, 5)))
+        assert are_isomorphic(g, g.relabel([5, 4, 3, 2, 1, 0])) is not None
+        assert 0 in vars(g)["_first_path"]
+        monkeypatch.setattr(oracle, "_search", lambda *args: pytest.fail("the search was reached"))
+        assert are_isomorphic(g, h) is None
 
     def test_a_relabeled_copy_starts_with_no_kept_path(self):
         g, h = _SEARCHED_PAIRS["A30-3"]()
