@@ -58,7 +58,7 @@ def _walk_edges(order: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[int, 
     order, so the first fault raises."""
     seen = set()
     for i, j in edges:
-        if type(i) is not int or type(j) is not int:  # not bool or float: serialize writes %d
+        if type(i) is not int or type(j) is not int:  # not bool or float: serialize would write True as 1
             raise InvalidParameterError(f"edge endpoints must be integers, got ({i!r},{j!r})")
         if i == j:
             raise InvalidParameterError(f"self-loop at vertex {i}")
@@ -164,7 +164,7 @@ def _edges_from_runs(runs: Iterable[tuple[int, int, Sequence[int]]]) -> tuple[tu
 
 
 def _is_permutation(seq: Sequence[int], n: int) -> bool:
-    """Whether seq lists each of 0..n-1 once, as an int: no bool or float, since serialize writes %d."""
+    """Whether seq lists 0..n-1 once each, as ints: no bool or float; serialize's str(True) is not JSON."""
     return set(map(type, seq)) == {int} and sorted(seq) == list(range(n))
 
 

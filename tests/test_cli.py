@@ -589,6 +589,17 @@ class TestCensusCmd:
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "exceeded" in err
         assert not out_path.exists()
 
+    def test_exhausted_budget_leaves_an_existing_report_untouched(self, capsys, tmp_path, monkeypatch):
+        # the report is opened, and so truncated, only once the sweep has ended
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 1)
+        out_path = tmp_path / "r.jsonl"
+        out_path.write_text("kept\n")
+        code, out, _ = run_cli(capsys, "census", "--max-n", "4", "--max-torus", "0",
+                               "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert out_path.read_text() == "kept\n"
+
     def test_invalid_max_n(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "census", "--max-n", "2",
                                "--out", str(tmp_path / "r.jsonl"))
