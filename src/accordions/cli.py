@@ -284,17 +284,21 @@ def main(argv=None) -> int:
         return 2
 
 
-# encoded once, so it is written with no allocation: a failure that escapes
-# `main` is most often memory that ran out inside its own handler
-_ESCAPED = b"error: uncaught failure, most likely out of memory\n"
+# encoded once, so it is written with no allocation: what fails here is memory that
+# ran out inside `main`'s own handler, or output that could not be written
+_ESCAPED = b"error: uncaught failure: out of memory or output not writable\n"
 
 
 def run() -> None:
-    """The console script.  An exception that escapes `main` exits 2, never
-    Python's 1, the code for "no"; argparse's SystemExit passes through."""
+    """The console script.  An exception that escapes `main`, or a stdout that fails to
+    flush, exits 2, never 1 ("no") or Python's 120; argparse's SystemExit passes through."""
     try:
         code = main()
+        sys.stdout.flush()
     except Exception:  # not SystemExit, a BaseException
-        os.write(2, _ESCAPED)
+        try:  # no context manager: entering one allocates
+            os.write(2, _ESCAPED)
+        except Exception:  # stderr closed too, or memory still short: exit 2 all the same
+            pass
         os._exit(2)
     raise SystemExit(code)

@@ -1,15 +1,18 @@
 """CLI surface: exit codes, document round-trips, the checks made on emitted witnesses."""
 
 import argparse
+import contextlib
 import hashlib
 import importlib
 import inspect
+import io
 import json
 import math
 import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 from itertools import chain
 from pathlib import Path
 
@@ -21,11 +24,12 @@ from accordions import (
     VertexMap,
     accordion,
     accordion_from_cylinder,
+    circulant_iso_accordion,
     graph_from_json,
     verify_witness,
     witness_from_json,
 )
-from accordions import census, cli, graphs, oracle
+from accordions import census, cli, deciders, graphs, oracle, witnesses
 from accordions.cli import main
 from accordions.serialize import graph_to_json
 
@@ -480,6 +484,33 @@ class TestOracleCmd:
         assert "exceeded" in err.lower()
 
 
+def _drop_gcd1(monkeypatch):
+    # accordions_isomorphic without its gcd(n,k1) = 2 clause, where the census and
+    # accordion_witness read it: A[10,1] vs A[10,4] gets a 40-entry map for order 20
+    source = inspect.getsource(deciders.accordions_isomorphic)
+    assert source.count("g1 == 2 and g2 == 2") == 1
+    namespace = {}
+    exec(source.replace("g1 == 2 and g2 == 2", "g2 == 2"), vars(deciders), namespace)
+    for module in (census, witnesses):
+        monkeypatch.setattr(module, "accordions_isomorphic", namespace["accordions_isomorphic"])
+
+
+def _ci_acc_always_yes(monkeypatch):
+    # every ci-acc row is a "yes", and the witness constructor refuses each wrong one
+    pairing = census.PAIRINGS["ci-acc"]
+    monkeypatch.setitem(census.PAIRINGS, "ci-acc", pairing._replace(decide=lambda **params: True))
+
+
+# case -> (its patch, its census kind, the rows of `census --max-n 14 --max-torus 0`
+# that it answers "yes" wrongly, each both a disagreement and a witness failure)
+_WRONG_YES = {
+    "acc-acc-gcd1-dropped": (_drop_gcd1, "acc-acc", [{"n": 10, "k1": 1, "k2": 4}, {"n": 14, "k1": 1, "k2": 4}]),
+    "ci-acc-always-yes": (_ci_acc_always_yes, "ci-acc", [
+        {"n": n, "a": a, "b": b, "k": k} for n in range(3, 11) for a in range(1, n) for b in range(a + 1, n)
+        for k in range(1, n // 2 + 1) if not circulant_iso_accordion(n, a, b, k).isomorphic]),
+}
+
+
 class TestCensusCmd:
     def test_small_run_passes(self, capsys, tmp_path):
         out_path = tmp_path / "rows.jsonl"
@@ -633,6 +664,27 @@ class TestCensusCmd:
         assert summary["all_agree"] is False and summary["disagreements"] == [
             {"n": 4, "k1": 1, "k2": 1, "kind": "acc-acc"}, {"n": 4, "k1": 2, "k2": 2, "kind": "acc-acc"}]
 
+    @pytest.mark.parametrize("case", list(_WRONG_YES))
+    def test_a_wrong_yes_is_a_failed_row_not_an_aborted_sweep(self, monkeypatch, case):
+        # a wrong-size map and a refused constructor alike: exit 1 and a whole report.
+        # Only monkeypatch is asked for, as the check-mutant table runs this test too
+        patch, kind, wrong = _WRONG_YES[case]
+        patch(monkeypatch)
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["census", "--max-n", "14", "--max-torus", "0", "--out", f"{tmp}/census.jsonl"])
+            assert code == 1, err.getvalue()
+            lines = Path(tmp, "census.jsonl").read_text().splitlines()
+        assert err.getvalue() == ""
+        summary = json.loads(lines[-1])["summary"]
+        assert summary["rows"] == len(lines) - 1 and all("kind" in json.loads(line) for line in lines[:-1])
+        failed = [params | {"kind": kind} for params in wrong]
+        assert summary["disagreements"] == summary["witness_failures"] == failed
+        printed = out.getvalue().splitlines()
+        assert [line for line in printed if line.startswith(("  DISAGREE", "  WITNESS-FAIL"))] == [
+            f"  {label} {row}" for label in ("DISAGREE", "WITNESS-FAIL") for row in failed]
+        assert printed[-1] == "result: FAIL"
+
     def test_extended_run_verdicts_are_pinned(self):
         # acc-acc to n = 30, ci-acc to n = 14, ci-torus to order 60: 11837 rows,
         # every verdict column pinned, timings left out
@@ -675,6 +727,30 @@ class TestEscapedFailure:
     def test_help_still_exits_0(self):
         proc = self._run("--help")
         assert proc.returncode == 0 and proc.stdout.startswith(b"usage: accgraph")
+
+    @pytest.mark.parametrize("closed", ["stdout", "both"], ids=["stdout-closed", "both-closed"])
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["--n", "14", "--k1", "4", "--k2", "6"], ["--n", "10", "--k1", "2", "--k2", "4"], ["--n", "2"],
+    ], ids=["yes", "no", "invalid"])
+    def test_output_that_cannot_be_written_exits_2(self, closed, unbuffered, argv):
+        # stdout, or stdout and stderr, on a pipe whose read end is closed: nothing
+        # reaches stdout, so no code may claim a verdict; Python alone would exit
+        # 120 (a flush that fails at exit) or 1 (a write to stderr that fails too)
+        env = dict(os.environ, PYTHONPATH=str(Path(accordions.__file__).resolve().parent.parent))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "accordions", "decide", "acc-acc", *argv], stdout=write,
+                                  stderr=write if closed == "both" else subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        if closed == "stdout":
+            assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(b"error: ")
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(accordions.__path__) if m.name != "__main__"])

@@ -14,9 +14,9 @@ decider.  Each of those lemmas is checked exhaustively for n <= 200 instead.
 
 A check mutant is an edited copy of one function of the oracle, of
 verify_witness and the permutation test it shares with Graph.relabel, or of
-the census's multiplier link, put in place of the original wherever the
-package or the test module that kills it binds the name at import; its
-killers, tier-1 tests, are run against it and must fail.
+the census's multiplier link or witness guard, put in place of the original
+wherever the package or the test module that kills it binds the name at
+import; its killers, tier-1 tests, are run against it and must fail.
 """
 
 import inspect
@@ -25,6 +25,7 @@ from functools import partial
 
 import pytest
 import test_census as census_tests
+import test_cli as cli_tests
 import test_oracle as oracle_tests
 import test_witnesses as witness_tests
 
@@ -46,11 +47,11 @@ ORDERS = range(3, 201)
 
 # The deciders restated clause by clause; a False flag drops that clause.
 
-def acc_acc(n, k1, k2, gcd2=True, plus=True, minus=True):
+def acc_acc(n, k1, k2, gcd1=True, gcd2=True, plus=True, minus=True):
     if k1 == k2:
         return True
-    half = k1 * k2 // 2  # exact: gcd(n,k1) = 2 makes k1 even
-    return (math.gcd(n, k1) == 2 and (math.gcd(n, k2) == 2 or not gcd2)
+    half = k1 * k2 // 2  # exact while one gcd clause holds: gcd(n,k) = 2 makes k even
+    return ((math.gcd(n, k1) == 2 or not gcd1) and (math.gcd(n, k2) == 2 or not gcd2)
             and (plus and (half - 2) % n == 0 or minus and (half + 2) % n == 0))
 
 
@@ -82,6 +83,7 @@ PARAMS = {"acc-acc": ("n", "k1", "k2"), "ci-acc": ("n", "a", "b", "k"), "ci-toru
 
 # mutant -> (census kind, the mutant, the first row of the census grids that kills it)
 MUTANTS = {
+    "acc-acc: drop gcd(n,k1) = 2": ("acc-acc", partial(acc_acc, gcd1=False), (10, 1, 4)),
     "acc-acc: drop gcd(n,k2) = 2": ("acc-acc", partial(acc_acc, gcd2=False), (34, 8, 9)),
     "acc-acc: drop the +2 branch": ("acc-acc", partial(acc_acc, plus=False), (22, 6, 8)),
     "acc-acc: drop the -2 branch": ("acc-acc", partial(acc_acc, minus=False), (14, 4, 6)),
@@ -213,6 +215,9 @@ CHECK_MUTANTS = {
     "verify_witness without its edge-membership test": (
         witnesses, "verify_witness", "(x * n + y if x < y else y * n + x) not in target", "False",
         [(witness_tests, "TestVerifyWitness.test_bad_transposition_on_path")]),
+    "verify_witness that reads only a map's first order entries": (
+        witnesses, "verify_witness", "_is_permutation(m, g.order)", "_is_permutation(m[:g.order], g.order)",
+        [(witness_tests, "TestVerifyWitness.test_length_mismatch_is_false")]),
     "_is_permutation without its int-type test": (
         graphs, "_is_permutation", "set(map(type, seq)) == {int} and ", "",
         [(witness_tests, "TestVerifyWitness.test_bool_and_float_entries_are_false")]),
@@ -220,6 +225,9 @@ CHECK_MUTANTS = {
         census, "_multiplier_class",
         "verify_witness(built[head], built[source]", "verify_witness(built[source], built[head]",
         [(census_tests, "test_every_default_row_reruns_alone")]),
+    "a witness guard that catches nothing, so a refused constructor ends the sweep": (
+        census, "_checked_witness", "except ValueError:", "except ZeroDivisionError:",
+        [(cli_tests, "TestCensusCmd.test_a_wrong_yes_is_a_failed_row_not_an_aborted_sweep", "ci-acc-always-yes")]),
 }
 
 

@@ -45,18 +45,17 @@ class TestVerifyWitness:
         g = accordion(5, 2)
         assert verify_witness(g, g, VertexMap.identity(g.order))
 
-    def test_order_mismatch_raises(self):
-        with pytest.raises(InvalidParameterError):
-            verify_witness(cycle_graph(3), cycle_graph(4), VertexMap.identity(3))
-        with pytest.raises(InvalidParameterError):
-            verify_witness(cycle_graph(3), cycle_graph(4), VertexMap.identity(4))
+    def test_order_mismatch_is_false(self):
+        # one answer for every map: graphs of unequal orders have no isomorphism
+        assert verify_witness(cycle_graph(3), cycle_graph(4), VertexMap.identity(3)) is False
+        assert verify_witness(cycle_graph(3), cycle_graph(4), VertexMap.identity(4)) is False
 
-    def test_length_mismatch_raises(self):
+    def test_length_mismatch_is_false(self):
+        # neither a map one entry short nor one too long permutes C3's vertices,
+        # though the long one's first three entries are C3's identity
         g = cycle_graph(3)
-        with pytest.raises(InvalidParameterError):
-            verify_witness(g, g, VertexMap((0, 1)))
-        with pytest.raises(InvalidParameterError):
-            verify_witness(g, g, VertexMap((0, 1, 2, 3)))
+        assert verify_witness(g, g, VertexMap((0, 1))) is False
+        assert verify_witness(g, g, VertexMap((0, 1, 2, 3))) is False
 
     def test_repeated_image_is_false(self):
         g = cycle_graph(4)
