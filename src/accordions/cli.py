@@ -1,10 +1,10 @@
 """Command-line surface: generate graphs, run deciders, emit witnesses, census.
 
-Exit codes are a total contract: 0 = yes/success, 1 = no, 2 = invalid input
-or error.  `cmd_decide` maps a verdict to 0 or 1, and checks a requested
-witness before anything is printed, by the census's own check
-(`census._checked_witness`).  Each choice is one table (gen families and
-formats, decide kinds and predicates, commands), read by parser and handlers.
+Exit codes are a total contract: 0 = yes/success, 1 = no, 2 = invalid input or error;
+`main` returns one for every request, argparse's help (0) and usage errors (2) included.
+`cmd_decide` maps a verdict to 0 or 1, and checks a requested witness before anything is
+printed, by the census's own check (`census._checked_witness`).  Each choice is one table
+(gen families and formats, decide kinds and predicates, commands), read by parser and handlers.
 """
 
 from __future__ import annotations
@@ -256,10 +256,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help that cannot be written raises, as all other output does; subparsers share the class."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The whole parser, built once per process; `main` parses every request with it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="accgraph",
         description="Accordion and quartic circulant graphs: constructors, "
         "isomorphism deciders, witnesses, and a decider-vs-oracle census.",
@@ -273,9 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's own exits: 0 after help, 2 on a usage error
+        return exc.code
     except Exception as exc:
         # exit 1 means "no": a crash must never be read as a verdict; invalid
         # input, a spent budget, a failed check and OSError are reported bare
@@ -290,12 +299,13 @@ _ESCAPED = b"error: uncaught failure: out of memory or output not writable\n"
 
 
 def run() -> None:
-    """The console script.  An exception that escapes `main`, or a stdout that fails to
-    flush, exits 2, never 1 ("no") or Python's 120; argparse's SystemExit passes through."""
+    """The console script.  An exception that escapes `main`, or a stdout or stderr that
+    fails to flush, exits 2, never 1 ("no") or Python's 120."""
     try:
         code = main()
         sys.stdout.flush()
-    except Exception:  # not SystemExit, a BaseException
+        sys.stderr.flush()
+    except Exception:
         try:  # no context manager: entering one allocates
             os.write(2, _ESCAPED)
         except Exception:  # stderr closed too, or memory still short: exit 2 all the same

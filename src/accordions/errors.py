@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["InvalidParameterError", "NotApplicableError", "InvariantViolationError", "BudgetExceededError"]
+__all__ = ["InvalidParameterError", "InvariantViolationError", "BudgetExceededError"]
 
 
 class InvalidParameterError(ValueError):
@@ -12,9 +12,9 @@ class NotApplicableError(ValueError):
 
     The library no longer raises it: every decider answers every valid
     query (a circulant with both lengths even is a "both-even" no from
-    circulant_iso_accordion).  The name stays exported for the one caller
-    that still catches it: bench/workloads.py, which imports it from
-    accordions.errors.
+    circulant_iso_accordion).  It is no public name; the class stays only
+    for bench/workloads.py, which imports it from accordions.errors and
+    still catches it.
     """
 
 

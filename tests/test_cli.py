@@ -36,10 +36,7 @@ from accordions.serialize import graph_to_json
 
 def run_cli(capsys, *argv):
     """Exit code, stdout and stderr of one call, argparse's own exits (help, usage errors) included."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -170,6 +167,28 @@ class TestParser:
             digest.update((json.dumps([argv, *run_cli(capsys, *argv)]) + "\n").encode())
         assert digest.hexdigest() == "196fb754eb763d68a882ff1ea701e1940a628bfa3e86dca1c46060aca503e641"
 
+    def test_main_answers_every_request_with_an_int(self):
+        # the usage requests of the pin above and the help requests of gen's pin: argparse's
+        # exits come back as codes, so no caller sees a SystemExit; no fixture but the
+        # redirects, because the check-mutant table calls this test with none
+        requests = {
+            (): 2, ("-h",): 0, ("nosuch",): 2, ("-h", "decide"): 0, ("--", "decide"): 2,
+            ("oracle", "-h"): 0, ("census", "-h"): 0,
+            ("decide", "acc-acc", "--n", "5", "--k1", "1", "--k2", "2", "extra"): 2,
+            ("census", "--max-n", "5", "stray"): 2,
+            ("gen", "accordion", "--n", "5", "--k", "1", "--bogus", "3"): 2,
+            ("decide",): 2, ("oracle", "a"): 2,
+            ("--help",): 0, ("gen", "--help"): 0, ("decide", "--help"): 0,
+        }
+        codes = {}
+        for argv in requests:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    codes[argv] = main(list(argv))
+                except SystemExit as exc:
+                    pytest.fail(f"main{argv} let SystemExit({exc.code!r}) out")
+        assert codes == requests and {type(code) for code in codes.values()} == {int}
+
     def test_the_parser_is_built_once_per_process(self, capsys, monkeypatch):
         # the first build adds every command's arguments, 33 in all; a later request adds none
         calls = []
@@ -193,9 +212,7 @@ class TestParser:
         assert main() == 1
         assert capsys.readouterr().out.endswith("isomorphic: no\n")
         monkeypatch.setattr("sys.argv", ["accgraph", "nosuch"])
-        with pytest.raises(SystemExit) as exc:
-            main()
-        assert exc.value.code == 2
+        assert main() == 2
         assert capsys.readouterr().err.startswith("usage: accgraph [-h] {gen,decide,oracle,census} ...\n")
 
 
@@ -751,6 +768,30 @@ class TestEscapedFailure:
         assert proc.returncode == 2
         if closed == "stdout":
             assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(b"error: ")
+
+    @pytest.mark.parametrize("closed", ["stdout", "both"], ids=["stdout-closed", "both-closed"])
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["census", "--help"], ["nosuch"], ["decide", "acc-acc", "--n", "5", "--k1", "1", "--k2", "2", "extra"],
+    ], ids=["help", "census-help", "unknown-command", "stray-argument"])
+    def test_help_and_usage_errors_that_cannot_be_written_exit_2(self, closed, unbuffered, argv):
+        # as above, for argparse's own exits: help written to a closed stdout is an error, not
+        # a success, and a usage message that cannot be flushed exits 2, not Python's 120
+        env = dict(os.environ, PYTHONPATH=str(Path(accordions.__file__).resolve().parent.parent))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "accordions", *argv], stdout=write,
+                                  stderr=write if closed == "both" else subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        if closed == "stdout":
+            # the last line says why: the failed write, or argparse's usage error
+            assert proc.stderr.splitlines()[-1].startswith((b"error: ", b"accgraph: error: "))
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(accordions.__path__) if m.name != "__main__"])

@@ -13,10 +13,11 @@ changes no verdict and no census grid can tell such a mutant from the
 decider.  Each of those lemmas is checked exhaustively for n <= 200 instead.
 
 A check mutant is an edited copy of one function of the oracle, of
-verify_witness and the permutation test it shares with Graph.relabel, or of
-the census's multiplier link or witness guard, put in place of the original
-wherever the package or the test module that kills it binds the name at
-import; its killers, tier-1 tests, are run against it and must fail.
+verify_witness and the permutation test it shares with Graph.relabel, of
+the census's multiplier link or witness guard, or of the CLI's `main`, put
+in place of the original wherever the package or the test module that kills
+it binds the name at import; its killers, tier-1 tests, are run against it
+and must fail.
 """
 
 import inspect
@@ -35,6 +36,7 @@ from accordions import (
     census,
     circulant_iso_accordion,
     circulant_iso_torus,
+    cli,
     graphs,
     normalize_length,
     oracle,
@@ -228,6 +230,9 @@ CHECK_MUTANTS = {
     "a witness guard that catches nothing, so a refused constructor ends the sweep": (
         census, "_checked_witness", "except ValueError:", "except ZeroDivisionError:",
         [(cli_tests, "TestCensusCmd.test_a_wrong_yes_is_a_failed_row_not_an_aborted_sweep", "ci-acc-always-yes")]),
+    "main without its except SystemExit clause, so argparse's help and usage exits escape it": (
+        cli, "main", "except SystemExit as exc:", "except ZeroDivisionError as exc:",
+        [(cli_tests, "TestParser.test_main_answers_every_request_with_an_int")]),
 }
 
 
