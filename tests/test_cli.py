@@ -291,11 +291,15 @@ class TestDecide:
         src, tgt, vm = witness_from_json(doc.removeprefix("witness: "))
         assert verify_witness(src, tgt, vm)
 
-    def test_ci_torus_scan(self, capsys):
-        code, out, _ = run_cli(capsys, "decide", "ci-torus", "--nprime", "12", "--a1", "3",
-                               "--a2", "4")
+    # the factors are read off the gcds, with no divisor scan, even at an order near 10^18
+    @pytest.mark.parametrize("nprime, a1, a2, factors", [
+        ("12", "3", "4", "3 x 4"),
+        ("999999943999999559", "1000000007", "999999937", "999999937 x 1000000007"),
+    ], ids=["order-12", "order-1e18"])
+    def test_ci_torus_scan(self, capsys, nprime, a1, a2, factors):
+        code, out, _ = run_cli(capsys, "decide", "ci-torus", "--nprime", nprime, "--a1", a1, "--a2", a2)
         assert code == 0
-        assert "factors: 3 x 4" in out
+        assert f"factors: {factors}" in out.splitlines()
 
     @pytest.mark.parametrize("factors", [[], ["--n1", "3", "--n2", "4"]], ids=["scan", "given"])
     def test_ci_torus_prints_normalized_lengths(self, capsys, factors):
@@ -354,13 +358,32 @@ class TestDecide:
                                "--n", "4", "--k", "2", "--witness")
         assert code == 2 and "--witness" in err
 
-    def test_bipartite_witness_at_order_1200(self, capsys):
-        code, out, _ = run_cli(capsys, "decide", "ci-acc", "--n", "600", "--a", "1", "--b", "599",
-                               "--k", "2", "--witness")
-        assert code == 0
-        doc = next(line for line in out.splitlines() if line.startswith("witness: "))
-        src, tgt, vm = witness_from_json(doc.removeprefix("witness: "))
-        assert verify_witness(src, tgt, vm)
+    # requests at orders 1200 to 2002: the exit code and the matched-k line (None: the kind
+    # prints none), and each certificate as a compact document that reads back and verifies
+    @pytest.mark.parametrize("argv, code, matched_k", [
+        pytest.param(["acc-acc", "--n", "1000", "--k1", "6", "--k2", "334", "--witness"], 0, None, id="acc-acc"),
+        pytest.param(["ci-acc", "--n", "600", "--a", "1", "--b", "599", "--k", "2", "--witness"], 0, "2",
+                     id="ci-acc-bipartite"),
+        pytest.param(["ci-torus", "--nprime", "1001", "--a1", "286", "--a2", "21", "--witness"], 0, None,
+                     id="ci-torus"),
+        # both lengths odd: only k = 2 can match, a yes here and a no for {1,3}
+        pytest.param(["ci-acc", "--n", "1000", "--a", "3", "--b", "997", "--witness"], 0, "2", id="odd-yes"),
+        pytest.param(["ci-acc", "--n", "1000", "--a", "1", "--b", "3"], 1, "none", id="odd-no"),
+        # mixed parity with no --k: the one candidate k is solved for, a yes at n = 1001, a no at n = 1000
+        pytest.param(["ci-acc", "--n", "1001", "--a", "1", "--b", "4", "--witness"], 0, "500", id="mixed-yes"),
+        pytest.param(["ci-acc", "--n", "1000", "--a", "1", "--b", "4"], 1, "none", id="mixed-no"),
+    ])
+    def test_requests_at_orders_1200_to_2002(self, capsys, argv, code, matched_k):
+        got, out, _ = run_cli(capsys, "decide", *argv)
+        assert got == code
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("matched-k: ")] == (
+            [] if matched_k is None else [f"matched-k: {matched_k}"])
+        docs = [line.removeprefix("witness: ") for line in lines if line.startswith("witness: ")]
+        assert len(docs) == ("--witness" in argv and code == 0)
+        for doc in docs:
+            assert doc == json.dumps(json.loads(doc), separators=(",", ":"))
+            assert verify_witness(*witness_from_json(doc))
 
     # each certificate kind: a request answered "yes", and the order of its graphs
     WITNESS_KINDS = [
@@ -546,10 +569,12 @@ class TestCensusCmd:
             for row in rows
         )
 
-    def test_default_run_is_golden(self, capsys, tmp_path):
-        # every row and the summary, apart from their timings, are pinned
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_default_run_is_golden(self, capsys, tmp_path, seed):
+        # every row and the summary, apart from their timings, are pinned; another seed
+        # draws other relabelings, and no pinned column depends on them
         out_path = tmp_path / "census.jsonl"
-        code, _, _ = run_cli(capsys, "census", "--out", str(out_path))
+        code, _, _ = run_cli(capsys, "census", "--seed", seed, "--out", str(out_path))
         assert code == 0
         digest = hashlib.sha256()
         for line in out_path.read_text().splitlines():
@@ -717,8 +742,9 @@ class TestCensusCmd:
 
 
 class TestEscapedFailure:
-    """`run`, the console script, in a child process whose address space is
-    limited to 400 MiB, so that only the child runs out of memory."""
+    """`run`, the console script, in a child process. The tests that use `_run`
+    limit the child's address space to 400 MiB, so that only the child runs
+    out of memory."""
 
     @staticmethod
     def _run(*argv, limit=400 * 2 ** 20):
@@ -745,38 +771,24 @@ class TestEscapedFailure:
         proc = self._run("--help")
         assert proc.returncode == 0 and proc.stdout.startswith(b"usage: accgraph")
 
+    # each request, and the lines it writes to stderr when only stdout is closed: the failed
+    # write for a verdict or help, the failed request itself, or argparse's usage and error lines
     @pytest.mark.parametrize("closed", ["stdout", "both"], ids=["stdout-closed", "both-closed"])
     @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("argv", [
-        ["--n", "14", "--k1", "4", "--k2", "6"], ["--n", "10", "--k1", "2", "--k2", "4"], ["--n", "2"],
-    ], ids=["yes", "no", "invalid"])
-    def test_output_that_cannot_be_written_exits_2(self, closed, unbuffered, argv):
+    @pytest.mark.parametrize("argv, lines", [
+        pytest.param(["decide", "acc-acc", "--n", "14", "--k1", "4", "--k2", "6"], 1, id="yes"),
+        pytest.param(["decide", "acc-acc", "--n", "10", "--k1", "2", "--k2", "4"], 1, id="no"),
+        pytest.param(["decide", "acc-acc", "--n", "2"], 1, id="invalid"),
+        pytest.param(["--help"], 1, id="help"),
+        pytest.param(["census", "--help"], 1, id="census-help"),
+        pytest.param(["nosuch"], 2, id="unknown-command"),
+        pytest.param(["decide", "acc-acc", "--n", "5", "--k1", "1", "--k2", "2", "extra"], 2, id="stray-argument"),
+    ])
+    def test_output_that_cannot_be_written_exits_2(self, closed, unbuffered, argv, lines):
         # stdout, or stdout and stderr, on a pipe whose read end is closed: nothing
-        # reaches stdout, so no code may claim a verdict; Python alone would exit
-        # 120 (a flush that fails at exit) or 1 (a write to stderr that fails too)
-        env = dict(os.environ, PYTHONPATH=str(Path(accordions.__file__).resolve().parent.parent))
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = unbuffered
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            proc = subprocess.run([sys.executable, "-m", "accordions", "decide", "acc-acc", *argv], stdout=write,
-                                  stderr=write if closed == "both" else subprocess.PIPE, env=env, timeout=60)
-        finally:
-            os.close(write)
-        assert proc.returncode == 2
-        if closed == "stdout":
-            assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(b"error: ")
-
-    @pytest.mark.parametrize("closed", ["stdout", "both"], ids=["stdout-closed", "both-closed"])
-    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("argv", [
-        ["--help"], ["census", "--help"], ["nosuch"], ["decide", "acc-acc", "--n", "5", "--k1", "1", "--k2", "2", "extra"],
-    ], ids=["help", "census-help", "unknown-command", "stray-argument"])
-    def test_help_and_usage_errors_that_cannot_be_written_exit_2(self, closed, unbuffered, argv):
-        # as above, for argparse's own exits: help written to a closed stdout is an error, not
-        # a success, and a usage message that cannot be flushed exits 2, not Python's 120
+        # reaches stdout, so no code may claim a verdict, and help that is not written
+        # is not a success; Python alone would exit 120 (a flush that fails at exit)
+        # or 1 (a write to stderr that fails too)
         env = dict(os.environ, PYTHONPATH=str(Path(accordions.__file__).resolve().parent.parent))
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
@@ -790,7 +802,8 @@ class TestEscapedFailure:
             os.close(write)
         assert proc.returncode == 2
         if closed == "stdout":
-            # the last line says why: the failed write, or argparse's usage error
+            # the last line says why
+            assert len(proc.stderr.splitlines()) == lines
             assert proc.stderr.splitlines()[-1].startswith((b"error: ", b"accgraph: error: "))
 
 
