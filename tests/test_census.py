@@ -60,6 +60,19 @@ def test_rows_that_no_pinned_grid_reaches(kind, params):
     assert row.decider is False and row.oracle is False and row.agree
 
 
+@pytest.mark.parametrize("kind, params, isomorphic", [
+    ("acc-acc", {"n": 14, "k1": 4, "k2": 6}, True),
+    ("acc-acc", {"n": 10, "k1": 2, "k2": 4}, False),
+    ("ci-torus", {"nprime": 12, "a1": 3, "a2": 4, "n1": 3, "n2": 4}, True),
+], ids=["A14-4-vs-A14-6", "A10-2-vs-A10-4", "Ci12-3-4-vs-C3xC4"])
+def test_named_known_answers(kind, params, isomorphic):
+    # rows of the default grid that the paper names; the golden digest hashes
+    # them among the rest, and here each answer is asserted by name
+    (row,) = census._rows(kind, [params], 0)
+    assert (row.decider, row.oracle, row.agree) == (isomorphic, isomorphic, True)
+    assert row.witness_verified is (True if isomorphic else None)
+
+
 def test_a_witness_that_cannot_be_built_is_a_recorded_failure(monkeypatch):
     # a decider wrongly "yes" on Ci[30,{1,2}] vs A[15,6]: the witness
     # constructor refuses, and the row records it instead of ending the sweep

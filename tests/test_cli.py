@@ -747,11 +747,13 @@ class TestEscapedFailure:
     out of memory."""
 
     @staticmethod
-    def _run(*argv, limit=400 * 2 ** 20):
+    def _env():
+        return dict(os.environ, PYTHONPATH=str(Path(accordions.__file__).resolve().parent.parent))
+
+    def _run(self, *argv, limit=400 * 2 ** 20):
         resource = pytest.importorskip("resource")
-        env = dict(os.environ, PYTHONPATH=str(Path(accordions.__file__).resolve().parent.parent))
         return subprocess.run(
-            [sys.executable, "-m", "accordions", *argv], capture_output=True, env=env, timeout=60,
+            [sys.executable, "-m", "accordions", *argv], capture_output=True, env=self._env(), timeout=60,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
 
@@ -759,10 +761,32 @@ class TestEscapedFailure:
         ["gen", "accordion", "--n", "30000000", "--k", "3"],
         ["decide", "acc-acc", "--n", "30000000", "--k1", "3", "--k2", "3", "--witness"],
     ], ids=["gen", "decide"])
-    def test_memory_exhausted_inside_the_handler_exits_2(self, argv):
-        # `main`'s own handler runs out of memory too, so the failure escapes it;
-        # Python would exit 1, the code for "no"
+    def test_memory_exhausted_exits_2(self, argv):
+        # which allocation meets the limit varies from run to run: if `main`'s own
+        # handler runs out of memory too, the failure escapes it and `run` writes
+        # `_ESCAPED`, else the handler reports the MemoryError; Python alone would
+        # exit 1, the code for "no"
         proc = self._run(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == cli._ESCAPED or (
+            proc.stderr.startswith(b"error: MemoryError") and proc.stderr.count(b"\n") == 1
+            and proc.stderr.endswith(b"\n")), proc.stderr
+
+    def test_a_failure_that_escapes_main_exits_2_with_the_fixed_line(self):
+        # `main`'s handler fails on its own write to stderr, as when memory runs
+        # out there, so the failure escapes `main` on every run
+        child = "\n".join([
+            "import sys",
+            "from accordions import cli",
+            "class Full:",
+            "    def write(self, text):",
+            "        raise MemoryError",
+            "sys.stderr = Full()",
+            "sys.argv = ['accgraph', 'decide', 'acc-acc', '--n', '2']",
+            "cli.run()",
+        ])
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, env=self._env(), timeout=60)
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr.endswith(cli._ESCAPED)
@@ -789,7 +813,7 @@ class TestEscapedFailure:
         # reaches stdout, so no code may claim a verdict, and help that is not written
         # is not a success; Python alone would exit 120 (a flush that fails at exit)
         # or 1 (a write to stderr that fails too)
-        env = dict(os.environ, PYTHONPATH=str(Path(accordions.__file__).resolve().parent.parent))
+        env = self._env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = unbuffered

@@ -57,6 +57,29 @@ class TestStructurePredicates:
         with pytest.raises(InvalidParameterError):
             accordion_is_bipartite(4, 3)
 
+    def test_bipartite_and_connected_match_the_built_graphs(self):
+        # each accordion is connected; Graph.components is the BFS reference
+        for n in range(3, 15):
+            for k in range(1, n // 2 + 1):
+                sizes, bipartite = accordion(n, k).components
+                assert accordion_is_bipartite(n, k) == bipartite and len(sizes) == 1, (n, k)
+        for n in range(3, 11):
+            for a in range(1, n):
+                for b in range(a + 1, n):
+                    sizes, bipartite = circulant(n, a, b).components
+                    assert circulant_is_bipartite(n, a, b) == bipartite, (n, a, b)
+                    assert circulant_is_connected(n, a, b) == (len(sizes) == 1), (n, a, b)
+
+    def test_circulant_clause_matches_the_oracle(self):
+        # A[n,k] is circulant exactly when some Ci[2n,{a,b}] is isomorphic to it;
+        # A[8,4] and A[10,4] are the first that are not
+        for n in range(3, 11):
+            for k in range(1, n // 2 + 1):
+                g = accordion(n, k)
+                found = any(are_isomorphic(g, circulant(n, a, b)) is not None
+                            for a in range(1, n) for b in range(a + 1, n))
+                assert (accordion_circulant_clause(n, k) != "none") == found, (n, k)
+
 
 class TestAccordionPairs:
     def test_partner_pair(self):

@@ -5,8 +5,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from accordions import (
     Graph,
@@ -119,13 +117,13 @@ class TestCycleSwapAutomorphism:
         assert vm.mapping[1] == n + n - 1  # u_2 -> v_n
         assert vm.mapping[n] == 0          # v_1 -> u_1
 
-    @given(st.integers(3, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n // 2))))
-    def test_involution_and_automorphism(self, nk):
-        n, k = nk
-        vm = cycle_swap_automorphism(n, k)
-        m = vm.mapping
-        assert tuple(m[v] for v in m) == tuple(range(2 * n))
-        assert verify_witness(accordion(n, k), accordion(n, k), vm)
+    def test_involution_and_automorphism(self):
+        for n in range(3, 15):
+            for k in range(1, n // 2 + 1):
+                vm = cycle_swap_automorphism(n, k)
+                m = vm.mapping
+                assert tuple(m[v] for v in m) == tuple(range(2 * n)), (n, k)
+                assert verify_witness(accordion(n, k), accordion(n, k), vm), (n, k)
 
 
 class TestAccordionWitness:
@@ -520,11 +518,14 @@ class TestMapsMatchTheirPerVertexBuilds:
             _reference_mixed_parity_witness(1000, 25, 2, 25)
 
     def test_accordion_from_cylinder(self):
-        for n1 in range(4, 21, 2):
+        # n1 to 24 reaches every (n, k) with n <= 12: (12, 1) and (12, 5) need n1 = 24
+        for n1 in range(4, 25, 2):
             for n2 in range(1, 7):
                 n = n1 * n2 // 2
                 for k in range(1, n // 2 + 1):
                     if n >= 3 and math.gcd(n, k) == n2:
+                        ext = accordion_from_cylinder(n1, n2, k)
                         expected = tuple(_reference_spoke_cycle_vertex(n, k, p + 1, c + 1)
                                          for c in range(n1) for p in range(n2))
-                        assert accordion_from_cylinder(n1, n2, k).to_accordion.mapping == expected
+                        assert ext.to_accordion.mapping == expected, (n1, n2, k)
+                        assert verify_witness(ext.graph, accordion(n, k), ext.to_accordion), (n1, n2, k)
