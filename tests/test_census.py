@@ -61,13 +61,19 @@ def test_rows_that_no_pinned_grid_reaches(kind, params):
 
 
 @pytest.mark.parametrize("kind, params, isomorphic", [
+    ("ci-acc", {"n": 4, "a": 1, "b": 3, "k": 2}, True),
+    ("ci-acc", {"n": 3, "a": 1, "b": 2, "k": 1}, True),
+    ("ci-acc", {"n": 12, "a": 1, "b": 11, "k": 2}, True),
     ("acc-acc", {"n": 14, "k1": 4, "k2": 6}, True),
     ("acc-acc", {"n": 10, "k1": 2, "k2": 4}, False),
     ("ci-torus", {"nprime": 12, "a1": 3, "a2": 4, "n1": 3, "n2": 4}, True),
-], ids=["A14-4-vs-A14-6", "A10-2-vs-A10-4", "Ci12-3-4-vs-C3xC4"])
+], ids=["Ci8-1-3-vs-A4-2", "Ci6-1-2-vs-A3-1", "Ci24-1-11-vs-A12-2",
+        "A14-4-vs-A14-6", "A10-2-vs-A10-4", "Ci12-3-4-vs-C3xC4"])
 def test_named_known_answers(kind, params, isomorphic):
-    # rows of the default grid that the paper names; the golden digest hashes
-    # them among the rest, and here each answer is asserted by name
+    # rows that the paper names: the bipartite and non-bipartite examples, the
+    # base family A[n,2] = Ci[2n,{1,n-1}] at n = 12, and three answers of the
+    # default grid; the golden digest and the extended pin hash them among the
+    # rest, and here each answer is asserted by name
     (row,) = census._rows(kind, [params], 0)
     assert (row.decider, row.oracle, row.agree) == (isomorphic, isomorphic, True)
     assert row.witness_verified is (True if isomorphic else None)
