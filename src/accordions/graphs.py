@@ -22,7 +22,6 @@ Each parameter rule is one function that every entry point calls:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -36,21 +35,10 @@ __all__ = [
     "path_graph",
     "cartesian_product",
     "accordion",
-    "accordion_edge_classes",
     "circulant",
     "circulant_graph",
-    "cylinder_cut_edges",
     "normalize_length",
-    "OUTER_CYCLE",
-    "INNER_CYCLE",
-    "VERTICAL_SPOKE",
-    "DIAGONAL_SPOKE",
 ]
-
-OUTER_CYCLE = "outer-cycle"
-INNER_CYCLE = "inner-cycle"
-VERTICAL_SPOKE = "vertical-spoke"
-DIAGONAL_SPOKE = "diagonal-spoke"
 
 
 def _walk_edges(order: int, edges: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
@@ -249,7 +237,10 @@ def accordion(n: int, k: int) -> Graph:
     """The accordion graph A[n,k]: order 2n, 4-regular.
 
     Two n-cycles (u_1..u_n) and (v_1..v_n) joined by the vertical spokes
-    u_i v_i and the diagonal spokes u_i v_{i+k} (subscripts mod n).
+    u_i v_i and the diagonal spokes u_i v_{i+k} (subscripts mod n).  Each
+    class has n edges, and an edge (i, j), i < j, names its class by index:
+    outer cycle if j < n, inner cycle if i >= n, vertical spoke if
+    j == n + i, diagonal spoke otherwise.
     """
     _check_accordion(n, k)
     # u_i is vertex i-1 and v_i vertex n+i-1.  From u_i the steps up are 1 to
@@ -263,12 +254,6 @@ def accordion(n: int, k: int) -> Graph:
         (n, n + 1, (1, n - 1)),        # v_1
         (n + 1, 2 * n - 1, (1,)),      # v_2 .. v_{n-1}
     ]))
-
-
-def accordion_edge_classes(n: int, k: int) -> dict[tuple[int, int], str]:
-    """Tag of every edge (i, j), i < j, of A[n,k], read off i and j; each class has n members."""
-    return {(i, j): OUTER_CYCLE if j < n else INNER_CYCLE if i >= n else VERTICAL_SPOKE if j == n + i
-            else DIAGONAL_SPOKE for i, j in accordion(n, k).edges}
 
 
 def circulant(n: int, a: int, b: int) -> Graph:
@@ -298,21 +283,3 @@ def _circulant(order: int, norm: tuple[int, ...]) -> Graph:
         edges += zip(range(r), range(order - r, order))
     edges.sort()
     return _built(order, tuple(edges))
-
-
-def cylinder_cut_edges(n: int, k: int) -> tuple[tuple[int, int], ...]:
-    """Cycle edges whose removal turns A[n,k] into a cycle-times-path graph.
-
-    With g = gcd(n,k), removing the edges u_{tg}u_{tg+1} and v_{tg}v_{tg+1}
-    for t = 1..n/g leaves a graph isomorphic to C_{2n/g} [] P_g.
-    """
-    _check_accordion(n, k)
-    g = math.gcd(n, k)
-    out = []
-    for t in range(1, n // g + 1):
-        i = (t * g - 1) % n
-        j = (t * g) % n
-        out.append((min(i, j), max(i, j)))
-        out.append((min(i, j) + n, max(i, j) + n))
-    return tuple(sorted(out))
-

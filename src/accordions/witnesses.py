@@ -197,6 +197,10 @@ def accordion_from_cylinder(n1: int, n2: int, k: int) -> CylinderExtension:
     r_i = (i-1)*n2 + n2 - 1; the added chords are r_i -- l_{i+2*steps}
     (rim indices mod n1).  When n2 = 1 the base is just the n1-cycle
     (w_1..w_{n1}) and the chords are w_i -- w_{i+2*steps}.
+
+    With g = gcd(n,k) = n2, to_accordion maps the chords onto the cut
+    u_{tg}u_{tg+1}, v_{tg}v_{tg+1} (t = 1..n/g): removing those n1 cycle
+    edges from A[n,k] leaves C_{2n/g} [] P_g, the base.
     """
     if n1 < 4 or n1 % 2 != 0:
         raise InvalidParameterError(f"n1 must be even and >= 4, got {n1}")

@@ -1,4 +1,4 @@
-"""Family constructors, edge classes, and structural predicates."""
+"""Family constructors and structural predicates."""
 
 import copy
 import math
@@ -11,20 +11,14 @@ from hypothesis import strategies as st
 
 from accordions import graphs, oracle
 from accordions import (
-    DIAGONAL_SPOKE,
-    INNER_CYCLE,
-    OUTER_CYCLE,
-    VERTICAL_SPOKE,
     Graph,
     InvalidParameterError,
     accordion,
-    accordion_edge_classes,
     cartesian_product,
     circulant,
     circulant_graph,
     circulant_iso_torus,
     cycle_graph,
-    cylinder_cut_edges,
     normalize_length,
     path_graph,
     torus_parameters,
@@ -246,21 +240,6 @@ class TestAccordion:
         with pytest.raises(InvalidParameterError):
             accordion(n, k)
 
-    def test_edge_classes_partition(self):
-        for n, k in [(3, 1), (8, 4), (9, 2)]:
-            g = accordion(n, k)
-            tags = accordion_edge_classes(n, k)
-            assert set(tags) == set(g.edges)
-            counts = {}
-            for tag in tags.values():
-                counts[tag] = counts.get(tag, 0) + 1
-            assert counts == {
-                OUTER_CYCLE: n,
-                INNER_CYCLE: n,
-                VERTICAL_SPOKE: n,
-                DIAGONAL_SPOKE: n,
-            }
-
     def test_family_invariants(self):
         for n in range(3, 15):
             for k in range(1, n // 2 + 1):
@@ -268,16 +247,6 @@ class TestAccordion:
                 assert g.order == 2 * n and g.size == 4 * n
                 assert set(g.degrees) == {4}
                 assert g.components == ((2 * n,), n % 2 == 0 and k % 2 == 0)
-
-    def test_cut_edges_a10_5(self):
-        # deleting u5u6, v5v6, u10u1, v10v1 (0-based: 4-5, 14-15, 0-9, 10-19)
-        assert cylinder_cut_edges(10, 5) == ((0, 9), (4, 5), (10, 19), (14, 15))
-
-    def test_cut_edges_are_cycle_edges(self):
-        for n, k in [(10, 5), (9, 3), (12, 4)]:
-            tags = accordion_edge_classes(n, k)
-            for e in cylinder_cut_edges(n, k):
-                assert tags[e] in (OUTER_CYCLE, INNER_CYCLE)
 
 
 class TestCirculant:
@@ -471,19 +440,6 @@ def _reference_accordion(n, k):
     return _reference_edges(2 * n, edges)
 
 
-def _reference_edge_classes(n, k):
-    # the definition's four classes, each by its own index formula
-    tags = {}
-    for i in range(n):
-        j = (i + 1) % n
-        for tag, (x, y) in ((OUTER_CYCLE, (i, j)), (INNER_CYCLE, (n + i, n + j)),
-                            (VERTICAL_SPOKE, (i, n + i)), (DIAGONAL_SPOKE, (i, n + (i + k) % n))):
-            edge = (min(x, y), max(x, y))
-            assert edge not in tags, (n, k, edge)
-            tags[edge] = tag
-    return tags
-
-
 def _reference_circulant(order, lengths):
     norm = [min(r % order, order - r % order) for r in lengths]
     return _reference_edges(order, [(i, (i + r) % order) for r in norm for i in range(order)])
@@ -494,11 +450,6 @@ class TestConstructorsMatchThePerEdgeBuilds:
         for n in range(3, 41):
             for k in range(1, n // 2 + 1):
                 assert accordion(n, k).edges == _reference_accordion(n, k), (n, k)
-
-    def test_accordion_edge_classes(self):
-        for n in range(3, 61):
-            for k in range(1, n // 2 + 1):
-                assert accordion_edge_classes(n, k) == _reference_edge_classes(n, k), (n, k)
 
     def test_circulants(self):
         for order in range(3, 61):

@@ -11,7 +11,6 @@ from accordions import (
     InvalidParameterError,
     VertexMap,
     accordion,
-    are_isomorphic,
     accordion_from_cylinder,
     accordion_witness,
     accordions_isomorphic,
@@ -23,7 +22,6 @@ from accordions import (
     circulant_iso_torus,
     cycle_graph,
     cycle_swap_automorphism,
-    cylinder_cut_edges,
     find_accordion_param,
     normalize_length,
     path_graph,
@@ -300,17 +298,20 @@ class TestTorusWitness:
             torus_witness(12, 1, 4, 3, 4)
 
 
+def _images(ext, edges):
+    """The edges carried into A[n,k] by ext.to_accordion, as sorted ascending pairs."""
+    m = ext.to_accordion.mapping
+    return tuple(sorted((min(m[a], m[b]), max(m[a], m[b])) for a, b in edges))
+
+
 class TestAccordionFromCylinder:
     def test_a10_5_added_chords(self):
         r = accordion_from_cylinder(4, 5, 5)
         assert r.steps == 1
         assert r.added_index_pairs == ((1, 3), (2, 4), (3, 1), (4, 2))
         assert verify_witness(r.graph, accordion(10, 5), r.to_accordion)
-
-    def test_trivial_path(self):
-        r = accordion_from_cylinder(6, 1, 1)
-        assert r.graph.order == 6 and r.graph.size == 12
-        assert verify_witness(r.graph, accordion(3, 1), r.to_accordion)
+        # the paper's cut: deleting u5u6, v5v6, u10u1 and v10v1 (0-based 4-5, 14-15, 0-9, 10-19)
+        assert _images(r, r.added_edges) == ((0, 9), (4, 5), (10, 19), (14, 15))
 
     def test_trivial_path_chords_the_bare_cycle(self):
         # n2 = 1: the base is the n1-cycle w_1..w_{n1} and the chords are
@@ -337,11 +338,6 @@ class TestAccordionFromCylinder:
     def test_empty_path_rejected(self):
         with pytest.raises(InvalidParameterError, match="n2 must be >= 1, got 0"):
             accordion_from_cylinder(4, 0, 1)
-
-    def test_chord_count(self):
-        r = accordion_from_cylinder(8, 3, 3)  # n = 12, gcd(12,3) = 3
-        assert len(r.added_edges) == 8
-        assert r.graph.size == accordion(12, 3).size
 
 
 def test_witnesses_never_call_the_oracle(monkeypatch, capsys):
@@ -389,16 +385,6 @@ def test_map_constructors_build_no_graph(monkeypatch):
     circulant(1000, 1, 2)
     Graph(3, [(2, 0)])
     assert built == [2000, 3]  # the counter sees a graph that is built, on either path
-
-
-def test_cut_edges_leave_cylinder():
-    for n, k in [(10, 5), (9, 3), (8, 2), (12, 4)]:
-        g = accordion(n, k)
-        cut = set(cylinder_cut_edges(n, k))
-        trimmed = Graph(g.order, tuple(e for e in g.edges if e not in cut))
-        d = math.gcd(n, k)
-        cyl = cartesian_product(cycle_graph(2 * n // d), path_graph(d))
-        assert are_isomorphic(trimmed, cyl) is not None, (n, k)
 
 
 # --- verify_witness and the map constructors against their originals --------
@@ -519,6 +505,7 @@ class TestMapsMatchTheirPerVertexBuilds:
 
     def test_accordion_from_cylinder(self):
         # n1 to 24 reaches every (n, k) with n <= 12: (12, 1) and (12, 5) need n1 = 24
+        reached = set()
         for n1 in range(4, 25, 2):
             for n2 in range(1, 7):
                 n = n1 * n2 // 2
@@ -528,4 +515,18 @@ class TestMapsMatchTheirPerVertexBuilds:
                         expected = tuple(_reference_spoke_cycle_vertex(n, k, p + 1, c + 1)
                                          for c in range(n1) for p in range(n2))
                         assert ext.to_accordion.mapping == expected, (n1, n2, k)
-                        assert verify_witness(ext.graph, accordion(n, k), ext.to_accordion), (n1, n2, k)
+                        target = accordion(n, k)
+                        assert verify_witness(ext.graph, target, ext.to_accordion), (n1, n2, k)
+                        # the chords land on n1 distinct cycle edges u_{tg}u_{tg+1}, v_{tg}v_{tg+1}
+                        # (g = gcd(n,k)): an edge (i, j) that wraps its cycle or has g | j mod n
+                        cut = set(_images(ext, ext.added_edges))
+                        assert len(cut) == n1, (n1, n2, k)
+                        for i, j in cut:
+                            assert (i < n) == (j < n), (n1, n2, k, (i, j))
+                            assert j - i == n - 1 or (j % n) % n2 == 0, (n1, n2, k, (i, j))
+                        # and removing them from A[n,k] leaves exactly the base's image
+                        base = set(ext.graph.edges) - set(ext.added_edges)
+                        assert set(target.edges) - cut == set(_images(ext, base)), (n1, n2, k)
+                        reached.add((n, k))
+        assert len(reached) == 137
+        assert {(n, k) for n in range(3, 13) for k in range(1, n // 2 + 1)} <= reached
