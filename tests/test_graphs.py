@@ -1,4 +1,4 @@
-"""Family constructors and structural predicates."""
+"""Family constructors, edge classes, and structural predicates."""
 
 import copy
 import math
@@ -14,6 +14,7 @@ from accordions import (
     Graph,
     InvalidParameterError,
     accordion,
+    accordion_from_cylinder,
     cartesian_product,
     circulant,
     circulant_graph,
@@ -248,6 +249,49 @@ class TestAccordion:
                 assert set(g.degrees) == {4}
                 assert g.components == ((2 * n,), n % 2 == 0 and k % 2 == 0)
 
+    def test_edge_classes_partition(self):
+        # the docstring's index rule splits the 4n edges into four classes of n
+        for n, k in [(3, 1), (8, 4), (9, 2)]:
+            counts = {}
+            for e in accordion(n, k).edges:
+                tag = _edge_class(n, e)
+                counts[tag] = counts.get(tag, 0) + 1
+            assert counts == {"outer": n, "inner": n, "vertical": n, "diagonal": n}
+
+    def test_cut_edges_a10_5(self):
+        # the paper's example: deleting u5u6, v5v6, u10u1, v10v1 (0-based 4-5, 14-15, 0-9, 10-19)
+        # from A[10,5] leaves C_4 [] P_5's counts, with the cut's ends its degree-3 rims
+        g = accordion(10, 5)
+        cut = ((0, 9), (4, 5), (10, 19), (14, 15))
+        assert [_edge_class(10, e) for e in cut] == ["outer", "outer", "inner", "inner"]
+        assert set(cut) <= set(g.edges)
+        trimmed = Graph(g.order, tuple(e for e in g.edges if e not in cut))
+        cyl = cartesian_product(cycle_graph(4), path_graph(5))
+        assert (trimmed.order, trimmed.size) == (cyl.order, cyl.size) == (20, 36)
+        assert sorted(trimmed.degrees) == sorted(cyl.degrees)
+        assert trimmed.components == cyl.components == ((20,), True)
+        assert {v for v, d in enumerate(trimmed.degrees) if d == 3} == {v for e in cut for v in e}
+
+    def test_cut_edges_are_cycle_edges(self):
+        # the cylinder map's chords land on outer and inner cycle edges, by the index rule
+        for n, k in [(10, 5), (9, 3), (12, 4)]:
+            d = math.gcd(n, k)
+            ext = accordion_from_cylinder(2 * n // d, d, k)
+            m = ext.to_accordion.mapping
+            for a, b in ext.added_edges:
+                e = (min(m[a], m[b]), max(m[a], m[b]))
+                assert _edge_class(n, e) in ("outer", "inner"), (n, k, e)
+
+
+def _edge_class(n, e):
+    """The class of edge (i, j), i < j, of A[n,k] by index, as `accordion`'s docstring states it."""
+    i, j = e
+    if j < n:
+        return "outer"
+    if i >= n:
+        return "inner"
+    return "vertical" if j == n + i else "diagonal"
+
 
 class TestCirculant:
     def test_ci8_counts(self):
@@ -440,6 +484,19 @@ def _reference_accordion(n, k):
     return _reference_edges(2 * n, edges)
 
 
+def _reference_edge_classes(n, k):
+    # the definition's four classes, each by its own index formula
+    tags = {}
+    for i in range(n):
+        j = (i + 1) % n
+        for tag, (x, y) in (("outer", (i, j)), ("inner", (n + i, n + j)),
+                            ("vertical", (i, n + i)), ("diagonal", (i, n + (i + k) % n))):
+            edge = (min(x, y), max(x, y))
+            assert edge not in tags, (n, k, edge)
+            tags[edge] = tag
+    return tags
+
+
 def _reference_circulant(order, lengths):
     norm = [min(r % order, order - r % order) for r in lengths]
     return _reference_edges(order, [(i, (i + r) % order) for r in norm for i in range(order)])
@@ -450,6 +507,13 @@ class TestConstructorsMatchThePerEdgeBuilds:
         for n in range(3, 41):
             for k in range(1, n // 2 + 1):
                 assert accordion(n, k).edges == _reference_accordion(n, k), (n, k)
+
+    def test_accordion_edge_classes(self):
+        # the index rule in `accordion`'s docstring names each edge's class in the definition
+        for n in range(3, 61):
+            for k in range(1, n // 2 + 1):
+                tags = {e: _edge_class(n, e) for e in accordion(n, k).edges}
+                assert tags == _reference_edge_classes(n, k), (n, k)
 
     def test_circulants(self):
         for order in range(3, 61):

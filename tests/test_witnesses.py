@@ -313,6 +313,11 @@ class TestAccordionFromCylinder:
         # the paper's cut: deleting u5u6, v5v6, u10u1 and v10v1 (0-based 4-5, 14-15, 0-9, 10-19)
         assert _images(r, r.added_edges) == ((0, 9), (4, 5), (10, 19), (14, 15))
 
+    def test_trivial_path(self):
+        r = accordion_from_cylinder(6, 1, 1)
+        assert r.graph.order == 6 and r.graph.size == 12
+        assert verify_witness(r.graph, accordion(3, 1), r.to_accordion)
+
     def test_trivial_path_chords_the_bare_cycle(self):
         # n2 = 1: the base is the n1-cycle w_1..w_{n1} and the chords are
         # w_i -- w_{i+2*steps}, 0-based (i, i + 2*steps mod n1)
@@ -338,6 +343,11 @@ class TestAccordionFromCylinder:
     def test_empty_path_rejected(self):
         with pytest.raises(InvalidParameterError, match="n2 must be >= 1, got 0"):
             accordion_from_cylinder(4, 0, 1)
+
+    def test_chord_count(self):
+        r = accordion_from_cylinder(8, 3, 3)  # n = 12, gcd(12,3) = 3
+        assert len(r.added_edges) == 8
+        assert r.graph.size == accordion(12, 3).size
 
 
 def test_witnesses_never_call_the_oracle(monkeypatch, capsys):
@@ -385,6 +395,18 @@ def test_map_constructors_build_no_graph(monkeypatch):
     circulant(1000, 1, 2)
     Graph(3, [(2, 0)])
     assert built == [2000, 3]  # the counter sees a graph that is built, on either path
+
+def test_cut_edges_leave_cylinder():
+    # A[n,k] minus the chord images is C_{2n/g} [] P_g, built on its own, with the
+    # cylinder map's restriction to the base as the witness
+    for n, k in [(10, 5), (9, 3), (8, 2), (12, 4)]:
+        d = math.gcd(n, k)
+        ext = accordion_from_cylinder(2 * n // d, d, k)
+        g = accordion(n, k)
+        cut = set(_images(ext, ext.added_edges))
+        trimmed = Graph(g.order, tuple(e for e in g.edges if e not in cut))
+        cyl = cartesian_product(cycle_graph(2 * n // d), path_graph(d))
+        assert verify_witness(cyl, trimmed, ext.to_accordion), (n, k)
 
 
 # --- verify_witness and the map constructors against their originals --------
