@@ -9,12 +9,22 @@ that `kind` builds from `args` is relabeled by
 random.Random(f"{seed}:{kind}:{args}") alone, once per order, so rows are
 independent and deterministic given the seed, and any row reruns alone.
 
+A row whose decider says yes checks its closed-form witness first
+(`_checked_witness`); a witness that verifies is the row's "yes", and the
+oracle runs only where no verified map has settled the verdict.  A wrong
+"yes" fails its witness and still meets the oracle.
+
 For a unit u mod m, x -> ux mod m carries Ci[m,S] onto Ci[m,uS] (Ádám's
 multiplier isomorphisms).  Within one order's rows, a source Ci[m,uS] after
-a source Ci[m,S] is checked to be the image of Ci[m,S] under that map, and
-its rows take the oracle's verdicts for Ci[m,S] against the same relabeled
-targets.  Rerunning a row alone calls the oracle on that row's own graphs,
-so it cross-checks a carried verdict.
+a source Ci[m,S] takes the verdicts of Ci[m,S] against the same relabeled
+targets, once the link is checked on the built Ci[m,S] alone: u is a unit
+mod m, so the map is a bijection; every image of an edge of Ci[m,S] is an
+edge of Ci[m,uS]; the images are distinct, as the edges are; and there are
+m·|S| of them, all the edges of Ci[m,uS].  These are the facts that
+`verify_witness` would check against a built Ci[m,uS], which is built only
+if the oracle or a witness check reads it.  Rerunning a row alone calls the
+oracle on that row's own graphs unless its witness verifies, so it
+cross-checks a carried verdict.
 """
 
 from __future__ import annotations
@@ -79,7 +89,7 @@ class CensusRow:
     kind: str  # acc-acc | ci-acc | ci-torus
     params: dict[str, int]
     decider: bool
-    oracle: bool
+    oracle: bool  # the oracle's verdict, or True where the row's witness verified
     agree: bool
     witness_verified: Optional[bool]  # present iff the decider said isomorphic
     elapsed: float
@@ -104,23 +114,38 @@ def _checked_witness(pairing: Pairing, params: dict, g: Graph, h: Graph) -> Opti
     return vm if verify_witness(g, h, vm) else None
 
 
+class _Built(dict):
+    """Graphs by their (constructor, arguments), each built when first read."""
+
+    def __missing__(self, spec: tuple) -> Graph:
+        build, args = spec
+        graph = self[spec] = build(*args)
+        return graph
+
+
 def _multiplier_class(source: tuple, built: dict, heads: dict) -> tuple:
     """The head of `source`'s multiplier class among the sources met so far.
 
     A source (circulant_graph, (m, S)) is Ci[m,S]; a source built by anything
     else heads its own class.  `heads` maps the sorted normalized lengths uT
     of each head Ci[m,T], for every unit u mod m, to the head and u.  If S is
-    one of them, that head is the class's, once verify_witness has checked
-    that x -> ux mod m carries the head onto `source`; else `source` heads a
-    new class."""
+    one of them, that head is the class's once the link x -> ux mod m is
+    checked on the head's edges, with `source` left unbuilt: u is a unit mod
+    m, so the map is a bijection; every image is an edge of Ci[m,S], whose
+    edges {x, y} are those with y - x = ±s mod m for s in S; the images are
+    distinct, as the head's edges are; and there are m·|S| of them, all the
+    edges of Ci[m,S].  Else `source` heads a new class."""
     build, args = source
     if build is not circulant_graph:
         return source
     m, lengths = args
-    found = heads.get(_scaled(lengths, 1, m))
+    scaled = _scaled(lengths, 1, m)
+    found = heads.get(scaled)
     if found is not None:
         head, u = found
-        if verify_witness(built[head], built[source], VertexMap(tuple(u * x % m for x in range(m)))):
+        edges = built[head].edges
+        steps = {r for s in scaled for r in (s, m - s)}
+        if math.gcd(u, m) == 1 and len(edges) == m * len(scaled) and {u * (j - i) % m for i, j in edges} <= steps:
             return head
     # -u gives the same normalized lengths as u
     for u in range(1, m // 2 + 1):
@@ -138,31 +163,35 @@ def _rows(kind: str, group: list[dict], seed: int) -> Iterator[CensusRow]:
     """`kind`'s rows at the parameter dicts of `group`, one order's, which share
     their graphs and relabeled targets; a row reruns alone as the group [params].
 
-    Circulant sources of the group that are multiplier images of one another
+    A row whose decider says yes checks its witness first, and a verified map
+    settles the verdict of its source's class against its target.  Circulant
+    sources of the group that are multiplier images of one another
     (`_multiplier_class`) are isomorphic by a checked map, so they share one
-    verdict against each target: the oracle's on the first row of their class
-    with that target, which the later rows carry.  A row alone heads its own
-    class, so rerunning it calls the oracle on its own graphs and cross-checks
-    the verdict that the sweep carried to it."""
+    verdict against each target: the oracle's is taken on the first row of
+    their class with that target that no witness settled, and the later rows
+    carry it.  Each target is built and relabeled once; a source is built when
+    the oracle or a witness check first reads it, so a carried source whose
+    rows need neither is never built.  A row alone heads its own class, so
+    rerunning it calls the oracle on its own graphs, unless its witness
+    verifies, and cross-checks the verdict that the sweep carried to it."""
     pairing = PAIRINGS[kind]
-    built, targets, classes, heads, verdicts = {}, {}, {}, {}, {}
+    built, targets, classes, heads, verdicts = _Built(), {}, {}, {}, {}
     for params in group:
         source, target = pairing.source(**params), pairing.target(**params)
-        for build, args in (source, target):
-            if (build, args) not in built:
-                built[build, args] = build(*args)
         if target not in targets:
             targets[target] = _relabeled(kind, built[target], target[1], seed)
         if source not in classes:
             classes[source] = _multiplier_class(source, built, heads)
-        g, h = built[source], targets[target]
         start = time.perf_counter()
         decided = pairing.decide(**params)
         key = classes[source], target
+        verified = _checked_witness(pairing, params, built[source], built[target]) is not None if decided else None
+        if verified:
+            # an oracle "no" already taken for this key stays, so the row disagrees
+            verdicts.setdefault(key, True)
         if key not in verdicts:
-            verdicts[key] = oracle.are_isomorphic(g, h) is not None
+            verdicts[key] = oracle.are_isomorphic(built[source], targets[target]) is not None
         found = verdicts[key]
-        verified = _checked_witness(pairing, params, g, built[target]) is not None if decided else None
         yield CensusRow(kind, params, decided, found, decided == found, verified,
                         time.perf_counter() - start)
 

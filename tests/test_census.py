@@ -27,24 +27,28 @@ def _default_rows(calls):
 
 
 def test_every_default_row_reruns_alone(monkeypatch):
-    # the sweep calls the oracle once per multiplier class of sources and
-    # target, and the class's later rows carry its verdict (acc-acc rows carry
-    # none); a row run alone heads its class, so it calls the oracle once, on
-    # fresh copies of its own graphs (equal to the sweep's where the sweep
-    # called it), and gives the same row: each carried verdict is the oracle's
-    # on the row's own graphs
+    # the sweep calls the oracle on no row whose witness verified, and else once
+    # per multiplier class of sources and target, and the class's later rows
+    # carry its verdict (acc-acc rows carry none); a row run alone heads its
+    # class, so it calls the oracle once unless its witness verifies, on fresh
+    # copies of its own graphs (equal to the sweep's where the sweep called
+    # it), and gives the same row: each carried verdict is the oracle's or a
+    # verified map's on the row's own graphs
     calls = _recording_oracle(monkeypatch)
     sweep = list(_default_rows(calls))
     made = Counter()
     for row, made_for_row in sweep:
         made[row.kind] += len(made_for_row)
-    carried = Counter(row.kind for row, made_for_row in sweep if not made_for_row)
-    assert len(sweep) == 2059 and made == {"acc-acc": 139, "ci-acc": 182, "ci-torus": 340}  # 661 calls
-    assert carried == {"ci-acc": 288, "ci-torus": 1110}
+    witnessed = Counter(row.kind for row, _ in sweep if row.witness_verified)
+    carried = Counter(row.kind for row, made_for_row in sweep if not row.witness_verified and not made_for_row)
+    assert len(sweep) == 2059 and made == {"acc-acc": 90, "ci-acc": 160, "ci-torus": 329}  # 579 calls
+    assert witnessed == {"acc-acc": 49, "ci-acc": 55, "ci-torus": 31}
+    assert not any(made_for_row for row, made_for_row in sweep if row.witness_verified)
+    assert carried == {"ci-acc": 255, "ci-torus": 1090}
     for row, made_for_row in sweep:
         (alone,) = census._rows(row.kind, [row.params], 0)
         assert dataclasses.replace(alone, elapsed=row.elapsed) == row
-        assert len(calls) == 1 and made_for_row in ([], calls)
+        assert len(calls) == (0 if row.witness_verified else 1) and made_for_row in ([], calls)
         calls.clear()
 
 

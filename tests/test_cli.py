@@ -620,14 +620,21 @@ class TestCensusCmd:
         assert len(set(pairs)) == 48 and len(set(circulants)) == 24
 
     def test_each_torus_circulant_is_built_once(self, monkeypatch):
-        # torus_rows(36) uses 1032 distinct circulants over 1450 rows
-        built = []
-        real = census.circulant_graph
+        # torus_rows(36) has 1032 distinct circulant sources over 1450 rows; 241
+        # are built, each once: exactly the sources of the rows that call the
+        # oracle or check a witness.  A carried source whose rows say no is not built
+        built, called = [], []
+        real, real_oracle = census.circulant_graph, oracle.are_isomorphic
         monkeypatch.setattr(census, "circulant_graph",
                             lambda m, lengths: built.append((m, lengths)) or real(m, lengths))
-        rows = list(census.torus_rows(36))
-        assert len(rows) == 1450 and all(row.agree for row in rows)
-        assert len(built) == 1032 and len(set(built)) == 1032
+        monkeypatch.setattr(oracle, "are_isomorphic", lambda g, h: called.append(g) or real_oracle(g, h))
+        read = set()
+        for row in census.torus_rows(36):
+            assert row.agree
+            if called or row.decider:
+                read.add((row.params["nprime"], (row.params["a1"], row.params["a2"])))
+            called.clear()
+        assert len(built) == 241 and set(built) == read
 
     @pytest.mark.parametrize("parent", ["absent", "file", "dir", "read-only"])
     def test_bad_out_exits_2_before_the_sweep(self, capsys, tmp_path, monkeypatch, parent):
@@ -652,10 +659,12 @@ class TestCensusCmd:
         assert locked.read_text() == "kept\n"
 
     def test_exhausted_budget_exits_2_without_a_report(self, capsys, tmp_path, monkeypatch):
-        # a row whose search runs out aborts the sweep: no verdict, no report
+        # a row whose search runs out aborts the sweep: no verdict, no report.  The
+        # first "no" row that searches past one node is A[9,4] vs A[9,3]; each
+        # "yes" row before it is settled by its witness
         monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 1)
         out_path = tmp_path / "r.jsonl"
-        code, out, err = run_cli(capsys, "census", "--max-n", "4", "--max-torus", "0",
+        code, out, err = run_cli(capsys, "census", "--max-n", "9", "--max-torus", "0",
                                  "--out", str(out_path))
         assert code == 2
         assert out == ""
@@ -667,7 +676,7 @@ class TestCensusCmd:
         monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 1)
         out_path = tmp_path / "r.jsonl"
         out_path.write_text("kept\n")
-        code, out, _ = run_cli(capsys, "census", "--max-n", "4", "--max-torus", "0",
+        code, out, _ = run_cli(capsys, "census", "--max-n", "9", "--max-torus", "0",
                                "--out", str(out_path))
         assert code == 2
         assert out == ""

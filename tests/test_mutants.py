@@ -223,10 +223,13 @@ CHECK_MUTANTS = {
     "_is_permutation without its int-type test": (
         graphs, "_is_permutation", "set(map(type, seq)) == {int} and ", "",
         [(witness_tests, "TestVerifyWitness.test_bool_and_float_entries_are_false")]),
-    "a multiplier link checked the wrong way round, x -> ux from the source onto the head": (
-        census, "_multiplier_class",
-        "verify_witness(built[head], built[source]", "verify_witness(built[source], built[head]",
+    "a multiplier link checked the wrong way round, x -> ux from the source onto the head, "
+    "which on the head's edges is x -> x/u": (
+        census, "_multiplier_class", "{u * (j - i) % m", "{pow(u, -1, m) * (j - i) % m",
         [(census_tests, "test_every_default_row_reruns_alone")]),
+    "a decided yes taken without its witness": (
+        census, "_rows", "if verified:", "if decided:",
+        [(cli_tests, "TestCensusCmd.test_a_wrong_yes_is_a_failed_row_not_an_aborted_sweep", "ci-acc-always-yes")]),
     "a witness guard that catches nothing, so a refused constructor ends the sweep": (
         census, "_checked_witness", "except ValueError:", "except ZeroDivisionError:",
         [(cli_tests, "TestCensusCmd.test_a_wrong_yes_is_a_failed_row_not_an_aborted_sweep", "ci-acc-always-yes")]),

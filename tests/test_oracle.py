@@ -762,6 +762,24 @@ def _torus_row():
         "ci-torus", cartesian_product(cycle_graph(3), cycle_graph(5)), (3, 5), 15)
 
 
+def _census_row_graphs(rows, shared=True):
+    """Each census row with its source and relabeled target, as `census._rows`
+    builds and relabels them: shared by the rows of one kind, so that a graph
+    keeps its path and h's automorphisms from row to row, or fresh for each
+    row.  The census takes a "yes" from its verified witness, so this is how
+    the oracle meets the census's isomorphic pairs."""
+    built, relabeled = {}, {}
+    for row in rows:
+        pairing = census.PAIRINGS[row.kind]
+        source, target = pairing.source(**row.params), pairing.target(**row.params)
+        for spec in (source, target):
+            if not shared or (row.kind, spec) not in built:
+                built[row.kind, spec] = spec[0](*spec[1])
+        if not shared or (row.kind, target) not in relabeled:
+            relabeled[row.kind, target] = census._relabeled(row.kind, built[row.kind, target], target[1], 0)
+        yield row, built[row.kind, source], relabeled[row.kind, target]
+
+
 # pairs that reach the search: a yes 14 levels down through A[14,2]'s twins,
 # a yes at the first leaf, and two noes that run discovery
 _SEARCHED_PAIRS = {
@@ -799,10 +817,9 @@ class TestAutomorphismPruning:
         assert _orbit(_target_cell(root)[:1], autos) == set(range(h.order))
 
     def test_maps_are_the_same_with_and_without_discovery(self, monkeypatch):
-        # on the default census grid, whose shared graphs keep their paths and
-        # h's automorphisms, and on each of its isomorphic rows run alone, where
-        # the sweep may have carried the verdict along a multiplier map; and on
-        # a pair whose first root child fails; fresh copies keep nothing
+        # on every default census row, with graphs shared along the grid, which
+        # keep their paths and h's automorphisms; on each isomorphic row with
+        # fresh copies; and on a pair whose first root child fails
         real, compared = oracle.are_isomorphic, []
 
         def both(g, h):
@@ -814,15 +831,14 @@ class TestAutomorphismPruning:
                 compared.append(vm)
             return vm
 
-        monkeypatch.setattr(oracle, "are_isomorphic", both)
         report = census.run_census()
-        assert report.ok and len(compared) == 82
-        compared.clear()
-        for row in report.rows:
-            if row.oracle:
-                (alone,) = census._rows(row.kind, [row.params], 0)
-                assert alone.oracle
-        assert len(compared) == 135
+        yes_rows = [row for row in report.rows if row.oracle]
+        assert report.ok
+        for rows, shared in ((report.rows, True), (yes_rows, False)):
+            for row, g, h in _census_row_graphs(rows, shared):
+                assert (both(g, h) is not None) == row.oracle
+            assert len(compared) == len(yes_rows) == 135
+            compared.clear()
         # Ci[15,{1,5}] and C3 [] C5 side by side; h's first root vertex is in
         # the torus, g's in the circulant
         c, t = circulant_graph(15, (1, 5)), cartesian_product(cycle_graph(3), cycle_graph(5))
@@ -867,12 +883,16 @@ class TestAutomorphismPruning:
         assert found == []
 
     def test_every_default_census_row_fits_in_14_search_nodes(self, monkeypatch):
-        # the orbit pruning at census scale: one row needs 14 nodes, none more
+        # the orbit pruning at census scale, on every default row's graphs as the
+        # census shares them, "yes" rows included: one row needs 14 nodes, none more
+        rows = census.run_census().rows
         monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 14)
-        assert census.run_census().ok
+        for row, g, h in _census_row_graphs(rows):
+            assert (are_isomorphic(g, h) is not None) == row.oracle
         monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 13)
         with pytest.raises(BudgetExceededError):
-            census.run_census()
+            for row, g, h in _census_row_graphs(rows):
+                are_isomorphic(g, h)
 
 
 class TestKeptPaths:
