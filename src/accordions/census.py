@@ -17,10 +17,13 @@ oracle runs only where no verified map has settled the verdict.  A wrong
 For a unit u mod m, x -> ux mod m carries Ci[m,S] onto Ci[m,uS] (Ádám's
 multiplier isomorphisms).  Within one order's rows, a source Ci[m,uS] after
 a source Ci[m,S] takes the verdicts of Ci[m,S] against the same relabeled
-targets, once the link is checked on the built Ci[m,S] alone: u is a unit
-mod m, so the map is a bijection; every image of an edge of Ci[m,S] is an
-edge of Ci[m,uS]; the images are distinct, as the edges are; and there are
-m·|S| of them, all the edges of Ci[m,uS].  These are the facts that
+targets, once the link is checked on the built Ci[m,S] alone.  Its edge
+count and its set D of edge lengths, min((j - i) mod m, m - (j - i) mod m)
+over its edges {i, j}, are read once from its edges; the link holds iff u
+is a unit mod m, so the map is a bijection; Ci[m,S] has m·|S| edges, as
+many as Ci[m,uS]; and every normalized length min(x, m - x), x = ud mod m,
+d in D, is in uS, so every image of an edge is an edge of Ci[m,uS] (the
+images are distinct, as the edges are).  These are the facts that
 `verify_witness` would check against a built Ci[m,uS], which is built only
 if the oracle or a witness check reads it.  Rerunning a row alone calls the
 oracle on that row's own graphs unless its witness verifies, so it
@@ -34,12 +37,12 @@ import random
 import time
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import oracle
 from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_iso_torus
 from .errors import InvalidParameterError
-from .graphs import Graph, accordion, cartesian_product, circulant_graph, cycle_graph, normalize_length
+from .graphs import Graph, accordion, cartesian_product, circulant_graph, cycle_graph
 from .witnesses import VertexMap, accordion_witness, circulant_accordion_witness, torus_witness, verify_witness
 
 __all__ = [
@@ -115,26 +118,34 @@ def _checked_witness(pairing: Pairing, params: dict, g: Graph, h: Graph) -> Opti
 
 
 class _Built(dict):
-    """Graphs by their (constructor, arguments), each built when first read."""
+    """Values by key, each made by `make(key)` when first read: graphs by their
+    (constructor, arguments), or relabeled targets by their graphs'."""
 
-    def __missing__(self, spec: tuple) -> Graph:
-        build, args = spec
-        graph = self[spec] = build(*args)
-        return graph
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
-def _multiplier_class(source: tuple, built: dict, heads: dict) -> tuple:
+def _multiplier_class(source: tuple, built: dict, heads: dict, measured: dict) -> tuple:
     """The head of `source`'s multiplier class among the sources met so far.
 
     A source (circulant_graph, (m, S)) is Ci[m,S]; a source built by anything
     else heads its own class.  `heads` maps the sorted normalized lengths uT
-    of each head Ci[m,T], for every unit u mod m, to the head and u.  If S is
-    one of them, that head is the class's once the link x -> ux mod m is
-    checked on the head's edges, with `source` left unbuilt: u is a unit mod
-    m, so the map is a bijection; every image is an edge of Ci[m,S], whose
-    edges {x, y} are those with y - x = ±s mod m for s in S; the images are
-    distinct, as the head's edges are; and there are m·|S| of them, all the
-    edges of Ci[m,S].  Else `source` heads a new class."""
+    of each head Ci[m,T], for every unit u mod m, to the head and u; `measured`
+    maps each head that a link has reached to its edge count and its set D of
+    normalized edge lengths min((j - i) mod m, m - (j - i) mod m), read once
+    from its built edges.  If S is one of the keys of `heads`, that head is
+    the class's once the link x -> ux mod m is checked on D, with `source`
+    left unbuilt: u is a unit mod m, so the map is a bijection; the head has
+    m·|S| edges, as many as Ci[m,S]; and the normalized images of D under u
+    lie in S, so every image of an edge is an edge of Ci[m,S], whose edges
+    {x, y} are those with y - x = ±s mod m for s in S (u(j - i) is ±s exactly
+    when u times its normalized length is), and the images are distinct, as
+    the head's edges are.  Else `source` heads a new class."""
     build, args = source
     if build is not circulant_graph:
         return source
@@ -143,9 +154,11 @@ def _multiplier_class(source: tuple, built: dict, heads: dict) -> tuple:
     found = heads.get(scaled)
     if found is not None:
         head, u = found
-        edges = built[head].edges
-        steps = {r for s in scaled for r in (s, m - s)}
-        if math.gcd(u, m) == 1 and len(edges) == m * len(scaled) and {u * (j - i) % m for i, j in edges} <= steps:
+        if head not in measured:
+            edges = built[head].edges
+            measured[head] = len(edges), {j - i if 2 * (j - i) <= m else m - j + i for i, j in edges}
+        size, differences = measured[head]
+        if math.gcd(u, m) == 1 and size == m * len(scaled) and set(_scaled(differences, u, m)) <= set(scaled):
             return head
     # -u gives the same normalized lengths as u
     for u in range(1, m // 2 + 1):
@@ -154,9 +167,14 @@ def _multiplier_class(source: tuple, built: dict, heads: dict) -> tuple:
     return source
 
 
-def _scaled(lengths: tuple, u: int, m: int) -> tuple:
+def _scaled(lengths: Iterable[int], u: int, m: int) -> tuple:
     """The sorted normalized lengths of Ci[m, u * lengths]."""
-    return tuple(sorted(normalize_length(u * a, m) for a in lengths))
+    scaled = []
+    for a in lengths:
+        r = u * a % m
+        scaled.append(r if 2 * r <= m else m - r)
+    scaled.sort()
+    return tuple(scaled)
 
 
 def _rows(kind: str, group: list[dict], seed: int) -> Iterator[CensusRow]:
@@ -169,19 +187,20 @@ def _rows(kind: str, group: list[dict], seed: int) -> Iterator[CensusRow]:
     (`_multiplier_class`) are isomorphic by a checked map, so they share one
     verdict against each target: the oracle's is taken on the first row of
     their class with that target that no witness settled, and the later rows
-    carry it.  Each target is built and relabeled once; a source is built when
-    the oracle or a witness check first reads it, so a carried source whose
-    rows need neither is never built.  A row alone heads its own class, so
-    rerunning it calls the oracle on its own graphs, unless its witness
-    verifies, and cross-checks the verdict that the sweep carried to it."""
+    carry it.  A graph is built when the oracle or a witness check first reads
+    it, and a target is relabeled when the oracle first reads it, each once,
+    so a carried source whose rows need neither is never built.  A row alone
+    heads its own class, so rerunning it calls the oracle on its own graphs,
+    unless its witness verifies, and cross-checks the verdict that the sweep
+    carried to it."""
     pairing = PAIRINGS[kind]
-    built, targets, classes, heads, verdicts = _Built(), {}, {}, {}, {}
+    built = _Built(lambda spec: spec[0](*spec[1]))
+    targets = _Built(lambda spec: _relabeled(kind, built[spec], spec[1], seed))
+    classes, heads, measured, verdicts = {}, {}, {}, {}
     for params in group:
         source, target = pairing.source(**params), pairing.target(**params)
-        if target not in targets:
-            targets[target] = _relabeled(kind, built[target], target[1], seed)
         if source not in classes:
-            classes[source] = _multiplier_class(source, built, heads)
+            classes[source] = _multiplier_class(source, built, heads, measured)
         start = time.perf_counter()
         decided = pairing.decide(**params)
         key = classes[source], target

@@ -180,15 +180,19 @@ def _circulant_lengths(order: int, lengths: Sequence[int]) -> tuple[int, ...]:
     bound = (order - 1) // 2
     if bound < 1:
         raise InvalidParameterError(f"a circulant of order {order} has no length in [1, (order-1)//2]")
-    norm = tuple(normalize_length(val, order) for val in lengths)
-    for val, r in zip(lengths, norm):
+    norm = []
+    for val in lengths:
+        r = val % order
+        if r > bound:  # min(r, order - r), as normalize_length folds it
+            r = order - r
         if not 1 <= r <= bound:
             raise InvalidParameterError(
                 f"length {val} normalizes to {r}, outside [1, {bound}] for order {order}"
             )
+        norm.append(r)
     if len(set(norm)) != len(norm):
-        raise InvalidParameterError(f"lengths must be distinct after normalization, got {list(norm)}")
-    return norm
+        raise InvalidParameterError(f"lengths must be distinct after normalization, got {norm}")
+    return tuple(norm)
 
 
 def _circulant_pair(n: int, a: int, b: int) -> tuple[int, int]:

@@ -2,12 +2,14 @@
 and rows named for what they gate."""
 
 import dataclasses
+import math
+import random
 from collections import Counter
 from functools import partial
 
 import pytest
 
-from accordions import census, oracle, witnesses
+from accordions import Graph, census, circulant_graph, normalize_length, oracle, witnesses
 
 
 def _recording_oracle(monkeypatch):
@@ -114,3 +116,62 @@ def test_a_witness_that_fails_in_its_arithmetic_is_a_recorded_failure(monkeypatc
     monkeypatch.setattr(witnesses, decider, mutant)
     (row,) = census._rows(kind, [params], 0)
     assert (row.decider, row.oracle, row.agree, row.witness_verified) == (True, False, False, False)
+
+
+def _reference_link(edges, u, m, lengths):
+    # the link check as it was, on every edge of the head: u is a unit, the head
+    # has m·|S| edges, and each edge's difference times u is ±s for an s in S
+    scaled = tuple(sorted(normalize_length(a, m) for a in lengths))
+    steps = {r for s in scaled for r in (s, m - s)}
+    return math.gcd(u, m) == 1 and len(edges) == m * len(scaled) and {u * (j - i) % m for i, j in edges} <= steps
+
+
+def _links(head, u, lengths, built, measured):
+    """Whether `census._multiplier_class` takes Ci[m, lengths] into `head`'s class
+    along x -> ux, with `heads` holding that one link."""
+    m = head[1][0]
+    heads = {census._scaled(lengths, 1, m): (head, u)}
+    return census._multiplier_class((circulant_graph, (m, lengths)), built, heads, measured) is head
+
+
+def test_the_link_check_on_the_length_set_is_the_edge_check():
+    # for every head Ci[m,T] and u in 1..m-1 up to order 16, on every S of two
+    # lengths in [0, m/2] (a repeat, 0 and m/2 included), and up to order 60 on
+    # a seeded sample of heads, on S = uT and on uT with one length moved by one
+    rng = random.Random(60)
+    for m in range(5, 61):
+        built, measured = {}, {}
+        bound = (m - 1) // 2
+        heads = [(a, b) for a in range(1, bound + 1) for b in range(a + 1, bound + 1)]
+        if m > 16:
+            heads = rng.sample(heads, min(len(heads), 4))
+        for lengths in heads:
+            head = circulant_graph, (m, lengths)
+            edges = built.setdefault(head, circulant_graph(m, lengths)).edges
+            for u in range(1, m):
+                if m <= 16:
+                    sources = [(a, b) for a in range(m // 2 + 1) for b in range(a, m // 2 + 1)]
+                else:
+                    a, b = census._scaled(lengths, u, m)
+                    sources = [(a, b), (a, normalize_length(b + 1, m))]
+                for source in sources:
+                    expected = _reference_link(edges, u, m, source)
+                    assert _links(head, u, source, built, measured) == expected, (m, lengths, u, source)
+
+
+def test_a_link_by_a_non_unit_is_refused():
+    # 2 is no unit mod 10: x -> 2x carries every edge of Ci[10,{1,2}] onto an
+    # edge of Ci[10,{2,4}], and the head has 20 edges, as Ci[10,{2,4}] has
+    head = circulant_graph, (10, (1, 2))
+    built = {head: circulant_graph(10, (1, 2))}
+    assert _links(head, 3, (3, 4), built, {})
+    assert not _links(head, 2, (2, 4), built, {})
+
+
+def test_a_link_from_a_head_short_of_an_edge_is_refused():
+    # a head that lacks one edge of Ci[10,{1,2}] still has the lengths {1, 2},
+    # which x -> 3x carries onto {3, 4}, but 19 edges, not 20
+    head = circulant_graph, (10, (1, 2))
+    whole = circulant_graph(10, (1, 2))
+    assert _links(head, 3, (3, 4), {head: whole}, {})
+    assert not _links(head, 3, (3, 4), {head: Graph(10, whole.edges[1:])}, {})

@@ -84,18 +84,16 @@ class TestGraphType:
     def test_relabel_equals_the_checked_build(self, monkeypatch):
         # relabel skips Graph's check; on each default census target, its relabeling
         # and an order-2002 accordion it must make the graph the checked path makes
-        from accordions import census, oracle
+        from accordions import census
 
+        groups = []
+        monkeypatch.setattr(census, "_rows", lambda kind, group, seed: groups.append((kind, group)) or iter(()))
+        census.run_census()  # only the grids are wanted
         targets = []
-        relabeled = census._relabeled
-
-        def keep(kind, g, args, seed):
-            targets.extend([g, relabeled(kind, g, args, seed)])
-            return targets[-1]
-
-        monkeypatch.setattr(census, "_relabeled", keep)
-        monkeypatch.setattr(oracle, "are_isomorphic", lambda g, h: None)  # only the targets are wanted
-        census.run_census()
+        for kind, group in groups:
+            for build, args in dict.fromkeys(census.PAIRINGS[kind].target(**params) for params in group):
+                g = build(*args)
+                targets.extend([g, census._relabeled(kind, g, args, 0)])
         assert len(targets) == 2 * 92
         rng = random.Random(7)
         for g in targets + [accordion(1001, 6)]:
@@ -460,6 +458,45 @@ def test_circulant_folds_its_lengths_once(monkeypatch):
     monkeypatch.setattr(graphs, "_circulant_lengths", lambda order, lengths: calls.append(order) or real(order, lengths))
     assert circulant(5, 3, 16) == circulant_graph(10, (3, 4))
     assert calls == [10, 10]  # one for each call
+
+
+def _reference_circulant_lengths(order, lengths):
+    # `graphs._circulant_lengths` as it was before its one loop: every length
+    # folded by normalize_length, then each range-checked, then the duplicates
+    bound = (order - 1) // 2
+    if bound < 1:
+        raise InvalidParameterError(f"a circulant of order {order} has no length in [1, (order-1)//2]")
+    norm = tuple(normalize_length(val, order) for val in lengths)
+    for val, r in zip(lengths, norm):
+        if not 1 <= r <= bound:
+            raise InvalidParameterError(
+                f"length {val} normalizes to {r}, outside [1, {bound}] for order {order}"
+            )
+    if len(set(norm)) != len(norm):
+        raise InvalidParameterError(f"lengths must be distinct after normalization, got {list(norm)}")
+    return norm
+
+
+def test_circulant_lengths_match_the_reference():
+    # the same tuple of ints, or the same exception with the same message, for
+    # orders 1..40 and pairs of lengths in [-2 order, 2 order] or a bool: every
+    # pair up to order 16, a seeded sample of 2000 above it
+    def outcome(fold, order, lengths):
+        try:
+            norm = fold(order, lengths)
+        except InvalidParameterError as exc:
+            return type(exc), str(exc)
+        return norm, [type(r) for r in norm]
+
+    rng = random.Random(40)
+    for order in range(1, 41):
+        values = [*range(-2 * order, 2 * order + 1), True, False]
+        pairs = [(a, b) for a in values for b in values]
+        if order > 16:
+            pairs = rng.sample(pairs, 2000)
+        for lengths in [(), *((a,) for a in values), *pairs]:
+            expected = outcome(_reference_circulant_lengths, order, lengths)
+            assert outcome(graphs._circulant_lengths, order, lengths) == expected, (order, lengths)
 
 
 def _reference_cycle(t):

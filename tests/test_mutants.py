@@ -158,7 +158,7 @@ def test_mixed_gcd_clause_forces_k_odd_when_n_even():
                     assert k % 2, (n, k)
 
 
-def _any_multiplier_class(source, built, heads):
+def _any_multiplier_class(source, built, heads, measured):
     # census._multiplier_class with non-unit multipliers allowed and the map unchecked
     build, args = source
     if build is not census.circulant_graph:
@@ -224,9 +224,15 @@ CHECK_MUTANTS = {
         graphs, "_is_permutation", "set(map(type, seq)) == {int} and ", "",
         [(witness_tests, "TestVerifyWitness.test_bool_and_float_entries_are_false")]),
     "a multiplier link checked the wrong way round, x -> ux from the source onto the head, "
-    "which on the head's edges is x -> x/u": (
-        census, "_multiplier_class", "{u * (j - i) % m", "{pow(u, -1, m) * (j - i) % m",
+    "which on the head's lengths is x -> x/u": (
+        census, "_multiplier_class", "_scaled(differences, u, m)", "_scaled(differences, pow(u, -1, m), m)",
         [(census_tests, "test_every_default_row_reruns_alone")]),
+    "a multiplier link that takes a non-unit u": (
+        census, "_multiplier_class", "math.gcd(u, m) == 1 and ", "",
+        [(census_tests, "test_a_link_by_a_non_unit_is_refused")]),
+    "a multiplier link that skips the head's edge count": (
+        census, "_multiplier_class", "size == m * len(scaled) and ", "",
+        [(census_tests, "test_a_link_from_a_head_short_of_an_edge_is_refused")]),
     "a decided yes taken without its witness": (
         census, "_rows", "if verified:", "if decided:",
         [(cli_tests, "TestCensusCmd.test_a_wrong_yes_is_a_failed_row_not_an_aborted_sweep", "ci-acc-always-yes")]),
