@@ -14,30 +14,19 @@ A row whose decider says yes checks its closed-form witness first
 oracle runs only where no verified map has settled the verdict.  A wrong
 "yes" fails its witness and still meets the oracle.
 
-For a unit u mod m, x -> ux mod m carries Ci[m,S] onto Ci[m,uS] (Ádám's
-multiplier isomorphisms).  Within one order's rows, a source Ci[m,uS] after
-a source Ci[m,S] takes the verdicts of Ci[m,S] against the same relabeled
-targets, once the link is checked on the built Ci[m,S] alone.  Its edge
-count and its set D of edge lengths, min((j - i) mod m, m - (j - i) mod m)
-over its edges {i, j}, are read once from its edges; the link holds iff u
-is a unit mod m, so the map is a bijection; Ci[m,S] has m·|S| edges, as
-many as Ci[m,uS]; and every normalized length min(x, m - x), x = ud mod m,
-d in D, is in uS, so every image of an edge is an edge of Ci[m,uS] (the
-images are distinct, as the edges are).  These are the facts that
-`verify_witness` would check against a built Ci[m,uS], which is built only
-if the oracle or a witness check reads it.  Rerunning a row alone calls the
-oracle on that row's own graphs unless its witness verifies, so it
-cross-checks a carried verdict.
+Within one order's rows, circulant sources that are multiplier images of one
+another share their verdicts; `_multiplier_class` states the link and its check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import oracle
 from .deciders import accordions_isomorphic, circulant_iso_accordion, circulant_iso_torus
@@ -117,35 +106,27 @@ def _checked_witness(pairing: Pairing, params: dict, g: Graph, h: Graph) -> Opti
     return vm if verify_witness(g, h, vm) else None
 
 
-class _Built(dict):
-    """Values by key, each made by `make(key)` when first read: graphs by their
-    (constructor, arguments), or relabeled targets by their graphs'."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-def _multiplier_class(source: tuple, built: dict, heads: dict, measured: dict) -> tuple:
+def _multiplier_class(source: tuple, built: Callable, heads: dict, measured: dict) -> tuple:
     """The head of `source`'s multiplier class among the sources met so far.
 
-    A source (circulant_graph, (m, S)) is Ci[m,S]; a source built by anything
-    else heads its own class.  `heads` maps the sorted normalized lengths uT
-    of each head Ci[m,T], for every unit u mod m, to the head and u; `measured`
-    maps each head that a link has reached to its edge count and its set D of
-    normalized edge lengths min((j - i) mod m, m - (j - i) mod m), read once
-    from its built edges.  If S is one of the keys of `heads`, that head is
-    the class's once the link x -> ux mod m is checked on D, with `source`
-    left unbuilt: u is a unit mod m, so the map is a bijection; the head has
-    m·|S| edges, as many as Ci[m,S]; and the normalized images of D under u
-    lie in S, so every image of an edge is an edge of Ci[m,S], whose edges
-    {x, y} are those with y - x = ±s mod m for s in S (u(j - i) is ±s exactly
-    when u times its normalized length is), and the images are distinct, as
-    the head's edges are.  Else `source` heads a new class."""
+    For a unit u mod m, x -> ux mod m carries Ci[m,T] onto Ci[m,uT] (Ádám's
+    multiplier isomorphisms), so the sources of one class share a verdict
+    against each target.  A source (circulant_graph, (m, S)) is Ci[m,S]; a
+    source built by anything else heads its own class.  `built` makes a
+    source's graph from its spec; `heads` maps the sorted normalized lengths
+    uT of each head Ci[m,T], for every unit u mod m, to the head and u;
+    `measured` maps each head that a link has reached to its edge count and
+    its set D of normalized edge lengths min((j - i) mod m, m - (j - i) mod m),
+    read once from its built edges.  If S is one of the keys of `heads`, that
+    head is the class's once the link x -> ux mod m is checked on D, with
+    `source` left unbuilt: u is a unit mod m, so the map is a bijection; the
+    head has m·|S| edges, as many as Ci[m,S]; and the normalized images of D
+    under u lie in S, so every image of an edge is an edge of Ci[m,S], whose
+    edges {x, y} are those with y - x = ±s mod m for s in S (u(j - i) is ±s
+    exactly when u times its normalized length is), and the images are
+    distinct, as the head's edges are.  These are the facts that
+    `verify_witness` would check against a built Ci[m,S].  Else `source`
+    heads a new class."""
     build, args = source
     if build is not circulant_graph:
         return source
@@ -155,7 +136,7 @@ def _multiplier_class(source: tuple, built: dict, heads: dict, measured: dict) -
     if found is not None:
         head, u = found
         if head not in measured:
-            edges = built[head].edges
+            edges = built(head).edges
             measured[head] = len(edges), {j - i if 2 * (j - i) <= m else m - j + i for i, j in edges}
         size, differences = measured[head]
         if math.gcd(u, m) == 1 and size == m * len(scaled) and set(_scaled(differences, u, m)) <= set(scaled):
@@ -187,29 +168,31 @@ def _rows(kind: str, group: list[dict], seed: int) -> Iterator[CensusRow]:
     (`_multiplier_class`) are isomorphic by a checked map, so they share one
     verdict against each target: the oracle's is taken on the first row of
     their class with that target that no witness settled, and the later rows
-    carry it.  A graph is built when the oracle or a witness check first reads
-    it, and a target is relabeled when the oracle first reads it, each once,
-    so a carried source whose rows need neither is never built.  A row alone
-    heads its own class, so rerunning it calls the oracle on its own graphs,
-    unless its witness verifies, and cross-checks the verdict that the sweep
-    carried to it."""
+    carry it.  Three functools caches, made anew by each call, hold the
+    group's graphs (`build`, by spec), its relabeled targets (`relabeled`) and
+    each source's class head (`head`).  A graph is built when the oracle or a
+    witness check first reads it, and a target is relabeled when the oracle
+    first reads it, each once, so a carried source whose rows need neither is
+    never built.  A row alone heads its own class, with graphs of its own, so
+    rerunning it calls the oracle on them, unless its witness verifies, and
+    cross-checks the verdict that the sweep carried to it.  A row's `elapsed`
+    covers the whole row, its class lookup included."""
     pairing = PAIRINGS[kind]
-    built = _Built(lambda spec: spec[0](*spec[1]))
-    targets = _Built(lambda spec: _relabeled(kind, built[spec], spec[1], seed))
-    classes, heads, measured, verdicts = {}, {}, {}, {}
+    build = functools.cache(lambda spec: spec[0](*spec[1]))
+    relabeled = functools.cache(lambda spec: _relabeled(kind, build(spec), spec[1], seed))
+    heads, measured, verdicts = {}, {}, {}
+    head = functools.cache(lambda source: _multiplier_class(source, build, heads, measured))
     for params in group:
-        source, target = pairing.source(**params), pairing.target(**params)
-        if source not in classes:
-            classes[source] = _multiplier_class(source, built, heads, measured)
         start = time.perf_counter()
+        source, target = pairing.source(**params), pairing.target(**params)
         decided = pairing.decide(**params)
-        key = classes[source], target
-        verified = _checked_witness(pairing, params, built[source], built[target]) is not None if decided else None
+        key = head(source), target
+        verified = _checked_witness(pairing, params, build(source), build(target)) is not None if decided else None
         if verified:
             # an oracle "no" already taken for this key stays, so the row disagrees
             verdicts.setdefault(key, True)
         if key not in verdicts:
-            verdicts[key] = oracle.are_isomorphic(built[source], targets[target]) is not None
+            verdicts[key] = oracle.are_isomorphic(build(source), relabeled(target)) is not None
         found = verdicts[key]
         yield CensusRow(kind, params, decided, found, decided == found, verified,
                         time.perf_counter() - start)

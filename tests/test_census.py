@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -52,6 +53,45 @@ def test_every_default_row_reruns_alone(monkeypatch):
         assert dataclasses.replace(alone, elapsed=row.elapsed) == row
         assert len(calls) == (0 if row.witness_verified else 1) and made_for_row in ([], calls)
         calls.clear()
+
+
+def test_a_row_is_timed_from_its_first_step(monkeypatch):
+    # on a clock that only a source's first class lookup moves, by 1 s, the
+    # first row of each source reports that second and every other row none
+    now = [0.0]
+    monkeypatch.setattr(census, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    real = census._multiplier_class
+
+    def slow(*args):
+        now[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(census, "_multiplier_class", slow)
+    seen = set()
+    for rows in (census.accordion_pair_rows(8), census.circulant_accordion_rows(6), census.torus_rows(20)):
+        for row in rows:
+            source = row.kind, census.PAIRINGS[row.kind].source(**row.params)
+            assert row.elapsed == (0 if source in seen else 1), row
+            seen.add(source)
+    assert now[0] == len(seen)
+
+
+def test_a_rerun_builds_its_own_graphs(monkeypatch):
+    # the caches live for one call, so a row run twice builds its graphs twice
+    # and hands the oracle fresh objects, with no first path or automorphism
+    # kept from the other run
+    built = []
+    for name in ("accordion", "circulant_graph"):
+        real = getattr(census, name)
+        monkeypatch.setattr(census, name, partial(lambda real, *args: built.append(args) or real(*args), real))
+    calls = _recording_oracle(monkeypatch)
+    params = {"n": 15, "a": 1, "b": 2, "k": 6}
+    for _ in range(2):
+        (row,) = census._rows("ci-acc", [params], 0)
+        assert row.agree and row.witness_verified is None
+    assert built == [(30, (1, 2)), (15, 6)] * 2
+    (g1, h1), (g2, h2) = calls
+    assert g1 is not g2 and h1 is not h2
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -131,7 +171,7 @@ def _links(head, u, lengths, built, measured):
     along x -> ux, with `heads` holding that one link."""
     m = head[1][0]
     heads = {census._scaled(lengths, 1, m): (head, u)}
-    return census._multiplier_class((circulant_graph, (m, lengths)), built, heads, measured) is head
+    return census._multiplier_class((circulant_graph, (m, lengths)), built.__getitem__, heads, measured) is head
 
 
 def test_the_link_check_on_the_length_set_is_the_edge_check():

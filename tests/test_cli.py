@@ -636,6 +636,23 @@ class TestCensusCmd:
             called.clear()
         assert len(built) == 241 and set(built) == read
 
+    def test_each_target_is_relabeled_once(self, monkeypatch):
+        # the default grids have 92 distinct targets; 79 are relabeled, each
+        # once and only for the oracle: the other 13 meet only witnessed rows
+        relabeled, read = {}, []
+        real, real_oracle = census._relabeled, oracle.are_isomorphic
+
+        def relabel(kind, g, args, seed):
+            h = real(kind, g, args, seed)
+            relabeled.setdefault((kind, args), []).append(h)
+            return h
+
+        monkeypatch.setattr(census, "_relabeled", relabel)
+        monkeypatch.setattr(oracle, "are_isomorphic", lambda g, h: read.append(h) or real_oracle(g, h))
+        assert census.run_census().ok
+        assert len(relabeled) == 79 and all(len(copies) == 1 for copies in relabeled.values())
+        assert {id(h) for (h,) in relabeled.values()} <= {id(h) for h in read}
+
     @pytest.mark.parametrize("parent", ["absent", "file", "dir", "read-only"])
     def test_bad_out_exits_2_before_the_sweep(self, capsys, tmp_path, monkeypatch, parent):
         # the sweep must not start: main would turn a failure raised inside it into exit 2 too
