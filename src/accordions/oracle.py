@@ -11,7 +11,12 @@ Refinement keeps an ordered partition; a vertex's colour is the start of
 its cell, so a discrete colouring is a permutation.  It works through a
 queue of splitter cells, groups the vertices a splitter touches by colour,
 and queues the pieces of a split cell by the smaller-half rule, in
-O((n+m) log n) (Berkholz, Bonsma & Grohe, 2013).  It counts neighbours only
+O((n+m) log n) (Berkholz, Bonsma & Grohe, 2013).  The seeds queue every
+cell but the largest, by the same rule: one seed cell has one degree, so
+its counts into the omitted cell follow from those into the others.  The
+seeds of a vertex-transitive graph (an accordion, a circulant, a torus)
+are one cell, so its level 0 runs no splitter, and where no edge has a
+common neighbour the seeds are read off the degrees.  It counts neighbours only
 where a count can exceed 1, so not for a singleton splitter in a simple
 graph, and sorts by count only a splitter whose counts differ.  A cell met
 with one count is split in the pass that writes its part of the event: its
@@ -95,20 +100,25 @@ def _local_invariants(g):
     """g's LocalInvariants, kept on g: from one count of the length-2 paths
     (`_path_counts`) and one pass over the edges.  Each edge takes its pair's
     count out of the Counter, so what is left there are the non-adjacent pairs
-    that share a neighbour."""
+    that share a neighbour.  Where no edge has a common neighbour (the graph
+    is triangle-free), every seed is (degree, 0, 0, ...), one tuple per
+    degree, with no per-vertex list built or sorted."""
 
     def count():
         n = g.order
         counts = _path_counts(g)
-        around: list[list[int]] = [[] for _ in range(n)]
-        adjacent = []
-        for v, w in g.edges:
-            c = counts.pop(v * n + w, 0)
-            around[v].append(c)
-            around[w].append(c)
-            adjacent.append(c)
-        seeds = [(len(common), sum(common) // 2, *sorted(common)) for common in around]
-        triangles = tuple(sorted(seed[1] for seed in seeds))
+        pop = counts.pop
+        adjacent = [pop(v * n + w, 0) for v, w in g.edges]
+        if any(adjacent):
+            around: list[list[int]] = [[] for _ in range(n)]
+            for (v, w), c in zip(g.edges, adjacent):
+                around[v].append(c)
+                around[w].append(c)
+            seeds = [(len(common), sum(common) // 2, *sorted(common)) for common in around]
+        else:
+            zeros = {d: (d, 0, *[0] * d) for d in set(g.degrees)}
+            seeds = [zeros[d] for d in g.degrees]
+        triangles = tuple(sorted([seed[1] for seed in seeds]))
         pairs = [((True, c), m) for c, m in Counter(adjacent).items()]
         pairs += [((False, c), m) for c, m in Counter(counts.values()).items()]
         return LocalInvariants(tuple(seeds), (triangles, tuple(sorted(pairs))))
@@ -116,13 +126,21 @@ def _local_invariants(g):
 
 
 def _partition(seeds):
-    """The ordered partition of the vertices by seed value, every cell queued:
-    each vertex's colour is the start of its cell, the cells in seed order."""
+    """The ordered partition of the vertices by seed value, each vertex's
+    colour the start of its cell, the cells in seed order, and its queue:
+    every cell but the largest, ties going to the lowest start.  A seed's first
+    entry is the degree, so each vertex's count into the omitted cell is its
+    degree less its counts into the others, and refining from this queue
+    reaches the partition that every cell queued reaches.  A one-cell
+    partition queues nothing."""
+    cells = sorted(Counter(seeds).items())
     starts, at = {}, 0
-    for seed, size in sorted(Counter(seeds).items()):
+    for seed, size in cells:
         starts[seed] = at
         at += size
-    return [starts[s] for s in seeds], list(starts.values())
+    # max keeps the first of equal sizes, the one with the lowest start
+    largest = max(cells, key=lambda cell: cell[1])[0]
+    return [starts[s] for s in seeds], [at for seed, at in starts.items() if seed != largest]
 
 
 def _individualize(colors, v):
@@ -147,6 +165,9 @@ def _splits(nbrs, colors, queue):
     partition is discrete.  A consumer that stops at an event, as a replay
     whose event differs does, finds that splitter's splits already made.
 
+    An empty queue returns at once, before the vertices are ordered by
+    colour: a one-cell seed partition (`_partition`) is equitable as it is.
+
     A singleton splitter is not counted: the graph is simple, so its
     neighbours are the vertices met, each once.  A larger one is counted.
     Where every count is the same (1 where the neighbour lists do not overlap,
@@ -156,6 +177,8 @@ def _splits(nbrs, colors, queue):
     entry: met whole it keeps its start, else its piece moves to the cell's
     tail and one half is queued.
     """
+    if not queue:
+        return
     n = len(colors)
     order = sorted(range(n), key=colors.__getitem__)
     pos = [0] * n

@@ -5,17 +5,19 @@ The JSON graph document is bit-exact by construction: keys "order" then
 no trailing whitespace, newline-terminated.  Golden files and round-trip
 diffs rely on this.
 
-Documents are written by joining strings, not by the json encoder.  Each
+Graphs are written by joining strings, not by the json encoder.  Each
 document first builds one table of vertex labels, ``str(v)`` for each v
 below the largest order in it, and writes each edge endpoint by looking it
 up: a witness between two quartic graphs of order 2000 converts 2000 ints,
 not the 16 000 endpoints of their edges.  A Graph's endpoints are ints in
 range(order) (its constructor refuses anything else), so the table writes
 exactly what ``json.dumps(doc, separators=(",", ":"))`` would.  A witness's
-map is converted entry by entry, not read through the table: VertexMap
-checks nothing, and a negative entry would index the table from the end and
-write a wrong number.  tests/test_serialize.py keeps the encoder as the
-reference and pins the two byte-identical.  Both readers go through
+map is written by the encoder itself, not through the table: VertexMap
+checks nothing, so a negative entry would index the table from the end, and
+a bool or float entry must come out as ``true`` or ``Infinity``, not as
+``str`` writes it (``True``, ``inf``), which no JSON reader accepts.
+tests/test_serialize.py keeps the encoder as the reference and pins the
+two byte-identical.  Both readers go through
 ``json.loads`` behind one parse guard, `_loads`; they check the shape, and
 Graph is the integer check.
 """
@@ -94,9 +96,9 @@ def graph_to_edgelist(g: Graph) -> str:
 
 def witness_to_json(source: Graph, target: Graph, vm: VertexMap) -> str:
     labels = list(map(str, range(max(source.order, target.order))))
-    # the map is converted, not looked up: VertexMap does not check its entries
-    return '{"source":%s,"target":%s,"mapping":[%s]}\n' % (
-        _graph_text(source, labels), _graph_text(target, labels), ",".join(map(str, vm.mapping)))
+    # the map is encoded, not looked up: VertexMap does not check its entries
+    return '{"source":%s,"target":%s,"mapping":%s}\n' % (
+        _graph_text(source, labels), _graph_text(target, labels), json.dumps(vm.mapping, separators=(",", ":")))
 
 
 def witness_from_json(text: str) -> tuple[Graph, Graph, VertexMap]:

@@ -208,6 +208,12 @@ CHECK_MUTANTS = {
     "a kept level returned whatever its trace": (
         oracle, "_level", "level if trace is None or level[1] == trace else None", "level",
         [(oracle_tests, "TestKeptPaths.test_a_kept_root_is_checked_against_a_new_target")]),
+    "degree seeds taken on a graph with triangles": (
+        oracle, "_local_invariants", "if any(adjacent):", "if False:",
+        [(oracle_tests, "TestSparseScreens.test_family_graphs_and_relabelings_match_the_dense_reference", 6)]),
+    "level 0 queues no cell": (
+        oracle, "_partition", "[at for seed, at in starts.items() if seed != largest]", "[]",
+        [(oracle_tests, "TestLevelZeroQueue.test_graphs_whose_seed_cells_differ_in_degree")]),
     "verify_witness without its permutation check": (
         witnesses, "verify_witness", "not _is_permutation(m, g.order)", "False",
         [(witness_tests, "TestVerifyWitness.test_image_out_of_range_is_false")]),

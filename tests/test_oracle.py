@@ -279,24 +279,35 @@ def _cycles(*lengths):
     return Graph(start, tuple(edges))
 
 
+def _net_pair():
+    """The net graph, a triangle with a pendant vertex at each corner, and a
+    graph of degrees 1, 1, 2, 2, 2, 4 with the same size, components and profile."""
+    return (Graph(6, ((0, 4), (1, 5), (2, 3), (3, 4), (3, 5), (4, 5))),
+            Graph(6, ((0, 4), (0, 5), (1, 2), (1, 4), (2, 4), (3, 4))))
+
+
+def _seed_only_pair():
+    """Two graphs with equal degrees, profiles and seed class sizes, whose seed
+    values differ: g has two vertices seeded (3, 2, 1, 1, 2), h has one."""
+    return (Graph(6, ((0, 3), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5))),
+            Graph(6, ((0, 1), (0, 2), (0, 3), (0, 5), (2, 3), (2, 5), (3, 4), (4, 5))))
+
+
 class TestScreenCoverage:
     """Pairs told apart only by a screen that is gone or merged: with equal
     profiles, a later stage must still reject them."""
 
     def test_degree_multisets_are_screened(self):
-        net = Graph(6, ((0, 4), (1, 5), (2, 3), (3, 4), (3, 5), (4, 5)))
-        h = Graph(6, ((0, 4), (0, 5), (1, 2), (1, 4), (2, 4), (3, 4)))
+        net, h = _net_pair()
         assert net.size == h.size and net.components == h.components
         assert sorted(net.degrees) == [1, 1, 1, 3, 3, 3] and sorted(h.degrees) == [1, 1, 2, 2, 2, 4]
         assert _local_invariants(net).profile == _local_invariants(h).profile
         assert are_isomorphic(net, h) is None
 
     def test_seed_only_pairs_are_rejected_by_the_root_replay(self, monkeypatch):
-        # equal degrees, profiles and seed class sizes; only the seed values
-        # differ: g has two vertices seeded (3, 2, 1, 1, 2), h has one, and
-        # refining h against g's trace tells them apart before any search
-        g = Graph(6, ((0, 3), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)))
-        h = Graph(6, ((0, 1), (0, 2), (0, 3), (0, 5), (2, 3), (2, 5), (3, 4), (4, 5)))
+        # only the seed values differ, and replaying g against h's refined
+        # seeds tells them apart before any search
+        g, h = _seed_only_pair()
         assert sorted(g.degrees) == sorted(h.degrees) and g.components == h.components
         assert _local_invariants(g).profile == _local_invariants(h).profile
         gc, hc = Counter(_local_invariants(g).seeds), Counter(_local_invariants(h).seeds)
@@ -628,9 +639,10 @@ class TestRefinementKernel:
         return trace
 
     def _assert_tree_top_is_the_reference(self, g):
-        """The seed start, each individualized child of the root and of its first child."""
+        """The seed start, with `_partition`'s queue and with every cell queued,
+        and each individualized child of the root and of its first child."""
         start = _partition(_local_invariants(g).seeds)
-        traces = [self._assert_same_as_reference(g, start)]
+        traces = [self._assert_same_as_reference(g, s) for s in (start, _every_cell_queued(start))]
         colors = _refine(g.neighbors, start)[0]
         for _ in range(2):
             cell = _target_cell(colors)
@@ -685,6 +697,60 @@ class TestRefinementKernel:
         colors, trace = _refine(g.neighbors, _individualize([0] * 12, 0))
         assert trace[1] == (7, ((0, 2, 4), (0, 4, 1), (11, 4, 1)))
         assert colors == [11, 7, 2, 0, 2, 7, 7, 6, 7, 2, 0, 2]
+
+
+def _every_cell_queued(start):
+    """`start`'s colours with every cell queued, in start order, as level 0
+    queued them before it left out the largest cell."""
+    return start[0], sorted(set(start[0]))
+
+
+class TestLevelZeroQueue:
+    """Level 0 queues every seed cell but the largest: a seed's first entry is
+    the degree, so a vertex's count into the omitted cell is its degree less
+    its counts into the others, and the refined cells are those that every
+    cell queued gives."""
+
+    @staticmethod
+    def _assert_same_cells(g):
+        start = _partition(_local_invariants(g).seeds)
+        colors = _refine(g.neighbors, start)[0]
+        assert _same_partition(colors, _refine(g.neighbors, _every_cell_queued(start))[0])
+
+    @pytest.mark.parametrize("order", range(6, 31, 2))
+    def test_family_graphs_and_their_relabelings(self, order):
+        for g in _quartic_family(order):
+            self._assert_same_cells(g)
+            self._assert_same_cells(_shuffled(g, order))
+
+    @pytest.mark.parametrize("g", [_rook_4x4(), *_SEVERAL_COUNT_GRAPHS.values()],
+                             ids=["rook-4x4", *_SEVERAL_COUNT_GRAPHS])
+    def test_strongly_regular_and_cfi_graphs(self, g):
+        self._assert_same_cells(g)
+
+    def test_graphs_whose_seed_cells_differ_in_degree(self):
+        graphs = [_k4_plus_2k2(), *_net_pair(), *_seed_only_pair()]
+        for g in graphs:
+            assert len({seed[0] for seed in _local_invariants(g).seeds}) > 1
+            self._assert_same_cells(g)
+
+    def test_the_queue_leaves_out_the_largest_cell_ties_to_the_lowest_start(self):
+        # cells of 2, 3, 3 and 1 vertices start at 0, 2, 5 and 8
+        seeds = [(2, 1), (1, 0), (3, 0), (2, 1), (3, 0), (1, 0), (2, 1), (3, 0), (4, 0)]
+        assert _partition(seeds) == ([2, 0, 5, 2, 5, 0, 2, 5, 8], [0, 5, 8])
+        assert _partition([(1, 0), (2, 0)]) == ([0, 1], [1])
+        assert _partition([(2, 0)] * 3) == ([0, 0, 0], [])
+
+    def test_level_0_of_a_one_cell_graph_reads_no_neighbour_list(self):
+        # A[503,3] is vertex-transitive: its seeds are one cell, which as a
+        # splitter would read all 1006 neighbour lists and split nothing
+        g = accordion(503, 3)
+        start = _partition(_local_invariants(g).seeds)
+        nbrs = _RecordingSequence(g.neighbors)
+        assert _refine(nbrs, start) == ([0] * g.order, []) and nbrs.read == []
+        # nor does it order the vertices by colour: an empty queue returns first
+        colors = _CountingSequence(start[0])
+        assert list(_splits(nbrs, colors, start[1])) == [] and colors.reads == 0
 
 
 class TestRefinementWork:
@@ -940,8 +1006,7 @@ class TestKeptPaths:
         # the seed-only pair of TestScreenCoverage, after g has kept its root
         # from a call against a relabeling of itself: g's kept root must not
         # follow h's, whose seed values differ
-        g = Graph(6, ((0, 3), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)))
-        h = Graph(6, ((0, 1), (0, 2), (0, 3), (0, 5), (2, 3), (2, 5), (3, 4), (4, 5)))
+        g, h = _seed_only_pair()
         assert are_isomorphic(g, g.relabel([5, 4, 3, 2, 1, 0])) is not None
         assert 0 in vars(g)["_first_path"]
         monkeypatch.setattr(oracle, "_search", lambda *args: pytest.fail("the search was reached"))

@@ -214,10 +214,19 @@ def test_witness_json_matches_the_json_encoder_on_random_pairs(data):
     assert witness_to_json(source, target, vm) == _reference_witness_to_json(source, target, vm)
 
 
-def test_witness_json_writes_map_entries_as_the_json_encoder_does():
-    # VertexMap checks nothing: an entry outside range(order) is still written as its number
-    p2, vm = path_graph(2), VertexMap((-1, 5))
-    assert witness_to_json(p2, p2, vm) == _reference_witness_to_json(p2, p2, vm)
+@pytest.mark.parametrize("mapping", [(-1, 5), (True, False), (0, float("inf"))], ids=["out-of-range", "bool", "inf"])
+def test_witness_json_writes_map_entries_as_the_json_encoder_does(mapping):
+    # VertexMap checks nothing: an entry outside range(order) is still written
+    # as its number, and a bool or float as JSON spells it, so that the reader
+    # parses the document and names the entry it refuses
+    p2, vm = path_graph(2), VertexMap(mapping)
+    doc = witness_to_json(p2, p2, vm)
+    assert doc == _reference_witness_to_json(p2, p2, vm)
+    if mapping == (-1, 5):
+        assert witness_from_json(doc)[2] == vm
+    else:
+        with pytest.raises(InvalidParameterError, match="^mapping entry must be an integer, got "):
+            witness_from_json(doc)
 
 
 def test_json_matches_the_json_encoder_on_the_census_grid():
