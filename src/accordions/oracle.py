@@ -25,9 +25,10 @@ in a trace: the count profile of every cell it hits, split or not.  The
 event is yielded once the splitter's splits are made.
 One graph is refined and writes the trace; the other is replayed against
 it and rejected at the first event that differs, with that splitter's
-splits already made on colours it then drops.  An individualized child
-queues only its new singleton, because its parent colouring is already
-equitable.  A graph's first path is its refined seeds, then at each level
+splits already made on colours it then drops, or where one of the two
+ends first: a one-cell start has no event at all.  An individualized
+child queues only its new singleton, because its parent colouring is
+already equitable.  A graph's first path is its refined seeds, then at each level
 the first vertex of the target cell individualized.  Each Graph keeps the
 levels of its first path that a search refines or replays to the end.
 are_isomorphic searches h's tree with a target: g's first path.  On h's
@@ -273,15 +274,17 @@ def _refine(nbrs, start):
 
 def _replay(nbrs, start, trace):
     """Refine a second graph from `start` while it follows the reference's
-    trace: its colours, or None at the first event that differs or once the
-    trace has ended.  The events fix the cells and the queue, so a graph that
-    follows every event ends with the trace."""
+    trace: its colours, or None at the first event that differs, once the
+    trace has ended, or if the graph ends before the trace does.  Two starts
+    can queue different cells (a one-cell seed partition queues none, so its
+    refinement has no event), so only a trace followed to its end makes the
+    graph's own trace the reference's."""
     colors = list(start[0])
     events = iter(trace)
     for event in _splits(nbrs, colors, start[1]):
         if event != next(events, None):
             return None
-    return colors
+    return colors if next(events, None) is None else None
 
 
 def _target_cell(colors):

@@ -203,8 +203,12 @@ CHECK_MUTANTS = {
         [(oracle_tests, "TestKnownAnswers.test_answer_map_and_node_count", "cfi-k4-twisted-once-relabeled"),
          (oracle_tests, "TestCanonicalKey.test_orbit_pruning_node_count_is_pinned")]),
     "a replay that accepts once the trace runs out": (
-        oracle, "_replay", "next(events, None)", "next(events, event)",
+        oracle, "_replay", "if event != next(events, None):", "if event != next(events, event):",
         [(oracle_tests, "TestReplay.test_a_trace_cut_short_is_rejected")]),
+    "a replay that accepts a trace it did not use up": (
+        oracle, "_replay", "return colors if next(events, None) is None else None", "return colors",
+        [(oracle_tests, "TestReplay.test_a_trace_cut_short_is_rejected"),
+         (oracle_tests, "TestKeptPaths.test_a_one_cell_root_keeps_no_level_from_a_trace_it_does_not_use_up")]),
     "a kept level returned whatever its trace": (
         oracle, "_level", "level if trace is None or level[1] == trace else None", "level",
         [(oracle_tests, "TestKeptPaths.test_a_kept_root_is_checked_against_a_new_target")]),

@@ -32,6 +32,7 @@ from accordions import census, oracle
 from accordions.oracle import (
     _automorphisms,
     _individualize,
+    _level,
     _local_invariants,
     _orbit,
     _partition,
@@ -406,6 +407,12 @@ class TestReplay:
         trace = _refine(g.neighbors, _uniform(g.order))[1]
         assert _replay(g.neighbors, _uniform(g.order), trace) is not None
         assert len(trace) > 1 and _replay(g.neighbors, _uniform(g.order), trace[:-1]) is None
+        # from another start the graph may end first: C12's seeds are one
+        # cell, so its level-0 start queues nothing and has no event at all
+        c12 = cycle_graph(12)
+        start = _partition(_local_invariants(c12).seeds)
+        assert start[1] == [] and _replay(c12.neighbors, start, trace) is None
+        assert _replay(c12.neighbors, start, []) == [0] * 12
 
     def test_histogram_mismatch_is_rejected(self):
         # every neighbour count of 2K4 occurs in K4 + 2K2, but in other numbers
@@ -1011,6 +1018,19 @@ class TestKeptPaths:
         assert 0 in vars(g)["_first_path"]
         monkeypatch.setattr(oracle, "_search", lambda *args: pytest.fail("the search was reached"))
         assert are_isomorphic(g, h) is None
+
+    def test_a_one_cell_root_keeps_no_level_from_a_trace_it_does_not_use_up(self):
+        # A[12,3]'s level 0 has no event; K4 + 2K2's seed cells differ in
+        # degree, so its level 0 has some.  Kept with that trace, g's root
+        # would refuse the empty trace of g's own relabelings
+        g = accordion(12, 3)
+        trace = _level(_k4_plus_2k2(), 0)[1]
+        assert trace and _level(g, 0, trace) is None
+        assert "_first_path" not in vars(g) or 0 not in vars(g)["_first_path"]
+        h = _shuffled(g, 12)
+        vm = are_isomorphic(g, h)
+        assert vm is not None and verify_witness(g, h, vm)
+        assert are_isomorphic(_shuffled(g, 13), g) is not None
 
     def test_a_relabeled_copy_starts_with_no_kept_path(self):
         g, h = _SEARCHED_PAIRS["A30-3"]()
